@@ -7,8 +7,8 @@
  *  - formatTraceLine(): the JSONL sink's snprintf path;
  *  - bintrace::Writer::record(): the .grpbin varint/delta path;
  *  - the full Tracer::record() hot path for both formats (stdio
- *    buffering included), plus the disabled-site guard every
- *    GRP_TRACE site pays when tracing is off.
+ *    buffering included), plus the disabled-tracer guard the
+ *    lifecycle fold pays per event when tracing is off.
  */
 
 #include <benchmark/benchmark.h>
@@ -136,8 +136,8 @@ BM_TracerBinary(benchmark::State &state)
 }
 BENCHMARK(BM_TracerBinary);
 
-/** What every GRP_TRACE site costs with tracing off: one enabled()
- *  compare. */
+/** What the lifecycle fold's tracer check costs per event with
+ *  tracing off: one enabled() compare. */
 void
 BM_DisabledSiteGuard(benchmark::State &state)
 {

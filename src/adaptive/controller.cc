@@ -140,8 +140,8 @@ AdaptiveController::setLevel(obs::HintClass cls, Knob knob,
     levels_[c][k] = level;
     applyLevel(cls, knob, level);
     ++*transitions_[k];
-    GRP_TRACE(2, obs::TraceEvent::CtrlTransition, 0, cls,
-              static_cast<int>(knob), static_cast<int64_t>(level));
+    lifecycle_.note({obs::TraceEvent::CtrlTransition, 0, cls,
+                     static_cast<int>(knob), level});
 }
 
 void

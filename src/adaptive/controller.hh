@@ -153,6 +153,7 @@ class AdaptiveController
     std::array<unsigned, kNumClasses> lowerStreak_{};
 
     StatGroup stats_;
+    obs::LifecycleFold lifecycle_; ///< Knob moves: binds nothing.
     Counter *epochs_ = nullptr;
     /** Class-epochs skipped for lack of fills. */
     Counter *lowSignalEpochs_ = nullptr;

@@ -39,11 +39,7 @@ namespace adaptive
 {
 
 /** Cumulative per-hint-class prefetch accounting. */
-struct ClassCounts
-{
-    uint64_t fills = 0;  ///< Measured-window prefetch fills.
-    uint64_t useful = 0; ///< Measured-window first-uses.
-};
+using ClassCounts = obs::ClassCounts;
 
 /** One cumulative reading of the run's feedback state. */
 struct Sample

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/host_prof.hh"
-#include "obs/site_profile.hh"
 #include "sim/logging.hh"
 
 namespace grp
@@ -57,9 +56,8 @@ GrpEngine::onL2DemandMiss(Addr addr, RefId ref, const LoadHints &hints)
         ++*missesUnhinted_;
         return;
     }
-    GRP_TRACE(2, obs::TraceEvent::HintTrigger, blockAlign(addr),
-              obs::HintClass::Spatial, -1, -1, false, ref);
-    GRP_PROFILE(noteTrigger(ref, obs::HintClass::Spatial));
+    lifecycle_.note({obs::TraceEvent::HintTrigger, blockAlign(addr),
+                     obs::HintClass::Spatial, -1, -1, false, ref});
     unsigned window =
         variableRegions() ? hints.regionBlocks(kBlocksPerRegion)
                           : kBlocksPerRegion;
@@ -95,11 +93,9 @@ GrpEngine::onFill(Addr block_addr, uint8_t ptr_depth, ReqClass)
     const obs::HintClass hint = ptr_depth > 1
                                     ? obs::HintClass::Recursive
                                     : obs::HintClass::Pointer;
-    if (found > 0) {
-        GRP_TRACE(2, obs::TraceEvent::HintTrigger, block_addr, hint,
-                  -1, found);
-        GRP_PROFILE(noteTrigger(kInvalidRefId, hint));
-    }
+    if (found > 0)
+        lifecycle_.note({obs::TraceEvent::HintTrigger, block_addr, hint,
+                         -1, found});
     for (unsigned i = 0; i < found; ++i) {
         queue_.addPointerTarget(pointers[i],
                                 config_.region.blocksPerPointer,
@@ -119,9 +115,8 @@ GrpEngine::indirectPrefetch(Addr base, unsigned elem_size,
     // generate prefetches too — exactly the over-fetch the paper's
     // design accepts for its simplicity.
     ++*indirectOps_;
-    GRP_TRACE(2, obs::TraceEvent::HintTrigger, blockAlign(index_addr),
-              obs::HintClass::Indirect, -1, -1, false, ref);
-    GRP_PROFILE(noteTrigger(ref, obs::HintClass::Indirect));
+    lifecycle_.note({obs::TraceEvent::HintTrigger, blockAlign(index_addr),
+                     obs::HintClass::Indirect, -1, -1, false, ref});
     const Addr block = blockAlign(index_addr);
     const unsigned fanout = config_.region.indirectFanout;
     for (unsigned i = 0; i < kBlockBytes / 4 && i < fanout; ++i) {

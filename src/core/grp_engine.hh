@@ -71,6 +71,8 @@ class GrpEngine : public PrefetchEngine
 
     void reset() override;
 
+    void resetStats() override { stats_.reset(); queue_.stats().reset(); }
+
   private:
     bool variableRegions() const
     {
@@ -83,6 +85,7 @@ class GrpEngine : public PrefetchEngine
     const adaptive::ControlPlane *plane_ = nullptr;
     RegionQueue queue_;
     PointerScanner scanner_;
+    obs::LifecycleFold lifecycle_; ///< Hint triggers: binds nothing.
     StatGroup stats_;
     obs::ScopedStatRegistration statReg_;
     Distribution regionSizes_;

@@ -513,7 +513,8 @@ runWorkload(const std::string &workload_name, SimConfig config,
     // be batched, so it forces per-cycle stepping.
     const bool fast_forward =
         envInt("GRP_FAST_FORWARD", 1) != 0 &&
-        !obs::Tracer::instance().enabled(3);
+        !obs::Tracer::instance().enabled(
+            obs::traceLevelOf(obs::TraceEvent::Stall));
     setup_scope.stop();
 
     GRP_HOST_SCOPE_NAMED(loop_scope, 1, SimLoop);
@@ -579,7 +580,7 @@ runWorkload(const std::string &workload_name, SimConfig config,
             // End of warmup: discard cold-start statistics.
             mem.resetStats();
             if (engine.get())
-                engine->stats().reset();
+                engine->resetStats();
             obs::Tracer::instance().setWarmup(false);
             // Restart the site table with the measured window so its
             // column sums reconcile with the post-reset registry

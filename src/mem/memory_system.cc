@@ -5,6 +5,7 @@
 #include "mem/dram_backend/factory.hh"
 
 #include "obs/host_prof.hh"
+#include "obs/site_profile.hh"
 #include "sim/logging.hh"
 
 namespace grp
@@ -66,17 +67,7 @@ MemorySystem::MemorySystem(const SimConfig &config, EventQueue &events,
     hot_.prefetchFills = &stats_.counter("prefetchFills");
     hot_.writebacks = &stats_.counter("writebacks");
     hot_.writebacksQueued = &stats_.counter("writebacksQueued");
-    hot_.prefetchEvictedUnused = &stats_.counter("prefetchEvictedUnused");
-    hot_.usefulPrefetches = &stats_.counter("usefulPrefetches");
-    hot_.usefulPrefetchWarmupCarryover =
-        &stats_.counter("usefulPrefetchWarmupCarryover");
-    hot_.prefetchDemandThrottled =
-        &stats_.counter("prefetchDemandThrottled");
-    hot_.prefetchMshrThrottled = &stats_.counter("prefetchMshrThrottled");
-    hot_.prefetchFiltered = &stats_.counter("prefetchFiltered");
-    hot_.prefetchesIssued = &stats_.counter("prefetchesIssued");
-    hot_.prefetchToUseDistance =
-        &stats_.distribution("prefetchToUseDistance");
+    lifecycle_.bindMemory(stats_, classCounts_);
 }
 
 uint8_t
@@ -226,11 +217,8 @@ MemorySystem::handleL1Miss(Addr addr, RefId ref, const LoadHints &hints,
         livePrefetches_[block] =
             PrefetchFillInfo{events_.curTick(), obs::HintClass::Stride,
                              false, ref};
-        GRP_TRACE(1, obs::TraceEvent::Fill, block,
-                  obs::HintClass::Stride, -1, -1, false, ref);
-        GRP_PROFILE(noteFill(ref, obs::HintClass::Stride, false));
-        ++classCounts_[static_cast<size_t>(obs::HintClass::Stride)]
-              .fills;
+        lifecycle_.note({obs::TraceEvent::Fill, block,
+                         obs::HintClass::Stride, -1, -1, false, ref});
         // Promote; counts a useful prefetch.
         if (l2_->access(block, false).firstUseOfPrefetch)
             notePrefetchUseful(block);
@@ -338,11 +326,8 @@ MemorySystem::notePrefetchUseful(Addr block_addr)
         // No fill record (state carried across a reset()): attribute
         // conservatively as carryover so measured accuracy stays a
         // fills-vs-uses ratio over the same window.
-        ++*hot_.usefulPrefetchWarmupCarryover;
-        GRP_TRACE(1, obs::TraceEvent::FirstUse, block_addr,
-                  obs::HintClass::None, -1, -1, true);
-        GRP_PROFILE(noteUseful(kInvalidRefId, obs::HintClass::None, 0,
-                               true));
+        lifecycle_.note({obs::TraceEvent::FirstUse, block_addr,
+                         obs::HintClass::None, -1, -1, true});
         return;
     }
 
@@ -350,16 +335,8 @@ MemorySystem::notePrefetchUseful(Addr block_addr)
     livePrefetches_.erase(it);
     const uint64_t distance = std::min<uint64_t>(
         events_.curTick() - info.fillTick, kDistanceCap);
-    if (info.warm) {
-        ++*hot_.usefulPrefetchWarmupCarryover;
-    } else {
-        ++*hot_.usefulPrefetches;
-        ++classCounts_[static_cast<size_t>(info.hint)].useful;
-        hot_.prefetchToUseDistance->sample(distance);
-    }
-    GRP_TRACE(1, obs::TraceEvent::FirstUse, block_addr, info.hint, -1,
-              static_cast<int64_t>(distance), info.warm, info.ref);
-    GRP_PROFILE(noteUseful(info.ref, info.hint, distance, info.warm));
+    lifecycle_.note({obs::TraceEvent::FirstUse, block_addr, info.hint, -1,
+                     static_cast<int64_t>(distance), info.warm, info.ref});
 }
 
 void
@@ -378,27 +355,23 @@ MemorySystem::insertIntoL2(Addr block_addr, bool as_prefetch, bool dirty,
         // shadow cache still holds it (a pollution miss).
         const uint64_t drops_before = victims_.drops();
         victims_.record(evicted->blockAddr, ref, hint);
-        ++*pol_.victimsRecorded;
         *pol_.victimDrops += victims_.drops() - drops_before;
-        GRP_TRACE(2, obs::TraceEvent::EvictVictim, evicted->blockAddr,
-                  hint, -1, -1, false, ref);
+        lifecycle_.note({obs::TraceEvent::EvictVictim, evicted->blockAddr,
+                         hint, -1, -1, false, ref});
     }
     if (evicted && evicted->wasUnusedPrefetch) {
-        ++*hot_.prefetchEvictedUnused;
+        // Without a fill record (state carried across a reset()) the
+        // eviction stays unattributed.
+        obs::TraceRecord rec(obs::TraceEvent::EvictedUnused,
+                             evicted->blockAddr);
         auto it = livePrefetches_.find(evicted->blockAddr);
-        const obs::HintClass hint = it != livePrefetches_.end()
-                                        ? it->second.hint
-                                        : obs::HintClass::None;
-        const bool warm =
-            it != livePrefetches_.end() && it->second.warm;
-        const RefId ref = it != livePrefetches_.end()
-                              ? it->second.ref
-                              : kInvalidRefId;
-        if (it != livePrefetches_.end())
+        if (it != livePrefetches_.end()) {
+            rec.hint = it->second.hint;
+            rec.carryover = it->second.warm;
+            rec.site = it->second.ref;
             livePrefetches_.erase(it);
-        GRP_TRACE(1, obs::TraceEvent::EvictedUnused, evicted->blockAddr,
-                  hint, -1, -1, warm, ref);
-        GRP_PROFILE(noteEvictedUnused(ref, hint, warm));
+        }
+        lifecycle_.note(rec);
     }
     if (evicted && evicted->dirty) {
         MemRequest wb;
@@ -423,13 +396,10 @@ MemorySystem::enableShadowTags()
     // export exactly the same stat set as before.
     pol_.bothHits = &stats_.counter("pollutionBothHits");
     pol_.baselineMisses = &stats_.counter("pollutionBaselineMisses");
-    pol_.pollutionMisses = &stats_.counter("pollutionMisses");
     pol_.coverageHits = &stats_.counter("pollutionCoverageHits");
     pol_.shadowMisses = &stats_.counter("pollutionShadowMisses");
-    pol_.attributed = &stats_.counter("pollutionAttributed");
-    pol_.unattributed = &stats_.counter("pollutionUnattributed");
-    pol_.victimsRecorded = &stats_.counter("pollutionVictimsRecorded");
     pol_.victimDrops = &stats_.counter("pollutionVictimDrops");
+    lifecycle_.bindPollution(stats_);
 }
 
 void
@@ -454,16 +424,14 @@ MemorySystem::classifyDemandAccess(Addr block_addr, bool real_hit)
     } else if (real_hit) {
         ++*pol_.coverageHits;
     } else if (shadow_hit) {
-        ++*pol_.pollutionMisses;
+        // A pollution miss, charged to the prefetch that evicted the
+        // block while the victim table still remembers it.
+        obs::TraceRecord rec(obs::TraceEvent::PollutionMiss, block_addr);
         if (auto victim = victims_.take(block_addr)) {
-            ++*pol_.attributed;
-            GRP_TRACE(2, obs::TraceEvent::PollutionMiss, block_addr,
-                      victim->hint, -1, -1, false, victim->ref);
-            GRP_PROFILE(notePollutionMiss(victim->ref, victim->hint));
-        } else {
-            ++*pol_.unattributed;
-            GRP_TRACE(2, obs::TraceEvent::PollutionMiss, block_addr);
+            rec.hint = victim->hint;
+            rec.site = victim->ref;
         }
+        lifecycle_.note(rec);
     } else {
         ++*pol_.baselineMisses;
     }
@@ -504,11 +472,7 @@ MemorySystem::tick()
     // cycle) must take the slow path to keep stats byte-identical.
     if (queuedDemand_ == 0 && queuedWriteback_ == 0 &&
         dram_->allIdle(now) &&
-        (!engine_ ||
-         (l2Mshrs_->demandInFlight() == 0 &&
-          l2Mshrs_->capacity() - l2Mshrs_->inFlight() >
-              kDemandReservedMshrs &&
-          engine_->queueDepth() == 0))) {
+        (!engine_ || (!prefetchStall() && engine_->queueDepth() == 0))) {
         dram_->noteAllIdleCycle();
         return;
     }
@@ -536,19 +500,10 @@ MemorySystem::tick()
             }
         }
         // Contention accounting: attribute this cycle to whatever now
-        // occupies the channel (including an access started above),
-        // and charge demand queueing time spent behind an in-flight
-        // prefetch the prioritizer could not pre-empt.
+        // occupies the channel (including an access started above).
         dram_->noteChannelCycle(ch, now);
-        if (!dram_->channelIdle(ch, now) &&
-            dram_->occupantClass(ch) == ReqClass::Prefetch &&
-            !demandQueues_[ch].empty()) {
-            const uint64_t waiting = demandQueues_[ch].size();
-            dram_->noteDemandStall(waiting);
-            GRP_PROFILE(noteContention(dram_->occupantRef(ch),
-                                       dram_->occupantHint(ch),
-                                       waiting));
-        }
+        if (!dram_->channelIdle(ch, now))
+            chargeContention(ch, 1);
     }
 }
 
@@ -562,11 +517,7 @@ MemorySystem::nextWorkTick(Tick now) const
     // cannot change inside a stall window (the CPU is frozen and no
     // DRAM completion events fire before the skip target).
     const bool gates_open =
-        engine_ && engine_->queueDepth() > 0 &&
-        l2Mshrs_->demandInFlight() == 0 &&
-        l2Mshrs_->capacity() - l2Mshrs_->inFlight() >
-            kDemandReservedMshrs &&
-        queuedDemand_ == 0;
+        engine_ && engine_->queueDepth() > 0 && !prefetchStall();
 
     Tick next = kMaxTick;
     // A queued backend transitions on its own every cycle while any
@@ -595,22 +546,12 @@ MemorySystem::fastForwardTicks(Tick from, Tick to)
         return;
     const uint64_t span = to - from;
 
-    // The throttle counter an idle channel's tryIssuePrefetch would
-    // bump each cycle. The "else" branch means the gates are open: the
-    // runner only skips such cycles when the engine's queue is empty,
-    // where the draw loop returns without touching any counter.
-    enum class IdleCount { None, DemandThrottled, MshrThrottled };
-    IdleCount idle_count = IdleCount::None;
-    if (engine_) {
-        const bool any_demand =
-            l2Mshrs_->demandInFlight() > 0 || queuedDemand_ != 0;
-        if (any_demand) {
-            idle_count = IdleCount::DemandThrottled;
-        } else if (l2Mshrs_->capacity() - l2Mshrs_->inFlight() <=
-                   kDemandReservedMshrs) {
-            idle_count = IdleCount::MshrThrottled;
-        }
-    }
+    // The stall an idle channel's tryIssuePrefetch would fold each
+    // cycle. With the gates open the runner only skips cycles while
+    // the engine's queue is empty, where the draw loop touches no
+    // counter.
+    const std::optional<obs::StallReason> stall =
+        engine_ ? prefetchStall() : std::nullopt;
 
     for (unsigned ch = 0; ch < config_.dram.channels; ++ch) {
         const Tick busy_until = dram_->channelBusyUntil(ch);
@@ -620,20 +561,14 @@ MemorySystem::fastForwardTicks(Tick from, Tick to)
                 : std::min<uint64_t>(busy_until - from, span);
         const uint64_t idle = span - busy;
         dram_->noteChannelCycles(ch, busy, idle);
-        if (idle) {
-            if (idle_count == IdleCount::DemandThrottled)
-                *hot_.prefetchDemandThrottled += idle;
-            else if (idle_count == IdleCount::MshrThrottled)
-                *hot_.prefetchMshrThrottled += idle;
+        if (idle && stall) {
+            lifecycle_.note({obs::TraceEvent::Stall, 0,
+                             obs::HintClass::None, static_cast<int>(ch),
+                             static_cast<int64_t>(*stall)},
+                            idle);
         }
-        if (busy && dram_->occupantClass(ch) == ReqClass::Prefetch &&
-            !demandQueues_[ch].empty()) {
-            const uint64_t waiting = demandQueues_[ch].size();
-            dram_->noteDemandStall(waiting * busy);
-            GRP_PROFILE(noteContention(dram_->occupantRef(ch),
-                                       dram_->occupantHint(ch),
-                                       waiting * busy));
-        }
+        if (busy)
+            chargeContention(ch, busy);
     }
 }
 
@@ -685,11 +620,8 @@ MemorySystem::onDramFill(MemRequest req)
         const bool warm = mshr->allocated < boundaryTick_;
         livePrefetches_[req.blockAddr] = PrefetchFillInfo{
             events_.curTick(), req.hintClass, warm, req.refId};
-        GRP_TRACE(1, obs::TraceEvent::Fill, req.blockAddr,
-                  req.hintClass, -1, -1, warm, req.refId);
-        GRP_PROFILE(noteFill(req.refId, req.hintClass, warm));
-        if (!warm)
-            ++classCounts_[static_cast<size_t>(req.hintClass)].fills;
+        lifecycle_.note({obs::TraceEvent::Fill, req.blockAddr,
+                         req.hintClass, -1, -1, warm, req.refId});
     }
     if (demand_class && was_prefetch_req) {
         // Late prefetch: the waiting demand touches it immediately.
@@ -714,27 +646,10 @@ MemorySystem::tryIssuePrefetch(unsigned channel)
     if (!engine_)
         return false;
     GRP_HOST_SCOPE(2, PrefetchIssue);
-    // The access prioritizer forwards prefetch requests only when
-    // there are no outstanding demand misses from the L2 (§3.1):
-    // prefetches thus contend with demands only when the demand
-    // arrived after the prefetch had already been issued to DRAM.
-    if (l2Mshrs_->demandInFlight() > 0) {
-        ++*hot_.prefetchDemandThrottled;
-        GRP_TRACE(3, obs::TraceEvent::Stall, 0, obs::HintClass::None,
-                  static_cast<int>(channel), 0);
-        return false;
-    }
-    if (queuedDemand_ != 0) {
-        ++*hot_.prefetchDemandThrottled;
-        GRP_TRACE(3, obs::TraceEvent::Stall, 0, obs::HintClass::None,
-                  static_cast<int>(channel), 1);
-        return false;
-    }
-    if (l2Mshrs_->capacity() - l2Mshrs_->inFlight() <=
-        kDemandReservedMshrs) {
-        ++*hot_.prefetchMshrThrottled;
-        GRP_TRACE(3, obs::TraceEvent::Stall, 0, obs::HintClass::None,
-                  static_cast<int>(channel), 2);
+    if (const auto stall = prefetchStall()) {
+        lifecycle_.note({obs::TraceEvent::Stall, 0, obs::HintClass::None,
+                         static_cast<int>(channel),
+                         static_cast<int64_t>(*stall)});
         return false;
     }
 
@@ -746,12 +661,10 @@ MemorySystem::tryIssuePrefetch(unsigned channel)
         panic_if(dram_->channelOf(block) != channel,
                  "engine offered a candidate for the wrong channel");
         if (l2_->contains(block) || l2Mshrs_->find(block)) {
-            ++*hot_.prefetchFiltered;
-            GRP_TRACE(2, obs::TraceEvent::Filtered, block,
-                      candidate->hintClass, static_cast<int>(channel),
-                      -1, false, candidate->refId);
-            GRP_PROFILE(noteFiltered(candidate->refId,
-                                     candidate->hintClass));
+            lifecycle_.note({obs::TraceEvent::Filtered, block,
+                             candidate->hintClass,
+                             static_cast<int>(channel), -1, false,
+                             candidate->refId});
             continue;
         }
         l2Mshrs_->allocate(block, true, LoadHints{},
@@ -764,14 +677,46 @@ MemorySystem::tryIssuePrefetch(unsigned channel)
         req.hintClass = candidate->hintClass;
         req.enqueued = events_.curTick();
         startDramAccess(channel, req);
-        ++*hot_.prefetchesIssued;
-        GRP_TRACE(1, obs::TraceEvent::Issue, block, candidate->hintClass,
-                  static_cast<int>(channel), candidate->ptrDepth, false,
-                  candidate->refId);
-        GRP_PROFILE(noteIssue(candidate->refId, candidate->hintClass));
+        lifecycle_.note({obs::TraceEvent::Issue, block,
+                         candidate->hintClass, static_cast<int>(channel),
+                         candidate->ptrDepth, false, candidate->refId});
         return true;
     }
     return false;
+}
+
+std::optional<obs::StallReason>
+MemorySystem::prefetchStall() const
+{
+    // The access prioritizer forwards prefetch requests only when
+    // there are no outstanding demand misses from the L2 (§3.1):
+    // prefetches thus contend with demands only when the demand
+    // arrived after the prefetch had already been issued to DRAM.
+    if (l2Mshrs_->demandInFlight() > 0)
+        return obs::StallReason::DemandInFlight;
+    if (queuedDemand_ != 0)
+        return obs::StallReason::DemandQueued;
+    if (l2Mshrs_->capacity() - l2Mshrs_->inFlight() <=
+        kDemandReservedMshrs) {
+        return obs::StallReason::MshrReserve;
+    }
+    return std::nullopt;
+}
+
+void
+MemorySystem::chargeContention(unsigned channel, uint64_t cycles)
+{
+    if (dram_->occupantClass(channel) != ReqClass::Prefetch ||
+        demandQueues_[channel].empty()) {
+        return;
+    }
+    const uint64_t waiting = demandQueues_[channel].size() * cycles;
+    dram_->noteDemandStall(waiting);
+    obs::SiteProfiler &profiler = obs::SiteProfiler::instance();
+    if (profiler.enabled()) {
+        profiler.noteContention(dram_->occupantRef(channel),
+                                dram_->occupantHint(channel), waiting);
+    }
 }
 
 bool

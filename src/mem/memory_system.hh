@@ -18,6 +18,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -29,7 +30,6 @@
 #include "mem/prefetch_iface.hh"
 #include "mem/request.hh"
 #include "obs/shadow_tags.hh"
-#include "obs/site_profile.hh"
 #include "obs/stat_registry.hh"
 #include "obs/trace.hh"
 #include "sim/config.hh"
@@ -73,7 +73,7 @@ class MemorySystem
      *  (adaptive signal source; zeroed with resetStats()). Plain
      *  members, not registry counters, so stat exports and committed
      *  bench baselines are unchanged by their existence. */
-    const std::array<adaptive::ClassCounts, adaptive::kNumClasses> &
+    const obs::ClassCountTable &
     classPrefetchCounts() const
     {
         return classCounts_;
@@ -202,6 +202,11 @@ class MemorySystem
     void startDramAccess(unsigned channel, const MemRequest &req);
     void onDramFill(MemRequest req);
     bool tryIssuePrefetch(unsigned channel);
+    /** Why the prioritizer refuses prefetches (nullopt: gates open). */
+    std::optional<obs::StallReason> prefetchStall() const;
+    /** Charge @p cycles of demand queueing behind @p channel's
+     *  in-flight prefetch, if any, to DRAM and the prefetch's site. */
+    void chargeContention(unsigned channel, uint64_t cycles);
     uint8_t demandPtrDepth(const LoadHints &hints) const;
 
     SimConfig config_;
@@ -220,8 +225,9 @@ class MemorySystem
     LoadCallback loadDone_;
     const adaptive::ControlPlane *plane_ = nullptr;
     /** Per-hint-class fill/first-use accounting (see accessor). */
-    std::array<adaptive::ClassCounts, adaptive::kNumClasses>
-        classCounts_{};
+    obs::ClassCountTable classCounts_{};
+    /** The one writer of the lifecycle counters and classCounts_. */
+    obs::LifecycleFold lifecycle_;
 
     std::vector<std::deque<MemRequest>> demandQueues_;
     std::vector<std::deque<MemRequest>> writebackQueues_;
@@ -272,12 +278,8 @@ class MemorySystem
     {
         Counter *bothHits = nullptr;
         Counter *baselineMisses = nullptr;
-        Counter *pollutionMisses = nullptr;
         Counter *coverageHits = nullptr;
         Counter *shadowMisses = nullptr;
-        Counter *attributed = nullptr;
-        Counter *unattributed = nullptr;
-        Counter *victimsRecorded = nullptr;
         Counter *victimDrops = nullptr;
     };
     PollutionCounters pol_;
@@ -304,14 +306,6 @@ class MemorySystem
         Counter *prefetchFills = nullptr;
         Counter *writebacks = nullptr;
         Counter *writebacksQueued = nullptr;
-        Counter *prefetchEvictedUnused = nullptr;
-        Counter *usefulPrefetches = nullptr;
-        Counter *usefulPrefetchWarmupCarryover = nullptr;
-        Counter *prefetchDemandThrottled = nullptr;
-        Counter *prefetchMshrThrottled = nullptr;
-        Counter *prefetchFiltered = nullptr;
-        Counter *prefetchesIssued = nullptr;
-        Distribution *prefetchToUseDistance = nullptr;
     };
     HotCounters hot_;
 

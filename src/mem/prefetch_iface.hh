@@ -97,6 +97,9 @@ class PrefetchEngine
     /** Engine statistics group. */
     virtual StatGroup &stats() = 0;
 
+    /** Zero every statistic the engine owns (warmup boundary). */
+    virtual void resetStats() { stats().reset(); }
+
     /** Pending candidate entries (time-series sampling hook). */
     virtual size_t queueDepth() const { return 0; }
 

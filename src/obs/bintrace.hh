@@ -10,7 +10,7 @@
  * emit instead of JSONL, with offline tooling doing the heavy
  * lifting. Two stream kinds share the container:
  *
- *  - Lifecycle (kind 0): every GRP_TRACE event type, field-for-field
+ *  - Lifecycle (kind 0): every lifecycle event type, field-for-field
  *    equivalent to the JSONL records (a converted trace is
  *    byte-identical to a natively emitted one).
  *  - Access (kind 1): the RefId-tagged demand-access stream the CPU
@@ -79,7 +79,7 @@ constexpr size_t kTrailerBytes = 8 + 4;
 /** What the record stream carries. */
 enum class StreamKind : uint8_t
 {
-    Lifecycle = 0, ///< GRP_TRACE prefetch lifecycle events.
+    Lifecycle = 0, ///< Prefetch lifecycle events (obs/trace.hh).
     Access = 1,    ///< RefId-tagged CPU access stream (replay).
 };
 

@@ -40,92 +40,72 @@ SiteProfiler::entry(RefId ref, HintClass hint)
     return it->second;
 }
 
-void
-SiteProfiler::noteTrigger(RefId ref, HintClass hint)
+namespace
 {
-    GRP_HOST_SCOPE(2, SiteProfile);
-    ++entry(ref, hint).triggers;
-    ++stats_.counter("triggers");
-}
 
-void
-SiteProfiler::noteEnqueue(RefId ref, HintClass hint, uint64_t candidates)
+/** The site column a record feeds and the siteProfile.* total that
+ *  mirrors it (field null: no column counts the event). */
+struct Column
 {
-    GRP_HOST_SCOPE(2, SiteProfile);
-    entry(ref, hint).enqueued += candidates;
-    stats_.counter("enqueued") += candidates;
-}
+    uint64_t SiteCounters::*field = nullptr;
+    const char *total = nullptr;
+};
 
-void
-SiteProfiler::noteDrop(RefId ref, HintClass hint, uint64_t candidates)
+Column
+columnOf(const TraceRecord &rec)
 {
-    GRP_HOST_SCOPE(2, SiteProfile);
-    entry(ref, hint).dropped += candidates;
-    stats_.counter("dropped") += candidates;
-}
-
-void
-SiteProfiler::noteIssue(RefId ref, HintClass hint)
-{
-    GRP_HOST_SCOPE(2, SiteProfile);
-    ++entry(ref, hint).issued;
-    ++stats_.counter("issued");
-}
-
-void
-SiteProfiler::noteFiltered(RefId ref, HintClass hint)
-{
-    GRP_HOST_SCOPE(2, SiteProfile);
-    ++entry(ref, hint).filtered;
-    ++stats_.counter("filtered");
-}
-
-void
-SiteProfiler::noteFill(RefId ref, HintClass hint, bool warm)
-{
-    GRP_HOST_SCOPE(2, SiteProfile);
-    SiteCounters &site = entry(ref, hint);
-    if (warm) {
-        ++site.warmupFills;
-        ++stats_.counter("warmupFills");
-    } else {
-        ++site.fills;
-        ++stats_.counter("fills");
+    switch (rec.event) {
+      case TraceEvent::HintTrigger:
+        return {&SiteCounters::triggers, "triggers"};
+      case TraceEvent::Enqueue:
+        return {&SiteCounters::enqueued, "enqueued"};
+      case TraceEvent::Drop:
+        return {&SiteCounters::dropped, "dropped"};
+      case TraceEvent::Issue:
+        return {&SiteCounters::issued, "issued"};
+      case TraceEvent::Filtered:
+        return {&SiteCounters::filtered, "filtered"};
+      case TraceEvent::Fill:
+        return rec.carryover
+                   ? Column{&SiteCounters::warmupFills, "warmupFills"}
+                   : Column{&SiteCounters::fills, "fills"};
+      case TraceEvent::FirstUse:
+        return rec.carryover
+                   ? Column{&SiteCounters::warmupUseful, "warmupUseful"}
+                   : Column{&SiteCounters::useful, "useful"};
+      case TraceEvent::EvictedUnused:
+        return {&SiteCounters::evictedUnused, "evictedUnused"};
+      case TraceEvent::PollutionMiss:
+        // Only a miss charged to a prefetch has a site to blame.
+        if (rec.hint != HintClass::None)
+            return {&SiteCounters::pollutionCaused, "pollutionCaused"};
+        return {};
+      default: // Stalls, victim evictions, controller moves.
+        return {};
     }
 }
 
-void
-SiteProfiler::noteUseful(RefId ref, HintClass hint, uint64_t distance,
-                         bool warm)
-{
-    GRP_HOST_SCOPE(2, SiteProfile);
-    SiteCounters &site = entry(ref, hint);
-    if (warm) {
-        ++site.warmupUseful;
-        ++stats_.counter("warmupUseful");
-    } else {
-        ++site.useful;
-        site.fillToUse.sample(distance);
-        ++stats_.counter("useful");
-    }
-}
+} // namespace
 
 void
-SiteProfiler::noteEvictedUnused(RefId ref, HintClass hint, bool warm)
+SiteProfiler::note(const TraceRecord &rec)
 {
+    const Column column = columnOf(rec);
+    if (!column.field)
+        return;
     GRP_HOST_SCOPE(2, SiteProfile);
-    ++entry(ref, hint).evictedUnused;
-    ++stats_.counter("evictedUnused");
-    if (warm)
+    // Queue records carry their candidate-block count in extra.
+    const uint64_t n = rec.event == TraceEvent::Enqueue ||
+                               rec.event == TraceEvent::Drop
+                           ? static_cast<uint64_t>(rec.extra)
+                           : 1;
+    SiteCounters &site = entry(rec.site, rec.hint);
+    site.*column.field += n;
+    stats_.counter(column.total) += n;
+    if (rec.event == TraceEvent::FirstUse && !rec.carryover)
+        site.fillToUse.sample(static_cast<uint64_t>(rec.extra));
+    if (rec.event == TraceEvent::EvictedUnused && rec.carryover)
         ++stats_.counter("warmupEvictedUnused");
-}
-
-void
-SiteProfiler::notePollutionMiss(RefId ref, HintClass hint)
-{
-    GRP_HOST_SCOPE(2, SiteProfile);
-    ++entry(ref, hint).pollutionCaused;
-    ++stats_.counter("pollutionCaused");
 }
 
 void

@@ -14,17 +14,13 @@
  * (see ROADMAP.md) will consume, and it is what `grpsim
  * --site-profile` exports.
  *
- * Attribution mirrors the StatRegistry counters exactly: noteIssue()
- * is called where mem.prefetchesIssued increments, noteUseful(warm =
- * false) where mem.usefulPrefetches increments, and the harness
- * clears the table at the warmup/measurement boundary alongside
- * resetStats() — so summing any column over the sites reconciles
- * with the engine-level totals.
- *
- * Overhead control matches the tracer: every emission site goes
- * through the GRP_PROFILE() macro, a single predictable branch when
- * profiling is off and compiled out entirely when GRP_TRACE_MAX_LEVEL
- * is 0.
+ * The profiler is a sink of the lifecycle fold (obs/trace.hh): note()
+ * gets the very record whose registry counters the fold bumps, and
+ * the harness clears the table at the warmup/measurement boundary
+ * alongside resetStats(), so summing any column over the sites
+ * reconciles with the engine-level totals by construction. Channel
+ * contention is a cost rather than a lifecycle event; it arrives
+ * through noteContention().
  */
 
 #ifndef GRP_OBS_SITE_PROFILE_HH
@@ -149,17 +145,10 @@ class SiteProfiler
      *  the table covers exactly the measured window. */
     void clear();
 
-    void noteTrigger(RefId ref, HintClass hint);
-    void noteEnqueue(RefId ref, HintClass hint, uint64_t candidates);
-    void noteDrop(RefId ref, HintClass hint, uint64_t candidates);
-    void noteIssue(RefId ref, HintClass hint);
-    void noteFiltered(RefId ref, HintClass hint);
-    void noteFill(RefId ref, HintClass hint, bool warm);
-    void noteUseful(RefId ref, HintClass hint, uint64_t distance,
-                    bool warm);
-    void noteEvictedUnused(RefId ref, HintClass hint, bool warm);
-    /** A shadow-classified pollution miss was charged to the site. */
-    void notePollutionMiss(RefId ref, HintClass hint);
+    /** Fold one lifecycle record into its site's column; records no
+     *  column counts (stalls, victim evictions, unattributed
+     *  pollution misses, controller moves) are ignored. */
+    void note(const TraceRecord &rec);
     /** @p waiting demand requests spent a cycle queued behind the
      *  site's in-flight prefetch transfer. */
     void noteContention(RefId ref, HintClass hint, uint64_t waiting);
@@ -216,18 +205,5 @@ class SiteProfiler
 
 } // namespace obs
 } // namespace grp
-
-/** Route one SiteProfiler::noteX(...) call through the compile-away
- *  guard: removed entirely when GRP_TRACE_MAX_LEVEL is 0, a single
- *  branch when profiling is disabled. */
-#define GRP_PROFILE(...)                                              \
-    do {                                                              \
-        if constexpr (GRP_TRACE_MAX_LEVEL > 0) {                      \
-            ::grp::obs::SiteProfiler &prof_ =                         \
-                ::grp::obs::SiteProfiler::instance();                 \
-            if (prof_.enabled())                                      \
-                prof_.__VA_ARGS__;                                    \
-        }                                                             \
-    } while (0)
 
 #endif // GRP_OBS_SITE_PROFILE_HH

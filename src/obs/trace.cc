@@ -3,6 +3,7 @@
 #include "obs/atomic_file.hh"
 #include "obs/bintrace.hh"
 #include "obs/host_prof.hh"
+#include "obs/site_profile.hh"
 
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
@@ -44,29 +45,6 @@ toString(TraceEvent event)
       case TraceEvent::CtrlTransition: return "ctrlTransition";
     }
     return "?";
-}
-
-int
-traceLevelOf(TraceEvent event)
-{
-    switch (event) {
-      case TraceEvent::Issue:
-      case TraceEvent::Fill:
-      case TraceEvent::FirstUse:
-      case TraceEvent::EvictedUnused:
-        return 1;
-      case TraceEvent::HintTrigger:
-      case TraceEvent::Enqueue:
-      case TraceEvent::Drop:
-      case TraceEvent::Filtered:
-      case TraceEvent::EvictVictim:
-      case TraceEvent::PollutionMiss:
-      case TraceEvent::CtrlTransition:
-        return 2;
-      case TraceEvent::Stall:
-        return 3;
-    }
-    return 3;
 }
 
 TraceFormat
@@ -210,6 +188,91 @@ Tracer::record(const TraceRecord &rec)
         std::fwrite(line, 1, n, out_);
     }
     ++records_;
+}
+
+void
+LifecycleFold::bindMemory(StatGroup &mem, ClassCountTable &by_class)
+{
+    issued_ = &mem.counter("prefetchesIssued");
+    demandThrottled_ = &mem.counter("prefetchDemandThrottled");
+    mshrThrottled_ = &mem.counter("prefetchMshrThrottled");
+    filtered_ = &mem.counter("prefetchFiltered");
+    useful_ = &mem.counter("usefulPrefetches");
+    carryoverUseful_ = &mem.counter("usefulPrefetchWarmupCarryover");
+    useDistance_ = &mem.distribution("prefetchToUseDistance");
+    evictedUnused_ = &mem.counter("prefetchEvictedUnused");
+    byClass_ = &by_class;
+}
+
+void
+LifecycleFold::bindPollution(StatGroup &mem)
+{
+    victimsRecorded_ = &mem.counter("pollutionVictimsRecorded");
+    pollutionMisses_ = &mem.counter("pollutionMisses");
+    pollutionAttributed_ = &mem.counter("pollutionAttributed");
+    pollutionUnattributed_ = &mem.counter("pollutionUnattributed");
+}
+
+void
+LifecycleFold::bindQueue(StatGroup &queue)
+{
+    entriesDropped_ = &queue.counter("entriesDropped");
+    candidatesDropped_ = &queue.counter("candidatesDropped");
+}
+
+void
+LifecycleFold::fold(const TraceRecord &rec)
+{
+    const auto cls = static_cast<std::size_t>(rec.hint);
+    switch (rec.event) {
+      case TraceEvent::Drop:
+        ++*entriesDropped_;
+        *candidatesDropped_ += static_cast<uint64_t>(rec.extra);
+        break;
+      case TraceEvent::Issue:
+        ++*issued_;
+        break;
+      case TraceEvent::Filtered:
+        ++*filtered_;
+        break;
+      case TraceEvent::Fill:
+        // Carry-flagged records concern requests from before the
+        // warmup boundary; the per-class counts cover the measured
+        // window only.
+        if (!rec.carryover)
+            ++(*byClass_)[cls].fills;
+        break;
+      case TraceEvent::FirstUse:
+        if (rec.carryover) {
+            ++*carryoverUseful_;
+            break;
+        }
+        ++*useful_;
+        ++(*byClass_)[cls].useful;
+        useDistance_->sample(static_cast<uint64_t>(rec.extra));
+        break;
+      case TraceEvent::EvictedUnused:
+        ++*evictedUnused_;
+        break;
+      case TraceEvent::EvictVictim:
+        ++*victimsRecorded_;
+        break;
+      case TraceEvent::PollutionMiss:
+        // Every prefetch carries a hint class, so exactly the misses
+        // the victim table charged to a prefetch name one.
+        ++*pollutionMisses_;
+        ++*(rec.hint != HintClass::None ? pollutionAttributed_
+                                        : pollutionUnattributed_);
+        break;
+      default: // Hint triggers, enqueues and controller moves.
+        break;
+    }
+    Tracer &tracer = Tracer::instance();
+    if (tracer.enabled(traceLevelOf(rec.event)))
+        tracer.record(rec);
+    SiteProfiler &profiler = SiteProfiler::instance();
+    if (profiler.enabled())
+        profiler.note(rec);
 }
 
 } // namespace obs

@@ -1,23 +1,22 @@
 /**
  * @file
- * Prefetch lifecycle tracing.
+ * Prefetch lifecycle events: the record of one occurrence, the one
+ * call that accounts it (LifecycleFold), and the trace sink (Tracer).
  *
- * A per-thread, low-overhead event sink that records each
- * prefetch's full arc as one JSON object per line (JSONL):
- * the hint class that triggered it, queue enqueue / drop, memory
- * channel issue vs. demand-priority stall, fill, and finally
- * first-use or evicted-unused. Per-hint-class accuracy and
- * prefetch-to-use distance distributions (the paper's Table 5
- * attribution claims) can be recomputed from a level-2 trace.
+ * LifecycleFold::note() is the only writer of the registry counters
+ * and per-hint-class counts a lifecycle event feeds; it hands the
+ * same record to the tracer at traceLevelOf(event) and to the site
+ * profiler, so every prefetch counter, site-profile column and trace
+ * funnel is a fold of one record stream (docs/OBSERVABILITY.md
+ * tabulates event -> counters -> site column -> level).
  *
- * Overhead control is two-layered:
- *  - Runtime: every emission site is guarded by a branch on the
- *    tracer's level; with tracing off (level 0, the default) the
- *    cost is one predictable compare per site.
- *  - Compile time: sites are emitted through the GRP_TRACE(level,
- *    ...) macro, which `if constexpr`-eliminates any site above
- *    GRP_TRACE_MAX_LEVEL. Building with -DGRP_TRACE_MAX_LEVEL=0
- *    compiles tracing out entirely.
+ * The per-thread tracer records each prefetch's arc (hint trigger,
+ * queue enqueue / drop, channel issue vs. demand-priority stall,
+ * fill, first-use or evicted-unused) as JSONL or .grpbin. Per-class
+ * accuracy and prefetch-to-use distance (the paper's Table 5
+ * attribution claims) can be recomputed from a level-2 trace. With
+ * tracing off (level 0, the default) the fold's level check is one
+ * predictable compare per event.
  *
  * Event levels:
  *  1 — lifecycle: issue, fill, firstUse, evictedUnused
@@ -30,12 +29,14 @@
 #ifndef GRP_OBS_TRACE_HH
 #define GRP_OBS_TRACE_HH
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace grp
@@ -109,8 +110,25 @@ enum class TraceEvent : uint8_t
 
 const char *toString(TraceEvent event);
 
-/** Trace level of each event type. */
-int traceLevelOf(TraceEvent event);
+/** Trace level of each event type (see file comment). */
+constexpr int
+traceLevelOf(TraceEvent event)
+{
+    switch (event) {
+      case TraceEvent::Issue:
+      case TraceEvent::Fill:
+      case TraceEvent::FirstUse:
+      case TraceEvent::EvictedUnused:
+        return 1;
+      case TraceEvent::Stall:
+        return 3;
+      default:
+        return 2;
+    }
+}
+
+/** A Stall record's extra: why the prioritizer refused prefetches. */
+enum class StallReason : uint8_t { DemandInFlight, DemandQueued, MshrReserve };
 
 /** One trace emission. Fields with default values are omitted from
  *  the output line. */
@@ -129,7 +147,8 @@ struct TraceRecord
     HintClass hint;
     int channel;
     /** Event-specific payload: candidate count for Enqueue/Drop,
-     *  pointer depth for Issue, fill-to-use cycles for FirstUse. */
+     *  pointer depth for Issue, fill-to-use cycles for FirstUse, a
+     *  StallReason for Stall. */
     int64_t extra;
     /** The record is attributed to the warmup era (fills whose
      *  request predates the measurement boundary, and first-uses of
@@ -246,25 +265,72 @@ class Tracer
     uint64_t records_ = 0;
 };
 
+/** Measured-window prefetch fills and first uses of one hint class. */
+struct ClassCounts
+{
+    uint64_t fills = 0;
+    uint64_t useful = 0;
+};
+
+/** ClassCounts indexed by HintClass. */
+using ClassCountTable =
+    std::array<ClassCounts, static_cast<std::size_t>(HintClass::Stride) + 1>;
+
+/** The one accounting path for lifecycle records. Counters live in
+ *  the emitting component's StatGroup (mem.*, regionQueue.*), bound
+ *  once; events that feed no counter need no binding. fold() is the
+ *  event -> counter table. */
+class LifecycleFold
+{
+  public:
+    /** Memory-side events; per-class fills and uses go to @p by_class. */
+    void bindMemory(StatGroup &mem, ClassCountTable &by_class);
+    /** Shadow-tag events, bound only with shadow tags on. */
+    void bindPollution(StatGroup &mem);
+    /** Queue drops. */
+    void bindQueue(StatGroup &queue);
+
+    /** Fold one occurrence of @p rec. Fast-forward folds @p count
+     *  identical stall cycles at once; it is off whenever stalls are
+     *  traced, so the tracer still sees every stall. */
+    void
+    note(const TraceRecord &rec, uint64_t count = 1)
+    {
+        // The per-cycle event stays inline: a counter bump and a
+        // level check (stalls feed no site column).
+        if (rec.event == TraceEvent::Stall) {
+            *(rec.extra == static_cast<int64_t>(StallReason::MshrReserve)
+                  ? mshrThrottled_
+                  : demandThrottled_) += count;
+            Tracer &tracer = Tracer::instance();
+            if (tracer.enabled(traceLevelOf(TraceEvent::Stall)))
+                tracer.record(rec);
+            return;
+        }
+        fold(rec);
+    }
+
+  private:
+    void fold(const TraceRecord &rec);
+
+    Counter *issued_ = nullptr;
+    Counter *demandThrottled_ = nullptr;
+    Counter *mshrThrottled_ = nullptr;
+    Counter *filtered_ = nullptr;
+    Counter *useful_ = nullptr;
+    Counter *carryoverUseful_ = nullptr;
+    Distribution *useDistance_ = nullptr;
+    Counter *evictedUnused_ = nullptr;
+    ClassCountTable *byClass_ = nullptr;
+    Counter *victimsRecorded_ = nullptr;
+    Counter *pollutionMisses_ = nullptr;
+    Counter *pollutionAttributed_ = nullptr;
+    Counter *pollutionUnattributed_ = nullptr;
+    Counter *entriesDropped_ = nullptr;
+    Counter *candidatesDropped_ = nullptr;
+};
+
 } // namespace obs
 } // namespace grp
-
-/** Highest trace level compiled into the binary; 0 removes every
- *  emission site. */
-#ifndef GRP_TRACE_MAX_LEVEL
-#define GRP_TRACE_MAX_LEVEL 3
-#endif
-
-/** Emit a TraceRecord at @p lvl; compiled out above
- *  GRP_TRACE_MAX_LEVEL, a single branch when tracing is off. */
-#define GRP_TRACE(lvl, ...)                                           \
-    do {                                                              \
-        if constexpr ((lvl) <= GRP_TRACE_MAX_LEVEL) {                 \
-            ::grp::obs::Tracer &tracer_ =                             \
-                ::grp::obs::Tracer::instance();                       \
-            if (tracer_.enabled(lvl))                                 \
-                tracer_.record(::grp::obs::TraceRecord(__VA_ARGS__)); \
-        }                                                             \
-    } while (0)
 
 #endif // GRP_OBS_TRACE_HH

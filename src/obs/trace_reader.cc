@@ -227,38 +227,33 @@ analyzeTrace(const std::vector<TraceLine> &lines)
         FunnelStats &site = out.bySite[line.site];
         const uint64_t count =
             line.extra > 0 ? static_cast<uint64_t>(line.extra) : 1;
-
         // The measured-window columns mirror the simulator's
-        // post-warmup counters, so warmup-era queue/issue records
-        // (warm flag) feed the state machine but not the funnel.
+        // post-warmup counters, so warmup-era records (warm flag)
+        // feed the state machine but not the funnel.
+        const auto measure = [&](uint64_t FunnelStats::*column,
+                                 uint64_t n) {
+            if (!line.warm) {
+                cls.*column += n;
+                site.*column += n;
+            }
+        };
+
         switch (line.event) {
           case TraceEvent::HintTrigger:
-            if (!line.warm) {
-                ++cls.triggers;
-                ++site.triggers;
-            }
+            measure(&FunnelStats::triggers, 1);
             break;
           case TraceEvent::Enqueue:
-            if (!line.warm) {
-                cls.enqueued += count;
-                site.enqueued += count;
-            }
+            measure(&FunnelStats::enqueued, count);
             windows.insert(line.addr);
             break;
           case TraceEvent::Drop:
-            if (!line.warm) {
-                cls.dropped += count;
-                site.dropped += count;
-            }
+            measure(&FunnelStats::dropped, count);
             break;
           case TraceEvent::Stall:
           case TraceEvent::CtrlTransition:
             break; // Handled (continued) above.
           case TraceEvent::Filtered:
-            if (!line.warm) {
-                ++cls.filtered;
-                ++site.filtered;
-            }
+            measure(&FunnelStats::filtered, 1);
             break;
           case TraceEvent::Issue: {
             auto it = state.find(line.addr);
@@ -280,10 +275,7 @@ analyzeTrace(const std::vector<TraceLine> &lines)
                     violate(hexaddr(line.addr) +
                             " issued without a covering enqueue");
             }
-            if (!line.warm) {
-                ++cls.issued;
-                ++site.issued;
-            }
+            measure(&FunnelStats::issued, 1);
             break;
           }
           case TraceEvent::Fill: {
@@ -299,13 +291,11 @@ analyzeTrace(const std::vector<TraceLine> &lines)
             state[line.addr] = true;
             // A fill is warmup-era when emitted during warmup or
             // carry-flagged (its request predates the boundary).
-            if (line.warm || line.carry) {
-                ++cls.warmFills;
-                ++site.warmFills;
-            } else {
-                ++cls.fills;
-                ++site.fills;
-            }
+            const auto column = line.warm || line.carry
+                                    ? &FunnelStats::warmFills
+                                    : &FunnelStats::fills;
+            ++(cls.*column);
+            ++(site.*column);
             break;
           }
           case TraceEvent::FirstUse: {
@@ -321,18 +311,14 @@ analyzeTrace(const std::vector<TraceLine> &lines)
             }
             if (it != state.end())
                 state.erase(it);
-            if (line.warm || line.carry) {
-                ++cls.warmUseful;
-                ++site.warmUseful;
-            } else {
-                ++cls.useful;
-                ++site.useful;
-                if (line.extra >= 0) {
-                    cls.fillToUse.sample(
-                        static_cast<uint64_t>(line.extra));
-                    site.fillToUse.sample(
-                        static_cast<uint64_t>(line.extra));
-                }
+            const bool warm_era = line.warm || line.carry;
+            const auto column = warm_era ? &FunnelStats::warmUseful
+                                         : &FunnelStats::useful;
+            ++(cls.*column);
+            ++(site.*column);
+            if (!warm_era && line.extra >= 0) {
+                cls.fillToUse.sample(static_cast<uint64_t>(line.extra));
+                site.fillToUse.sample(static_cast<uint64_t>(line.extra));
             }
             break;
           }
@@ -346,8 +332,7 @@ analyzeTrace(const std::vector<TraceLine> &lines)
             }
             if (it != state.end())
                 state.erase(it);
-            ++cls.evictedUnused;
-            ++site.evictedUnused;
+            measure(&FunnelStats::evictedUnused, 1);
             break;
           }
           case TraceEvent::EvictVictim:
@@ -366,10 +351,7 @@ analyzeTrace(const std::vector<TraceLine> &lines)
                 else
                     victims.erase(it);
             }
-            if (!line.warm) {
-                ++cls.pollutionMisses;
-                ++site.pollutionMisses;
-            }
+            measure(&FunnelStats::pollutionMisses, 1);
             break;
           }
         }

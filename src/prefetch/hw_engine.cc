@@ -1,7 +1,6 @@
 #include "prefetch/hw_engine.hh"
 
 #include "obs/host_prof.hh"
-#include "obs/site_profile.hh"
 #include "sim/logging.hh"
 
 namespace grp
@@ -59,9 +58,8 @@ HwPrefetchEngine::onL2DemandMiss(Addr addr, RefId ref, const LoadHints &)
     // hardware itself ignores it.
     if (!usesRegions())
         return;
-    GRP_TRACE(2, obs::TraceEvent::HintTrigger, blockAlign(addr),
-              obs::HintClass::Spatial, -1, -1, false, ref);
-    GRP_PROFILE(noteTrigger(ref, obs::HintClass::Spatial));
+    lifecycle_.note({obs::TraceEvent::HintTrigger, blockAlign(addr),
+                     obs::HintClass::Spatial, -1, -1, false, ref});
     if (queue_.noteSpatialMiss(addr, kBlocksPerRegion, 0, ref)) {
         ++*regionsAllocated_;
     } else {
@@ -82,11 +80,9 @@ HwPrefetchEngine::onFill(Addr block_addr, uint8_t ptr_depth, ReqClass)
     const obs::HintClass hint = ptr_depth > 1
                                     ? obs::HintClass::Recursive
                                     : obs::HintClass::Pointer;
-    if (found > 0) {
-        GRP_TRACE(2, obs::TraceEvent::HintTrigger, block_addr, hint,
-                  -1, found);
-        GRP_PROFILE(noteTrigger(kInvalidRefId, hint));
-    }
+    if (found > 0)
+        lifecycle_.note({obs::TraceEvent::HintTrigger, block_addr, hint,
+                         -1, found});
     for (unsigned i = 0; i < found; ++i) {
         queue_.addPointerTarget(pointers[i],
                                 config_.region.blocksPerPointer,

@@ -55,6 +55,8 @@ class HwPrefetchEngine : public PrefetchEngine
 
     void reset() override;
 
+    void resetStats() override { stats_.reset(); queue_.stats().reset(); }
+
   private:
     bool usesRegions() const;
     bool usesPointers() const;
@@ -62,6 +64,7 @@ class HwPrefetchEngine : public PrefetchEngine
     SimConfig config_;
     RegionQueue queue_;
     PointerScanner scanner_;
+    obs::LifecycleFold lifecycle_; ///< Hint triggers: binds nothing.
     StatGroup stats_;
     obs::ScopedStatRegistration statReg_;
 

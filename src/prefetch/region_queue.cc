@@ -3,7 +3,6 @@
 #include <bit>
 #include <limits>
 
-#include "obs/site_profile.hh"
 #include "sim/logging.hh"
 
 namespace grp
@@ -35,8 +34,7 @@ RegionQueue::RegionQueue(unsigned capacity, bool lifo, bool bank_aware,
     freeHead_ = 0;
     clsHead_.fill(-1);
     clsTail_.fill(-1);
-    entriesDropped_ = &stats_.counter("entriesDropped");
-    candidatesDropped_ = &stats_.counter("candidatesDropped");
+    lifecycle_.bindQueue(stats_);
     regionsQueued_ = &stats_.counter("regionsQueued");
     pointerTargetsQueued_ = &stats_.counter("pointerTargetsQueued");
     candidatesDequeued_ = &stats_.counter("candidatesDequeued");
@@ -141,12 +139,9 @@ RegionQueue::buildWindowVector(uint64_t base_block, unsigned blocks,
 void
 RegionQueue::pushFront(RegionEntry entry)
 {
-    const int entry_blocks = std::popcount(entry.bitvec);
-    GRP_TRACE(2, obs::TraceEvent::Enqueue,
-              entry.baseBlock << kBlockShift, entry.hintClass, -1,
-              entry_blocks, false, entry.refId);
-    GRP_PROFILE(noteEnqueue(entry.refId, entry.hintClass,
-                            static_cast<uint64_t>(entry_blocks)));
+    lifecycle_.note({obs::TraceEvent::Enqueue,
+                     entry.baseBlock << kBlockShift, entry.hintClass, -1,
+                     std::popcount(entry.bitvec), false, entry.refId});
     const int idx = allocSlot();
     slots_[idx].entry = entry;
     linkFront(idx);
@@ -154,20 +149,15 @@ RegionQueue::pushFront(RegionEntry entry)
         const RegionEntry &victim = slots_[allTail_].entry;
         const int victim_blocks = std::popcount(victim.bitvec);
         dropped_ += victim_blocks;
-        ++*entriesDropped_;
-        *candidatesDropped_ += static_cast<uint64_t>(victim_blocks);
-        GRP_TRACE(2, obs::TraceEvent::Drop,
-                  victim.baseBlock << kBlockShift, victim.hintClass, -1,
-                  victim_blocks, false, victim.refId);
-        GRP_PROFILE(noteDrop(victim.refId, victim.hintClass,
-                             static_cast<uint64_t>(victim_blocks)));
+        lifecycle_.note({obs::TraceEvent::Drop,
+                         victim.baseBlock << kBlockShift, victim.hintClass,
+                         -1, victim_blocks, false, victim.refId});
         removeSlot(allTail_);
     }
-    // Counters only go up: advance the high-water mark by its delta.
-    if (size_ > highWater_) {
-        *occupancyHighWater_ += size_ - highWater_;
-        highWater_ = size_;
-    }
+    // The counter is the high-water mark. Counters only go up, so it
+    // advances by its delta, and a stats reset re-bases it.
+    if (size_ > occupancyHighWater_->value())
+        *occupancyHighWater_ += size_ - occupancyHighWater_->value();
 }
 
 unsigned
@@ -378,7 +368,6 @@ RegionQueue::clear()
     nextSeq_ = std::numeric_limits<uint64_t>::max();
     dropped_ = 0;
     stats_.reset();
-    highWater_ = 0;
 }
 
 } // namespace grp

@@ -169,15 +169,11 @@ class RegionQueue
     PresenceTest present_;
     const adaptive::ControlPlane *plane_ = nullptr;
     uint64_t dropped_ = 0;
-    /** Occupancy high-water mark mirrored into the counter (Counter
-     *  supports only ++/+=, so the mark advances by deltas). */
-    size_t highWater_ = 0;
     StatGroup stats_{"regionQueue"};
     obs::ScopedStatRegistration statReg_;
+    obs::LifecycleFold lifecycle_; ///< Enqueues and drops.
 
     /** Cached counter handles (lookup once at construction). */
-    Counter *entriesDropped_ = nullptr;
-    Counter *candidatesDropped_ = nullptr;
     Counter *regionsQueued_ = nullptr;
     Counter *pointerTargetsQueued_ = nullptr;
     Counter *candidatesDequeued_ = nullptr;

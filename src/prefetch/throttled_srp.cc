@@ -1,7 +1,6 @@
 #include "prefetch/throttled_srp.hh"
 
 #include "obs/host_prof.hh"
-#include "obs/site_profile.hh"
 #include "sim/logging.hh"
 
 namespace grp
@@ -63,9 +62,8 @@ ThrottledSrpEngine::onL2DemandMiss(Addr addr, RefId ref,
             return; // No region allocation while paused.
         }
     }
-    GRP_TRACE(2, obs::TraceEvent::HintTrigger, blockAlign(addr),
-              obs::HintClass::Spatial, -1, -1, false, ref);
-    GRP_PROFILE(noteTrigger(ref, obs::HintClass::Spatial));
+    lifecycle_.note({obs::TraceEvent::HintTrigger, blockAlign(addr),
+                     obs::HintClass::Spatial, -1, -1, false, ref});
     if (queue_.noteSpatialMiss(addr, kBlocksPerRegion, 0, ref)) {
         ++*regionsAllocated_;
     } else {

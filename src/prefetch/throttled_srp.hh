@@ -68,9 +68,12 @@ class ThrottledSrpEngine : public PrefetchEngine
 
     void reset() override;
 
+    void resetStats() override { stats_.reset(); queue_.stats().reset(); }
+
   private:
     SimConfig config_;
     RegionQueue queue_;
+    obs::LifecycleFold lifecycle_; ///< Hint triggers: binds nothing.
     double accuracyFloor_;
     unsigned resumeMisses_;
 

@@ -1,26 +1,31 @@
 /** @file Tests for the per-hint-site profiler: unit-level funnel
  *  accounting, worst-offender ranking, the JSON export schema, and —
- *  the property the whole design hangs on — exact reconciliation of
- *  the per-site table with the engine-level StatRegistry totals over
- *  a real run. */
+ *  the property the whole design hangs on — that the registry
+ *  counters, the per-site table and a trace's funnel, all folds of
+ *  one lifecycle record stream, agree exactly over real runs. */
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
+#include <tuple>
 
 #include "harness/runner.hh"
 #include "obs/json_reader.hh"
 #include "obs/site_profile.hh"
+#include "obs/trace_reader.hh"
 #include "sim/logging.hh"
 
 namespace grp
 {
 namespace
 {
+
+using obs::HintClass;
+using obs::TraceEvent;
 
 /** Enables the global profiler for one test and always restores the
  *  disabled/empty state, so tests cannot leak into each other. */
@@ -39,25 +44,36 @@ class ProfilerGuard
     }
 };
 
+/** A lifecycle record attributed to (@p ref, @p hint). */
+obs::TraceRecord
+record(TraceEvent event, RefId ref, HintClass hint, int64_t extra = -1,
+       bool carryover = false)
+{
+    return {event, 0, hint, -1, extra, carryover, ref};
+}
+
 TEST(SiteProfile, FunnelAccounting)
 {
     ProfilerGuard guard;
     obs::SiteProfiler &prof = obs::SiteProfiler::instance();
+    const HintClass spatial = HintClass::Spatial;
 
-    prof.noteTrigger(7, obs::HintClass::Spatial);
-    prof.noteEnqueue(7, obs::HintClass::Spatial, 12);
-    prof.noteDrop(7, obs::HintClass::Spatial, 2);
-    prof.noteIssue(7, obs::HintClass::Spatial);
-    prof.noteFiltered(7, obs::HintClass::Spatial);
-    prof.noteFill(7, obs::HintClass::Spatial, /*warm=*/false);
-    prof.noteUseful(7, obs::HintClass::Spatial, 40, /*warm=*/false);
-    prof.noteFill(7, obs::HintClass::Spatial, /*warm=*/true);
-    prof.noteUseful(7, obs::HintClass::Spatial, 9, /*warm=*/true);
-    prof.noteEvictedUnused(7, obs::HintClass::Spatial,
-                           /*warm=*/false);
+    prof.note(record(TraceEvent::HintTrigger, 7, spatial));
+    prof.note(record(TraceEvent::Enqueue, 7, spatial, 12));
+    prof.note(record(TraceEvent::Drop, 7, spatial, 2));
+    prof.note(record(TraceEvent::Issue, 7, spatial, 0));
+    prof.note(record(TraceEvent::Filtered, 7, spatial));
+    prof.note(record(TraceEvent::Fill, 7, spatial));
+    prof.note(record(TraceEvent::FirstUse, 7, spatial, 40));
+    prof.note(record(TraceEvent::Fill, 7, spatial, -1, true));
+    prof.note(record(TraceEvent::FirstUse, 7, spatial, 9, true));
+    prof.note(record(TraceEvent::EvictedUnused, 7, spatial));
+    // Events no site column counts leave the table alone.
+    prof.note(record(TraceEvent::Stall, 7, spatial, 0));
+    prof.note(record(TraceEvent::EvictVictim, 7, spatial));
+    prof.note(record(TraceEvent::PollutionMiss, 7, HintClass::None));
 
-    const obs::SiteCounters *site =
-        prof.find(7, obs::HintClass::Spatial);
+    const obs::SiteCounters *site = prof.find(7, spatial);
     ASSERT_TRUE(site);
     EXPECT_EQ(site->triggers, 1u);
     EXPECT_EQ(site->enqueued, 12u);
@@ -69,15 +85,16 @@ TEST(SiteProfile, FunnelAccounting)
     EXPECT_EQ(site->evictedUnused, 1u);
     EXPECT_EQ(site->warmupFills, 1u);
     EXPECT_EQ(site->warmupUseful, 1u);
+    EXPECT_EQ(site->pollutionCaused, 0u);
     // Only the measured-window use sampled the distance.
     EXPECT_EQ(site->fillToUse.samples(), 1u);
     EXPECT_EQ(site->fillToUse.sum(), 40u);
     EXPECT_DOUBLE_EQ(site->accuracy(), 1.0);
 
     // The same ref under a different hint class is a distinct site.
-    prof.noteIssue(7, obs::HintClass::Pointer);
+    prof.note(record(TraceEvent::Issue, 7, HintClass::Pointer, 1));
     EXPECT_EQ(prof.siteCount(), 2u);
-    EXPECT_FALSE(prof.find(8, obs::HintClass::Spatial));
+    EXPECT_FALSE(prof.find(8, spatial));
 
     // Aggregate StatGroup mirrors the table's column sums.
     EXPECT_EQ(prof.stats().value("issued"), 2u);
@@ -91,8 +108,14 @@ TEST(SiteProfile, DisabledProfilerRecordsNothing)
     obs::SiteProfiler &prof = obs::SiteProfiler::instance();
     prof.clear();
     ASSERT_FALSE(prof.enabled());
-    // GRP_PROFILE checks enabled() before forwarding.
-    GRP_PROFILE(noteIssue(3, obs::HintClass::Spatial));
+    // The fold still counts the issue but checks enabled() before
+    // forwarding it to the profiler.
+    StatGroup mem("mem");
+    obs::ClassCountTable by_class{};
+    obs::LifecycleFold fold;
+    fold.bindMemory(mem, by_class);
+    fold.note({TraceEvent::Issue, 64, HintClass::Spatial, 0, 0, false, 3});
+    EXPECT_EQ(mem.value("prefetchesIssued"), 1u);
     EXPECT_EQ(prof.siteCount(), 0u);
 }
 
@@ -100,7 +123,7 @@ TEST(SiteProfile, InvalidRefProfilesAsUnattributedSite)
 {
     ProfilerGuard guard;
     obs::SiteProfiler &prof = obs::SiteProfiler::instance();
-    prof.noteFill(kInvalidRefId, obs::HintClass::Pointer, false);
+    prof.note(record(TraceEvent::Fill, kInvalidRefId, HintClass::Pointer));
     ASSERT_EQ(prof.siteCount(), 1u);
     EXPECT_EQ(prof.sites().begin()->first.site(), -1);
 }
@@ -111,15 +134,15 @@ TEST(SiteProfile, RankedOrdersWorstFirst)
     obs::SiteProfiler &prof = obs::SiteProfiler::instance();
 
     // Site 1: accurate. Site 2: wasteful. Site 3: issued, no result.
-    prof.noteIssue(1, obs::HintClass::Spatial);
-    prof.noteFill(1, obs::HintClass::Spatial, false);
-    prof.noteUseful(1, obs::HintClass::Spatial, 5, false);
+    prof.note(record(TraceEvent::Issue, 1, HintClass::Spatial));
+    prof.note(record(TraceEvent::Fill, 1, HintClass::Spatial));
+    prof.note(record(TraceEvent::FirstUse, 1, HintClass::Spatial, 5));
     for (int i = 0; i < 3; ++i) {
-        prof.noteIssue(2, obs::HintClass::Pointer);
-        prof.noteFill(2, obs::HintClass::Pointer, false);
-        prof.noteEvictedUnused(2, obs::HintClass::Pointer, false);
+        prof.note(record(TraceEvent::Issue, 2, HintClass::Pointer));
+        prof.note(record(TraceEvent::Fill, 2, HintClass::Pointer));
+        prof.note(record(TraceEvent::EvictedUnused, 2, HintClass::Pointer));
     }
-    prof.noteIssue(3, obs::HintClass::Indirect);
+    prof.note(record(TraceEvent::Issue, 3, HintClass::Indirect));
 
     const auto ranked = prof.ranked();
     ASSERT_EQ(ranked.size(), 3u);
@@ -139,9 +162,9 @@ TEST(SiteProfile, ExportJsonSchema)
 {
     ProfilerGuard guard;
     obs::SiteProfiler &prof = obs::SiteProfiler::instance();
-    prof.noteIssue(5, obs::HintClass::Spatial);
-    prof.noteFill(5, obs::HintClass::Spatial, false);
-    prof.noteUseful(5, obs::HintClass::Spatial, 17, false);
+    prof.note(record(TraceEvent::Issue, 5, HintClass::Spatial));
+    prof.note(record(TraceEvent::Fill, 5, HintClass::Spatial));
+    prof.note(record(TraceEvent::FirstUse, 5, HintClass::Spatial, 17));
 
     std::ostringstream os;
     prof.exportJson(os);
@@ -160,75 +183,124 @@ TEST(SiteProfile, ExportJsonSchema)
     EXPECT_EQ(doc->findPath("totals.issued")->asNumber(), 1.0);
 }
 
-/** The acceptance criterion for the profiler: per-site sums must
- *  reconcile exactly with the engine-level registry totals over the
- *  measured window of a real run. */
-TEST(SiteProfile, ReconcilesWithRegistryTotals)
+/** One (scheme, kernel) run of the reconciliation below. */
+using FoldCase = std::tuple<PrefetchScheme, const char *>;
+
+class SiteProfileReconcile : public ::testing::TestWithParam<FoldCase>
+{
+};
+
+/** The acceptance criterion for the lifecycle fold: over the measured
+ *  window of a real run, each registry counter equals its site-profile
+ *  total, each total equals the measured column of the funnel
+ *  analyzeTrace() recomputes from a level-2 trace, and the exported
+ *  per-site rows sum to the totals. */
+TEST_P(SiteProfileReconcile, ReconcilesWithRegistryTotals)
 {
     setQuiet(true);
-    const std::string path =
-        ::testing::TempDir() + "grp_site_profile.json";
+    const auto [scheme, workload] = GetParam();
+    const std::string stem = ::testing::TempDir() + "grp_reconcile_" +
+                             workload + "_" +
+                             std::to_string(static_cast<int>(scheme));
     SimConfig config;
-    config.scheme = PrefetchScheme::GrpVar;
+    config.scheme = scheme;
     RunOptions opts;
-    opts.maxInstructions = 60'000;
-    opts.obs.siteProfilePath = path;
-    const RunResult result = runWorkload("mcf", config, opts);
+    opts.maxInstructions = 300'000;
+    opts.obs.shadow = true;
+    opts.obs.siteProfilePath = stem + ".json";
+    opts.obs.tracePath = stem + ".grpbin";
+    opts.obs.traceLevel = 2;
+    const RunResult result = runWorkload(workload, config, opts);
     ASSERT_GT(result.prefetchFills, 0u);
-
-    auto read = [&](const std::string &text) {
-        std::string error;
-        auto doc = obs::parseJson(text, &error);
-        EXPECT_TRUE(doc) << error;
-        return doc;
+    const obs::StatSnapshot &stats = result.stats;
+    const auto total = [&](const std::string &column) {
+        return stats.value("siteProfile." + column);
     };
-    std::ifstream in(path);
-    ASSERT_TRUE(in.is_open());
+
+    // Registry counters == site-profile totals.
+    EXPECT_EQ(stats.value("mem.prefetchesIssued"), total("issued"));
+    EXPECT_EQ(stats.value("mem.prefetchFiltered"), total("filtered"));
+    EXPECT_EQ(stats.value("mem.usefulPrefetches"), total("useful"));
+    EXPECT_EQ(stats.value("mem.usefulPrefetchWarmupCarryover"),
+              total("warmupUseful"));
+    EXPECT_EQ(stats.value("mem.prefetchEvictedUnused"),
+              total("evictedUnused"));
+    EXPECT_EQ(stats.value("regionQueue.candidatesDropped"),
+              total("dropped"));
+    EXPECT_EQ(stats.value("mem.pollutionAttributed"),
+              total("pollutionCaused"));
+
+    // Site-profile totals == the trace funnel's measured columns.
+    const obs::TraceParseResult trace =
+        obs::readTraceFile(opts.obs.tracePath);
+    ASSERT_TRUE(trace.errors.empty()) << trace.errors.front();
+    const obs::TraceAnalysis analysis = obs::analyzeTrace(trace.lines);
+    EXPECT_TRUE(analysis.violations.empty())
+        << analysis.violations.front().message;
+    obs::FunnelStats funnel;
+    for (const auto &[hint, cls] : analysis.byClass) {
+        funnel.triggers += cls.triggers;
+        funnel.enqueued += cls.enqueued;
+        funnel.dropped += cls.dropped;
+        funnel.issued += cls.issued;
+        funnel.filtered += cls.filtered;
+        funnel.fills += cls.fills;
+        funnel.useful += cls.useful;
+        funnel.evictedUnused += cls.evictedUnused;
+        funnel.pollutionMisses += cls.pollutionMisses;
+    }
+    EXPECT_EQ(total("issued"), funnel.issued);
+    EXPECT_EQ(total("filtered"), funnel.filtered);
+    EXPECT_EQ(total("fills"), funnel.fills);
+    EXPECT_EQ(total("useful"), funnel.useful);
+    EXPECT_EQ(total("evictedUnused"), funnel.evictedUnused);
+    EXPECT_EQ(total("dropped"), funnel.dropped);
+    EXPECT_EQ(total("enqueued"), funnel.enqueued);
+    EXPECT_EQ(total("triggers"), funnel.triggers);
+    EXPECT_EQ(funnel.pollutionMisses, stats.value("mem.pollutionMisses"));
+
+    // The exported rows sum to the totals, and every measured first
+    // use sampled its site's fill-to-use distance.
+    std::ifstream in(opts.obs.siteProfilePath);
     std::ostringstream text;
     text << in.rdbuf();
-    auto doc = read(text.str());
-    ASSERT_TRUE(doc);
-
-    uint64_t issued = 0, useful = 0, warm_useful = 0, evicted = 0;
-    uint64_t samples = 0;
-    for (const obs::JsonValue &site :
-         doc->find("sites")->asArray()) {
-        issued += static_cast<uint64_t>(
-            site.find("issued")->asNumber());
-        useful += static_cast<uint64_t>(
-            site.find("useful")->asNumber());
-        warm_useful += static_cast<uint64_t>(
-            site.find("warmupUseful")->asNumber());
-        evicted += static_cast<uint64_t>(
-            site.find("evictedUnused")->asNumber());
+    std::string error;
+    auto doc = obs::parseJson(text.str(), &error);
+    ASSERT_TRUE(doc) << error;
+    uint64_t issued = 0, samples = 0;
+    for (const obs::JsonValue &row : doc->find("sites")->asArray()) {
+        issued += static_cast<uint64_t>(row.find("issued")->asNumber());
         samples += static_cast<uint64_t>(
-            site.findPath("fillToUse.samples")->asNumber());
+            row.findPath("fillToUse.samples")->asNumber());
     }
-
-    // Sums over the table == the memory system's measured counters.
-    EXPECT_EQ(issued, result.stats.value("mem.prefetchesIssued"));
+    EXPECT_EQ(issued, total("issued"));
     EXPECT_EQ(issued, result.prefetchFills);
-    EXPECT_EQ(useful, result.usefulPrefetches);
-    EXPECT_EQ(warm_useful, result.warmupUsefulPrefetches);
-    EXPECT_EQ(evicted,
-              result.stats.value("mem.prefetchEvictedUnused"));
     EXPECT_EQ(samples, result.usefulPrefetches);
-
-    // The registry snapshot carries the aggregate group while the
-    // profiler is active, and it must agree with the table sums.
-    EXPECT_EQ(result.stats.value("siteProfile.issued"), issued);
-    EXPECT_EQ(result.stats.value("siteProfile.useful"), useful);
-
-    // The totals block of the export matches too.
-    EXPECT_EQ(static_cast<uint64_t>(
-                  doc->findPath("totals.issued")->asNumber()),
-              issued);
 
     // The run-scoped guard restored the global profiler.
     EXPECT_FALSE(obs::SiteProfiler::instance().enabled());
     EXPECT_EQ(obs::SiteProfiler::instance().siteCount(), 0u);
-    std::remove(path.c_str());
+    std::remove(opts.obs.siteProfilePath.c_str());
+    std::remove(opts.obs.tracePath.c_str());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    SchemesByKernel, SiteProfileReconcile,
+    ::testing::Combine(
+        ::testing::Values(PrefetchScheme::Srp,
+                          PrefetchScheme::SrpPlusPointer,
+                          PrefetchScheme::GrpVar,
+                          PrefetchScheme::GrpAdaptive,
+                          PrefetchScheme::Stride),
+        ::testing::Values("mcf", "art", "bzip2")),
+    [](const ::testing::TestParamInfo<FoldCase> &info) {
+        std::string name = std::string(toString(std::get<0>(info.param))) +
+                           "_" + std::get<1>(info.param);
+        for (char &c : name)
+            if (!std::isalnum(static_cast<unsigned char>(c)))
+                c = '_';
+        return name;
+    });
 
 /** The accuracy-clamp counter registers as an explicit zero, so its
  *  absence can never be confused with health. */

@@ -22,7 +22,7 @@ from a machine change, plus per-bench "hostPhases" aggregates of
 the job-level host profiles. bench_compare.py ignores the manifest
 and the sidecars (they have no baselines — timing is
 machine-dependent by nature); perf_compare.py gates on the
-manifest's inst/s figures, and grpperf diffs two manifests.
+manifest's inst/s figures and diffs any two manifests.
 
 The manifest is published atomically (tmp + rename), matching the
 simulator's own JSON exporters.
