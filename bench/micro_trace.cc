@@ -1,14 +1,13 @@
 /**
  * @file
- * google-benchmark microbenchmarks of the per-record trace emission
- * cost — the number the binary flight-recorder format exists to
- * shrink:
+ * google-benchmark microbenchmarks of the per-record trace costs:
  *
- *  - formatTraceLine(): the JSONL sink's snprintf path;
- *  - bintrace::Writer::record(): the .grpbin varint/delta path;
- *  - the full Tracer::record() hot path for both formats (stdio
- *    buffering included), plus the disabled-tracer guard the
- *    lifecycle fold pays per event when tracing is off.
+ *  - formatTraceLine(): the JSONL text rendering `grptrace --jsonl`
+ *    prints per record;
+ *  - bintrace::Writer::record(): the .grpbin varint/delta encoding;
+ *  - the full Tracer::record() hot path (stdio buffering included),
+ *    plus the disabled-tracer guard the lifecycle fold pays per
+ *    event when tracing is off.
  */
 
 #include <benchmark/benchmark.h>
@@ -92,7 +91,7 @@ BENCHMARK(BM_BinaryWriterRecord);
  *  (fd-level, restored after) so the bench measures emission, not
  *  terminal I/O. */
 void
-traceThroughTracer(benchmark::State &state, obs::TraceFormat format)
+BM_TracerBinary(benchmark::State &state)
 {
     std::fflush(stdout);
     const int saved = dup(STDOUT_FILENO);
@@ -105,7 +104,7 @@ traceThroughTracer(benchmark::State &state, obs::TraceFormat format)
     ::close(devnull);
 
     obs::Tracer &tracer = obs::Tracer::instance();
-    if (tracer.open("-", format)) {
+    if (tracer.open("-")) {
         tracer.setLevel(2);
         size_t i = 0;
         for (auto _ : state) {
@@ -120,19 +119,6 @@ traceThroughTracer(benchmark::State &state, obs::TraceFormat format)
     std::fflush(stdout);
     dup2(saved, STDOUT_FILENO);
     ::close(saved);
-}
-
-void
-BM_TracerJsonl(benchmark::State &state)
-{
-    traceThroughTracer(state, obs::TraceFormat::Jsonl);
-}
-BENCHMARK(BM_TracerJsonl);
-
-void
-BM_TracerBinary(benchmark::State &state)
-{
-    traceThroughTracer(state, obs::TraceFormat::Binary);
 }
 BENCHMARK(BM_TracerBinary);
 

@@ -6,7 +6,7 @@
  *          [--policy default|conservative|aggressive]
  *          [--seed N] [--warmup N] [--dump-stats] [--list]
  *          [--stats-json PATH] [--stats-csv PATH]
- *          [--trace PATH] [--trace-level N] [--trace-format FMT]
+ *          [--trace PATH] [--trace-level N]
  *          [--capture PATH] [--replay PATH]
  *          [--timeseries PATH] [--timeseries-bucket N]
  *          [--site-profile PATH] [--site-report N]
@@ -26,11 +26,11 @@
  * hash for the parsed command line and exits; the same block is
  * embedded in every --stats-json export. The observability flags export the full
  * statistics registry as JSON/CSV, record the prefetch lifecycle
- * trace (JSONL, or the compact .grpbin flight-recorder format —
- * chosen by extension or forced with --trace-format bin|jsonl;
- * --trace - streams to stdout for piping into grptrace), sample
- * queue/channel/MSHR time series and profile
- * per-hint-site behaviour; --capture records the CPU's dynamic
+ * trace (a .grpbin flight-recorder file, rejected up front unless
+ * the path ends in .grpbin; --trace - streams it to stdout for
+ * piping into grptrace, and grptrace --jsonl renders it as text),
+ * sample queue/channel/MSHR time series and profile per-hint-site
+ * behaviour; --capture records the CPU's dynamic
  * access stream to a .grpbin file and --replay re-drives a later
  * run from such a recording (same workload + seed) instead of the
  * interpreter; --shadow runs the counterfactual shadow
@@ -60,6 +60,7 @@
 #include "obs/host_prof.hh"
 #include "obs/json_writer.hh"
 #include "obs/pulse.hh"
+#include "obs/trace.hh"
 #include "sim/logging.hh"
 #include "workloads/workload.hh"
 
@@ -108,18 +109,6 @@ parsePolicy(const std::string &name)
     fatal("unknown policy '%s'", name.c_str());
 }
 
-obs::TraceFormat
-parseTraceFormat(const std::string &name)
-{
-    if (name == "auto")
-        return obs::TraceFormat::Auto;
-    if (name == "bin" || name == "binary")
-        return obs::TraceFormat::Binary;
-    if (name == "jsonl" || name == "json")
-        return obs::TraceFormat::Jsonl;
-    fatal("unknown trace format '%s' (auto, bin, jsonl)", name.c_str());
-}
-
 /** Reject an output path whose parent directory does not exist —
  *  otherwise a long simulation runs to completion and then silently
  *  (Tracer) or fatally (exports) fails to write its one artifact. */
@@ -146,8 +135,7 @@ usage()
         "              [--policy POLICY] [--dram BACKEND]\n"
         "              [--dump-stats] [--list]\n"
         "              [--stats-json PATH] [--stats-csv PATH]\n"
-        "              [--trace PATH] [--trace-level N]\n"
-        "              [--trace-format auto|bin|jsonl]\n"
+        "              [--trace PATH.grpbin|-] [--trace-level N]\n"
         "              [--capture PATH] [--replay PATH]\n"
         "              [--timeseries PATH] [--timeseries-bucket N]\n"
         "              [--site-profile PATH] [--site-report N]\n"
@@ -223,10 +211,13 @@ try {
             options.obs.statsCsvPath = outputPath(arg, value());
         } else if (arg == "--trace") {
             options.obs.tracePath = outputPath(arg, value());
+            fatal_if(!obs::isTracePath(options.obs.tracePath),
+                     "--trace '%s': lifecycle traces are .grpbin files "
+                     "(or '-' for stdout); grptrace --jsonl renders "
+                     "one as text",
+                     options.obs.tracePath.c_str());
         } else if (arg == "--trace-level") {
             options.obs.traceLevel = static_cast<int>(number());
-        } else if (arg == "--trace-format") {
-            options.obs.traceFormat = parseTraceFormat(value());
         } else if (arg == "--capture") {
             options.capturePath = outputPath(arg, value());
         } else if (arg == "--replay") {

@@ -7,12 +7,11 @@
  *            [--site N] [--window A:B] [--ev NAME] [--no-index]
  *            [--jsonl PATH] [--summary-json PATH]
  *
- * Re-reads a trace written by `grpsim --trace` — JSONL or the
- * .grpbin binary flight-recorder format, sniffed automatically, with
- * "-" reading from stdin so `grpsim --trace - | grptrace --quiet -`
- * works — validates the lifecycle invariants (every fill was issued,
- * every first-use had a fill, no event touches a block that is not
- * live, issues stay inside enqueued windows), recomputes
+ * Re-reads a .grpbin trace written by `grpsim --trace` — "-" reads
+ * stdin, so `grpsim --trace - | grptrace --quiet -` works — validates
+ * the lifecycle invariants (every fill was issued, every first-use
+ * had a fill, no event touches a block that is not live, issues stay
+ * inside enqueued windows), recomputes
  * per-hint-class and per-site accuracy/coverage/timeliness from the
  * raw events — an independent cross-check of the simulator's own
  * counters — and optionally converts the trace (plus a time-series
@@ -20,15 +19,15 @@
  * ui.perfetto.dev.
  *
  * Query mode (--site / --window / --ev) prints the matching records
- * as JSONL instead of analyzing; on finalized binary traces with a
- * window lower bound the checkpoint directory seeks past the prefix
- * instead of decoding it. --jsonl converts the input to JSONL
- * (byte-identical to a natively written trace); --summary-json
- * writes the funnels and invariant verdicts as one machine-readable
- * document. Either path may be "-" for stdout.
+ * as JSONL instead of analyzing; on finalized traces with a window
+ * lower bound the checkpoint directory seeks past the prefix instead
+ * of decoding it. --jsonl renders the whole trace as JSONL, one line
+ * per record; --summary-json writes the funnels and invariant
+ * verdicts as one machine-readable document. Either path may be "-"
+ * for stdout.
  *
  * Exit status: 0 for a consistent trace, 1 for parse errors,
- * invariant violations, truncated binary inputs, or unusable inputs.
+ * invariant violations, truncated inputs, or unusable inputs.
  */
 
 #include <algorithm>
@@ -65,8 +64,7 @@ usage()
         "                [--site N] [--window A:B] [--ev NAME]\n"
         "                [--no-index] [--jsonl PATH]\n"
         "                [--summary-json PATH]\n"
-        "  TRACE              .jsonl or .grpbin trace; '-' reads "
-        "stdin\n"
+        "  TRACE              .grpbin trace; '-' reads stdin\n"
         "  --chrome PATH      convert to Chrome trace_event JSON\n"
         "  --timeseries PATH  merge a grp-timeseries-v1 dump into the\n"
         "                     Chrome export as counter tracks\n"
@@ -78,37 +76,40 @@ usage()
         "                     (either bound may be empty)\n"
         "  --ev NAME          query: records of one event type\n"
         "  --no-index         query: full scan, ignore checkpoints\n"
-        "  --jsonl PATH       convert the trace to JSONL ('-' stdout)\n"
+        "  --jsonl PATH       render the trace as JSONL ('-' stdout)\n"
         "  --summary-json PATH  machine-readable funnels + verdicts\n"
         "                     ('-' stdout)\n");
 }
 
 void
-printFunnelRow(const char *label, const obs::FunnelStats &f)
+printFunnelRow(std::FILE *out, const char *label,
+               const obs::FunnelStats &f)
 {
     const uint64_t p90 =
         f.fillToUse.samples() ? f.fillToUse.percentile(90.0) : 0;
-    std::printf("%-12s %8llu %8llu %7llu %7llu %8llu %8llu %7llu "
-                "%7llu %6.1f %8llu %7llu\n",
-                label, (unsigned long long)f.triggers,
-                (unsigned long long)f.enqueued,
-                (unsigned long long)f.dropped,
-                (unsigned long long)f.filtered,
-                (unsigned long long)f.issued,
-                (unsigned long long)f.fills,
-                (unsigned long long)f.useful,
-                (unsigned long long)f.evictedUnused,
-                100.0 * f.accuracy(), (unsigned long long)p90,
-                (unsigned long long)f.pollutionMisses);
+    std::fprintf(out,
+                 "%-12s %8llu %8llu %7llu %7llu %8llu %8llu %7llu "
+                 "%7llu %6.1f %8llu %7llu\n",
+                 label, (unsigned long long)f.triggers,
+                 (unsigned long long)f.enqueued,
+                 (unsigned long long)f.dropped,
+                 (unsigned long long)f.filtered,
+                 (unsigned long long)f.issued,
+                 (unsigned long long)f.fills,
+                 (unsigned long long)f.useful,
+                 (unsigned long long)f.evictedUnused,
+                 100.0 * f.accuracy(), (unsigned long long)p90,
+                 (unsigned long long)f.pollutionMisses);
 }
 
 void
-printFunnelHeader(const char *key)
+printFunnelHeader(std::FILE *out, const char *key)
 {
-    std::printf("%-12s %8s %8s %7s %7s %8s %8s %7s %7s %6s %8s %7s\n",
-                key, "triggers", "enq", "drop", "filt", "issued",
-                "fills", "useful", "evict", "acc%", "p90lat",
-                "pollut");
+    std::fprintf(out,
+                 "%-12s %8s %8s %7s %7s %8s %8s %7s %7s %6s %8s %7s\n",
+                 key, "triggers", "enq", "drop", "filt", "issued",
+                 "fills", "useful", "evict", "acc%", "p90lat",
+                 "pollut");
 }
 
 /** Slurp the whole input ('-' is stdin); false on open failure. */
@@ -165,7 +166,6 @@ writeSummaryJson(std::ostream &os, const std::string &input,
     json.key("input");
     json.beginObject();
     json.kv("path", input);
-    json.kv("binary", parsed.binary);
     json.kv("truncated", parsed.truncated);
     json.kv("parseErrors", (uint64_t)parsed.errors.size());
     json.endObject();
@@ -222,23 +222,6 @@ parseWindow(const std::string &spec, obs::bintrace::QueryFilter &filter)
         filter.fromTick = std::strtoull(from.c_str(), nullptr, 0);
     if (!to.empty())
         filter.toTick = std::strtoull(to.c_str(), nullptr, 0);
-}
-
-/** Does a parsed line pass the query filter (the JSONL fallback for
- *  inputs the indexed binary query cannot serve)? */
-bool
-matches(const obs::TraceLine &line,
-        const obs::bintrace::QueryFilter &filter)
-{
-    if (filter.fromTick && line.t < *filter.fromTick)
-        return false;
-    if (filter.toTick && line.t > *filter.toTick)
-        return false;
-    if (filter.site && line.site != *filter.site)
-        return false;
-    if (filter.event && line.event != *filter.event)
-        return false;
-    return true;
 }
 
 } // namespace
@@ -330,50 +313,35 @@ try {
     }
 
     // Query mode prints matching records as JSONL and skips the
-    // analysis; a finalized binary input with a window lower bound
-    // seeks via the checkpoint directory instead of scanning.
+    // analysis; a finalized input with a window lower bound seeks via
+    // the checkpoint directory instead of scanning.
     if (query_mode) {
-        std::vector<obs::TraceLine> lines;
-        uint64_t scanned = 0;
-        bool seeked = false;
-        std::vector<std::string> errors;
-        bool truncated = false;
-        if (obs::bintrace::isBinary(data)) {
-            obs::bintrace::QueryResult result =
-                obs::bintrace::query(data, filter, use_index);
-            lines = std::move(result.lines);
-            scanned = result.recordsScanned;
-            seeked = result.seeked;
-            errors = std::move(result.errors);
-            truncated = result.truncated;
-        } else {
-            const obs::TraceParseResult parsed =
-                obs::readTraceData(data);
-            for (const obs::TraceLine &line : parsed.lines) {
-                if (matches(line, filter))
-                    lines.push_back(line);
-            }
-            scanned = parsed.lines.size();
-            errors = parsed.errors;
-        }
-        for (const obs::TraceLine &line : lines)
+        const obs::bintrace::QueryResult result =
+            obs::bintrace::query(data, filter, use_index);
+        for (const obs::TraceLine &line : result.lines)
             std::fputs(obs::jsonlLine(line).c_str(), stdout);
-        for (const std::string &error : errors)
+        for (const std::string &error : result.errors)
             std::fprintf(stderr, "grptrace: %s: %s\n",
                          trace_path.c_str(), error.c_str());
         std::fprintf(stderr,
                      "grptrace: matched %zu of %llu records scanned"
                      "%s\n",
-                     lines.size(), (unsigned long long)scanned,
-                     seeked ? " (seeked via checkpoint index)" : "");
-        return errors.empty() && !truncated ? 0 : 1;
+                     result.lines.size(),
+                     (unsigned long long)result.recordsScanned,
+                     result.seeked ? " (seeked via checkpoint index)"
+                                   : "");
+        return result.errors.empty() && !result.truncated ? 0 : 1;
     }
 
-    const obs::TraceParseResult parsed = obs::readTraceData(data);
+    const obs::TraceParseResult parsed =
+        obs::bintrace::readLifecycle(data);
     for (const std::string &error : parsed.errors)
         std::fprintf(stderr, "grptrace: %s: %s\n", trace_path.c_str(),
                      error.c_str());
-    if (parsed.openFailed)
+    // Input that is not a lifecycle .grpbin decodes to one error and
+    // nothing to analyze.
+    if (parsed.lines.empty() && !parsed.errors.empty() &&
+        !parsed.truncated)
         return 1;
 
     const obs::TraceAnalysis analysis =
@@ -411,39 +379,47 @@ try {
         }
     }
 
+    // With JSONL or the summary on stdout, the human report moves to
+    // stderr so `grptrace T --jsonl - | jq` sees only the document.
+    std::FILE *const out =
+        jsonl_path == "-" || summary_path == "-" ? stderr : stdout;
     if (!quiet) {
-        std::printf("%s: %llu records (%llu warmup-era), "
-                    "%zu parse errors, %zu violations%s\n",
-                    trace_path.c_str(),
-                    (unsigned long long)analysis.records,
-                    (unsigned long long)analysis.warmupRecords,
-                    parsed.errors.size(), analysis.violations.size(),
-                    parsed.binary ? " [binary]" : "");
-        std::printf("end of trace: %llu blocks resident unused, "
-                    "%llu issues in flight%s\n",
-                    (unsigned long long)analysis.liveAtEnd,
-                    (unsigned long long)analysis.inFlightAtEnd,
-                    analysis.coverageChecked
-                        ? ""
-                        : " (no enqueue events: issue coverage "
-                          "not checked)");
+        std::fprintf(out,
+                     "%s: %llu records (%llu warmup-era), "
+                     "%zu parse errors, %zu violations\n",
+                     trace_path.c_str(),
+                     (unsigned long long)analysis.records,
+                     (unsigned long long)analysis.warmupRecords,
+                     parsed.errors.size(), analysis.violations.size());
+        std::fprintf(out,
+                     "end of trace: %llu blocks resident unused, "
+                     "%llu issues in flight%s\n",
+                     (unsigned long long)analysis.liveAtEnd,
+                     (unsigned long long)analysis.inFlightAtEnd,
+                     analysis.coverageChecked
+                         ? ""
+                         : " (no enqueue events: issue coverage "
+                           "not checked)");
         if (analysis.controllerTransitions)
-            std::printf("adaptive controller: %llu knob "
-                        "transitions\n",
-                        (unsigned long long)
-                            analysis.controllerTransitions);
+            std::fprintf(out,
+                         "adaptive controller: %llu knob "
+                         "transitions\n",
+                         (unsigned long long)
+                             analysis.controllerTransitions);
 
-        std::printf("\nper hint class (measured window):\n");
-        printFunnelHeader("class");
+        std::fprintf(out, "\nper hint class (measured window):\n");
+        printFunnelHeader(out, "class");
         for (const auto &[hint, funnel] : analysis.byClass)
-            printFunnelRow(hint == obs::HintClass::None
+            printFunnelRow(out,
+                           hint == obs::HintClass::None
                                ? "unattributed"
                                : obs::toString(hint),
                            funnel);
 
-        std::printf("\nper site (top %zu by evicted-unused fills):\n",
-                    top);
-        printFunnelHeader("site");
+        std::fprintf(out,
+                     "\nper site (top %zu by evicted-unused fills):\n",
+                     top);
+        printFunnelHeader(out, "site");
         std::vector<const std::pair<const int64_t,
                                     obs::FunnelStats> *> ranked;
         for (const auto &entry : analysis.bySite)
@@ -464,7 +440,7 @@ try {
             char label[32];
             std::snprintf(label, sizeof label, "%lld",
                           (long long)entry->first);
-            printFunnelRow(label, entry->second);
+            printFunnelRow(out, label, entry->second);
         }
     }
 
@@ -500,9 +476,9 @@ try {
                   error.empty() ? "missing traceEvents" : error.c_str());
         }
         if (!quiet)
-            std::printf("\nchrome trace: %s (%zu events)\n",
-                        chrome_path.c_str(),
-                        doc->find("traceEvents")->asArray().size());
+            std::fprintf(out, "\nchrome trace: %s (%zu events)\n",
+                         chrome_path.c_str(),
+                         doc->find("traceEvents")->asArray().size());
     }
 
     return ok ? 0 : 1;

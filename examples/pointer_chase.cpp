@@ -100,7 +100,7 @@ main(int argc, char **argv)
 {
     setQuiet(true);
     // Optional prefetch lifecycle tracing across all the runs below:
-    //   pointer_chase [--trace=PATH] [--trace-level=N]
+    //   pointer_chase [--trace=PATH.grpbin] [--trace-level=N]
     std::string trace_path;
     int trace_level = 1;
     for (int i = 1; i < argc; ++i) {

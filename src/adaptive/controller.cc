@@ -77,6 +77,7 @@ AdaptiveController::AdaptiveController(const AdaptiveConfig &config,
 {
     epochs_ = &stats_.counter("epochs");
     lowSignalEpochs_ = &stats_.counter("lowSignalClassEpochs");
+    lifecycle_.bindController(stats_);
     for (std::size_t k = 0; k < kNumKnobs; ++k) {
         transitions_[k] = &stats_.counter(std::string("transitions") +
                                           kKnobPascal[k]);
@@ -139,7 +140,6 @@ AdaptiveController::setLevel(obs::HintClass cls, Knob knob,
         return;
     levels_[c][k] = level;
     applyLevel(cls, knob, level);
-    ++*transitions_[k];
     lifecycle_.note({obs::TraceEvent::CtrlTransition, 0, cls,
                      static_cast<int>(knob), level});
 }

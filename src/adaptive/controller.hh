@@ -153,11 +153,12 @@ class AdaptiveController
     std::array<unsigned, kNumClasses> lowerStreak_{};
 
     StatGroup stats_;
-    obs::LifecycleFold lifecycle_; ///< Knob moves: binds nothing.
+    obs::LifecycleFold lifecycle_; ///< Knob moves: bumps transitions*.
     Counter *epochs_ = nullptr;
     /** Class-epochs skipped for lack of fills. */
     Counter *lowSignalEpochs_ = nullptr;
-    std::array<Counter *, kNumKnobs> transitions_{};
+    /** Per-knob move counts, read for reports (the fold writes them). */
+    std::array<const Counter *, kNumKnobs> transitions_{};
     /** Time-in-state: epochs spent at [class][knob][level]; null for
      *  unmanaged (class, knob) pairs. */
     std::array<std::array<std::array<Counter *, kNumLevels>, kNumKnobs>,

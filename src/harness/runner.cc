@@ -51,7 +51,7 @@ class ScopedTrace
             return;
         obs::Tracer &tracer = obs::Tracer::instance();
         // open() warns on failure
-        if (!tracer.open(obs.tracePath, obs.traceFormat))
+        if (!tracer.open(obs.tracePath))
             return;
         active_ = true;
         tracer.setLevel(obs.traceLevel);
@@ -268,33 +268,23 @@ printCostReport(std::ostream &os, MemorySystem &mem,
     }
 }
 
-/**
- * Environment-forced tracing for overhead measurement: with
- * GRP_TRACE_ALL=<dir> set, every run that did not ask for a trace
- * writes one into <dir> anyway — which is how the bench suite prices
- * always-on flight recording without teaching every bench binary a
- * trace flag. GRP_TRACE_FORMAT (bin | jsonl, default bin) picks the
- * encoding and GRP_TRACE_LEVEL (default the ObsOptions default) the
- * level. Filenames carry the pid plus a process-wide counter so
- * concurrent sweep jobs and repeated runs never collide.
- */
+/** With GRP_TRACE_ALL set, a run that did not ask for a trace writes
+ *  one anyway. Filenames carry the pid plus a process-wide counter so
+ *  concurrent sweep jobs and repeated runs never collide. */
 void
 applyForcedTrace(ObsOptions &obs)
 {
-    const char *dir = std::getenv("GRP_TRACE_ALL");
-    if (!dir || !*dir || !obs.tracePath.empty())
+    const std::optional<ForcedTrace> forced = forcedTrace();
+    if (!forced || !obs.tracePath.empty())
         return;
     static std::atomic<uint64_t> counter{0};
-    const char *format = std::getenv("GRP_TRACE_FORMAT");
-    const bool jsonl = format && std::string(format) == "jsonl";
     std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
+    std::filesystem::create_directories(forced->dir, ec);
     std::ostringstream path;
-    path << dir << "/trace-" << getpid() << '-'
-         << counter.fetch_add(1) << (jsonl ? ".jsonl" : ".grpbin");
+    path << forced->dir << "/trace-" << getpid() << '-'
+         << counter.fetch_add(1) << ".grpbin";
     obs.tracePath = path.str();
-    obs.traceLevel = static_cast<int>(envInt(
-        "GRP_TRACE_LEVEL", static_cast<uint64_t>(obs.traceLevel)));
+    obs.traceLevel = forced->level;
 }
 
 } // namespace
@@ -304,6 +294,16 @@ instructionBudget(uint64_t fallback)
 {
     const uint64_t budget = envInt("GRP_INSTRUCTIONS", 0);
     return budget > 0 ? budget : fallback;
+}
+
+std::optional<ForcedTrace>
+forcedTrace()
+{
+    const char *dir = std::getenv("GRP_TRACE_ALL");
+    if (!dir || !*dir)
+        return std::nullopt;
+    return ForcedTrace{dir,
+                       static_cast<int>(envInt("GRP_TRACE_LEVEL", 1))};
 }
 
 RunResult

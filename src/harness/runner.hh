@@ -11,6 +11,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "compiler/hint_generator.hh"
@@ -107,11 +108,8 @@ struct ObsOptions
 {
     std::string statsJsonPath;   ///< Registry JSON export.
     std::string statsCsvPath;    ///< Registry CSV export.
-    std::string tracePath;       ///< Prefetch lifecycle trace.
+    std::string tracePath;       ///< Lifecycle trace (.grpbin or "-").
     int traceLevel = 1;          ///< Levels <= this are emitted.
-    /** Trace encoding; Auto picks .grpbin binary for a ".grpbin"
-     *  path, JSONL otherwise. */
-    obs::TraceFormat traceFormat = obs::TraceFormat::Auto;
     std::string timeseriesPath;  ///< Queue/channel/MSHR trajectories.
     uint64_t timeseriesBucket = 4096; ///< Cycles between samples.
     std::string siteProfilePath; ///< Per-hint-site profile JSON.
@@ -196,6 +194,18 @@ RunResult runWorkload(const std::string &workload_name,
 /** Read GRP_INSTRUCTIONS from the environment (default @p fallback);
  *  lets bench binaries scale their windows without recompiling. */
 uint64_t instructionBudget(uint64_t fallback = 1'000'000);
+
+/** Environment-forced tracing, for pricing always-on flight recording
+ *  without teaching every bench binary a trace flag. */
+struct ForcedTrace
+{
+    std::string dir; ///< GRP_TRACE_ALL: where each run's .grpbin goes.
+    int level = 1;   ///< GRP_TRACE_LEVEL (default 1).
+};
+
+/** The forced-trace request, or nullopt when GRP_TRACE_ALL is unset
+ *  or empty. */
+std::optional<ForcedTrace> forcedTrace();
 
 } // namespace grp
 

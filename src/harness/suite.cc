@@ -302,16 +302,8 @@ BenchSweep::writeTimings() const
     // Present only when GRP_TRACE_ALL forced tracing on (overhead
     // measurement runs); absent means tracing-off, so committed
     // baselines keep matching unforced runs byte-for-byte.
-    if (const char *forced = std::getenv("GRP_TRACE_ALL");
-        forced && *forced) {
-        const char *format = std::getenv("GRP_TRACE_FORMAT");
-        const bool jsonl = format && std::string(format) == "jsonl";
-        const char *level = std::getenv("GRP_TRACE_LEVEL");
-        std::string mode = jsonl ? "jsonl" : "bin";
-        mode += "-L";
-        mode += (level && *level) ? level : "1";
-        json.kv("traceMode", mode);
-    }
+    if (const std::optional<ForcedTrace> forced = forcedTrace())
+        json.kv("traceMode", "bin-L" + std::to_string(forced->level));
     json.endObject();
     json.kv("totalWallSeconds", totalWallSeconds_);
     json.kv("simulatedInstructions", instructions);

@@ -84,13 +84,6 @@ Container::metaValue(std::string_view key) const
 }
 
 bool
-isBinary(std::string_view data)
-{
-    return data.size() >= 4 &&
-           std::memcmp(data.data(), kMagic, 4) == 0;
-}
-
-bool
 parseContainer(std::string_view data, Container &out,
                std::string *error)
 {
@@ -99,7 +92,7 @@ parseContainer(std::string_view data, Container &out,
             *error = why;
         return false;
     };
-    if (!isBinary(data))
+    if (data.size() < 4 || std::memcmp(data.data(), kMagic, 4) != 0)
         return fail("not a .grpbin trace (bad magic)");
     if (data.size() < kFixedHeaderBytes)
         return fail("header truncated");
@@ -171,6 +164,9 @@ parseContainer(std::string_view data, Container &out,
         if (!readVarint(f, fend, ref.offset) ||
             !readVarint(f, fend, ref.key) ||
             !readVarint(f, fend, ref.recordIndex))
+            return true;
+        // An indexed seek jumps to the offset: it must lie in the body.
+        if (ref.offset < out.bodyOffset || ref.offset >= footer_offset)
             return true;
         refs.push_back(ref);
     }
@@ -497,7 +493,6 @@ TraceParseResult
 readLifecycle(std::string_view data)
 {
     TraceParseResult result;
-    result.binary = true;
     Container container;
     std::string error;
     if (!parseContainer(data, container, &error)) {
@@ -521,7 +516,6 @@ readLifecycle(std::string_view data)
     uint64_t key = 0;
     uint64_t addr_key = 0;
     uint64_t index = 0;
-    bool saw_footer = false;
     while (p < end) {
         TraceLine line;
         const DecodeStatus status = decodeOne(
@@ -530,10 +524,8 @@ readLifecycle(std::string_view data)
             result.truncated = true;
             break;
         }
-        if (status == DecodeStatus::Footer) {
-            saw_footer = true;
+        if (status == DecodeStatus::Footer)
             break;
-        }
         if (status == DecodeStatus::Checkpoint)
             continue;
         ++index;
@@ -543,10 +535,12 @@ readLifecycle(std::string_view data)
         }
         result.lines.push_back(line);
     }
-    if (!container.finalized && !saw_footer) {
+    // Without the trailer the file was never finalized, even when
+    // every record before the footer tag is intact.
+    if (!container.finalized)
         result.truncated = true;
+    if (result.truncated)
         result.errors.push_back(kTruncatedMessage);
-    }
     return result;
 }
 
@@ -602,7 +596,6 @@ query(std::string_view data, const QueryFilter &filter, bool use_index)
             p, end, tables, key, addr_key, index, line, &error);
         if (status == DecodeStatus::Truncated) {
             result.truncated = true;
-            result.errors.push_back(kTruncatedMessage);
             break;
         }
         if (status == DecodeStatus::Footer)
@@ -625,10 +618,10 @@ query(std::string_view data, const QueryFilter &filter, bool use_index)
             continue;
         result.lines.push_back(line);
     }
-    if (!container.finalized && !result.truncated) {
+    if (!container.finalized)
         result.truncated = true;
+    if (result.truncated)
         result.errors.push_back(kTruncatedMessage);
-    }
     return result;
 }
 

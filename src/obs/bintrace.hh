@@ -2,17 +2,16 @@
  * @file
  * The `.grpbin` binary flight-recorder trace container.
  *
- * JSONL tracing costs one snprintf and ~60-120 bytes per record —
- * cheap enough for 20k-instruction debugging runs, far too expensive
- * to leave on at paper-scale (200M-instruction) windows. This module
- * is the compact alternative: varint-encoded, delta-timestamped
- * binary records in a self-describing container that the Tracer can
- * emit instead of JSONL, with offline tooling doing the heavy
- * lifting. Two stream kinds share the container:
+ * The one on-disk encoding of the prefetch lifecycle trace, and of
+ * the access-stream capture: varint-encoded, delta-timestamped
+ * binary records (about 7 B each) in a self-describing container,
+ * cheap enough to leave on at paper-scale (200M-instruction) windows,
+ * with offline tooling doing the heavy lifting. Two stream kinds
+ * share the container:
  *
- *  - Lifecycle (kind 0): every lifecycle event type, field-for-field
- *    equivalent to the JSONL records (a converted trace is
- *    byte-identical to a natively emitted one).
+ *  - Lifecycle (kind 0): every lifecycle event type, field for field
+ *    (jsonlLine() in obs/trace_reader renders a decoded record as
+ *    text; `grptrace --jsonl` prints a whole trace that way).
  *  - Access (kind 1): the RefId-tagged demand-access stream the CPU
  *    consumed, recorded for trace-driven replay (src/harness/capture).
  *
@@ -26,8 +25,7 @@
  *   body     records; tag bytes below 0xFE index table 0. Lifecycle
  *            streams pack the hint class into the tag byte — tag =
  *            hint_index * |table 0| + event_index, decodable from the
- *            table sizes alone (hint 0 is "none", mirroring the JSONL
- *            writer omitting the hint field) — and delta-encode both
+ *            table sizes alone (hint 0 is "none") — and delta-encode both
  *            timestamps (modular delta from the previous record's
  *            tick) and addresses (zigzag delta from the previous
  *            record's address — region prefetching touches
@@ -90,10 +88,9 @@ constexpr uint8_t kFooterTag = 0xFF;
 /** Records between checkpoints (the writer's default cadence). */
 constexpr uint64_t kDefaultCheckpointInterval = 8192;
 
-/** Lifecycle record field-presence flags (mirrors which fields the
- *  JSONL writer omits, so conversion is exact; the hint class needs
- *  no flag — it lives in the tag byte, with index 0 meaning "none",
- *  i.e. the field the JSONL writer omits). */
+/** Lifecycle record field-presence flags (the fields jsonlLine()
+ *  omits at their default values; the hint class needs no flag — it
+ *  lives in the tag byte, with index 0 meaning "none"). */
 enum LifecycleFlags : uint8_t
 {
     kHasAddr = 1 << 0,
@@ -157,9 +154,6 @@ struct Container
     /** First meta value for @p key, if any. */
     std::optional<std::string> metaValue(std::string_view key) const;
 };
-
-/** True iff @p data starts with the .grpbin magic. */
-bool isBinary(std::string_view data);
 
 /**
  * Parse the header and (when the trailer is present) the footer.
@@ -232,10 +226,11 @@ class Writer
 };
 
 /**
- * Decode a lifecycle .grpbin into the JSONL reader's TraceLine
- * representation. Unknown tags/hints (a newer writer) skip the record
- * with a "record N:" error; a missing trailer sets truncated and adds
- * one distinct, actionable error, after scanning the intact prefix.
+ * Decode a lifecycle .grpbin into TraceLines. Input that is not a
+ * lifecycle .grpbin gets one error and no lines. Unknown tags/hints
+ * (a newer writer) skip the record with a "record N:" error; a
+ * missing trailer sets truncated and adds one distinct, actionable
+ * error, after scanning the intact prefix.
  */
 TraceParseResult readLifecycle(std::string_view data);
 

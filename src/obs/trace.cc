@@ -47,17 +47,14 @@ toString(TraceEvent event)
     return "?";
 }
 
-TraceFormat
-resolveTraceFormat(const std::string &path, TraceFormat requested)
+bool
+isTracePath(const std::string &path)
 {
-    if (requested != TraceFormat::Auto)
-        return requested;
     const std::string suffix = ".grpbin";
-    if (path.size() > suffix.size() &&
-        path.compare(path.size() - suffix.size(), suffix.size(),
-                     suffix) == 0)
-        return TraceFormat::Binary;
-    return TraceFormat::Jsonl;
+    return path == "-" ||
+           (path.size() > suffix.size() &&
+            path.compare(path.size() - suffix.size(), suffix.size(),
+                         suffix) == 0);
 }
 
 size_t
@@ -114,10 +111,14 @@ Tracer::~Tracer()
 }
 
 bool
-Tracer::open(const std::string &path, TraceFormat format)
+Tracer::open(const std::string &path)
 {
     close();
-    format_ = resolveTraceFormat(path, format);
+    if (!isTracePath(path)) {
+        warn("trace path '%s' is not a .grpbin file (or '-')",
+             path.c_str());
+        return false;
+    }
     if (path == "-") {
         out_ = stdout;
         toStdout_ = true;
@@ -135,12 +136,10 @@ Tracer::open(const std::string &path, TraceFormat format)
             iobuf_ = std::make_unique<char[]>(kStreamBufBytes);
         std::setvbuf(out_, iobuf_.get(), _IOFBF, kStreamBufBytes);
     }
-    if (format_ == TraceFormat::Binary) {
-        bin_ = std::make_unique<bintrace::Writer>(
-            out_, bintrace::StreamKind::Lifecycle, lifecycleTables(),
-            std::vector<std::pair<std::string, std::string>>{},
-            checkpointInterval_);
-    }
+    bin_ = std::make_unique<bintrace::Writer>(
+        out_, bintrace::StreamKind::Lifecycle, lifecycleTables(),
+        std::vector<std::pair<std::string, std::string>>{},
+        checkpointInterval_);
     records_ = 0;
     return true;
 }
@@ -149,10 +148,8 @@ void
 Tracer::close()
 {
     if (out_) {
-        if (bin_) {
-            bin_->finalize();
-            bin_.reset();
-        }
+        bin_->finalize();
+        bin_.reset();
         if (toStdout_) {
             std::fflush(out_);
         } else {
@@ -162,7 +159,6 @@ Tracer::close()
         }
         out_ = nullptr;
     }
-    bin_.reset(); // Failed opens may have left a stale writer.
     level_ = 0;
     warmup_ = false;
 }
@@ -173,20 +169,7 @@ Tracer::record(const TraceRecord &rec)
     GRP_HOST_SCOPE(2, TraceEmit);
     if (!out_)
         return;
-    const Tick tick = clock_ ? clock_->curTick() : 0;
-    if (bin_) {
-        bin_->record(rec, tick, warmup_);
-    } else {
-        // Format the whole record into one stack buffer and hand it
-        // to stdio in a single fwrite; with the large stream buffer
-        // each record is one snprintf pass plus one memcpy. 256 bytes
-        // bounds the worst case (every optional field present, 64-bit
-        // values).
-        char line[256];
-        const size_t n =
-            formatTraceLine(line, sizeof(line), tick, rec, warmup_);
-        std::fwrite(line, 1, n, out_);
-    }
+    bin_->record(rec, clock_ ? clock_->curTick() : 0, warmup_);
     ++records_;
 }
 
@@ -218,6 +201,15 @@ LifecycleFold::bindQueue(StatGroup &queue)
 {
     entriesDropped_ = &queue.counter("entriesDropped");
     candidatesDropped_ = &queue.counter("candidatesDropped");
+}
+
+void
+LifecycleFold::bindController(StatGroup &adaptive)
+{
+    const char *const knobs[] = {"Size", "Insert", "Priority", "Depth"};
+    for (std::size_t k = 0; k < transitions_.size(); ++k)
+        transitions_[k] =
+            &adaptive.counter(std::string("transitions") + knobs[k]);
 }
 
 void
@@ -264,7 +256,10 @@ LifecycleFold::fold(const TraceRecord &rec)
         ++*(rec.hint != HintClass::None ? pollutionAttributed_
                                         : pollutionUnattributed_);
         break;
-      default: // Hint triggers, enqueues and controller moves.
+      case TraceEvent::CtrlTransition:
+        ++*transitions_[static_cast<std::size_t>(rec.channel)];
+        break;
+      default: // Hint triggers and enqueues.
         break;
     }
     Tracer &tracer = Tracer::instance();

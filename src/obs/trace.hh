@@ -12,11 +12,12 @@
  *
  * The per-thread tracer records each prefetch's arc (hint trigger,
  * queue enqueue / drop, channel issue vs. demand-priority stall,
- * fill, first-use or evicted-unused) as JSONL or .grpbin. Per-class
- * accuracy and prefetch-to-use distance (the paper's Table 5
- * attribution claims) can be recomputed from a level-2 trace. With
- * tracing off (level 0, the default) the fold's level check is one
- * predictable compare per event.
+ * fill, first-use or evicted-unused) as a .grpbin flight-recorder
+ * stream (obs/bintrace). Per-class accuracy and prefetch-to-use
+ * distance (the paper's Table 5 attribution claims) can be
+ * recomputed from a level-2 trace. With tracing off (level 0, the
+ * default) the fold's level check is one predictable compare per
+ * event.
  *
  * Event levels:
  *  1 — lifecycle: issue, fill, firstUse, evictedUnused
@@ -52,17 +53,9 @@ namespace bintrace
 class Writer;
 }
 
-/** On-disk encoding of a lifecycle trace. */
-enum class TraceFormat : uint8_t
-{
-    Auto,   ///< By extension: ".grpbin" is binary, anything else JSONL.
-    Jsonl,  ///< One JSON object per line (human-greppable).
-    Binary, ///< .grpbin flight-recorder container (obs/bintrace).
-};
-
-/** Resolve Auto against @p path (see TraceFormat::Auto). */
-TraceFormat resolveTraceFormat(const std::string &path,
-                               TraceFormat requested);
+/** Whether the Tracer accepts @p path: a "*.grpbin" file, or "-"
+ *  for stdout. */
+bool isTracePath(const std::string &path);
 
 /** The lifecycle .grpbin string tables: table 0 maps tag bytes to
  *  event names, table 1 maps hint indices to class names. */
@@ -86,7 +79,8 @@ enum class TraceEvent : uint8_t
 {
     HintTrigger,   ///< An L2 miss reached an engine with its hints.
     Enqueue,       ///< A candidate window entered the prefetch queue.
-    Drop,          ///< Queue overflow dropped a window's candidates.
+    Drop,          ///< Queue overflow (or a throttle pause) dropped
+                   ///< a window's remaining candidates.
     Issue,         ///< A prefetch request started on a DRAM channel.
     Stall,         ///< The prioritizer refused prefetches this cycle.
     Filtered,      ///< A candidate was already present / in flight.
@@ -161,16 +155,15 @@ struct TraceRecord
 
 /**
  * Render one record as the canonical JSONL trace line (including the
- * trailing newline). The Tracer's JSONL sink and the .grpbin-to-JSONL
- * converter both use this, so a converted binary trace is
- * byte-identical to a natively emitted one.
+ * trailing newline): the one text form of a lifecycle record, printed
+ * by `grptrace --jsonl` and by its query mode.
  *
  * @return Bytes written into @p buf (capacity @p cap).
  */
 size_t formatTraceLine(char *buf, size_t cap, Tick tick,
                        const TraceRecord &rec, bool warm);
 
-/** The per-thread trace sink (JSONL or .grpbin binary). */
+/** The per-thread .grpbin trace sink. */
 class Tracer
 {
   public:
@@ -189,7 +182,8 @@ class Tracer
 
     /**
      * Start writing to @p path; enables emission once a level > 0 is
-     * set. Returns false when the file cannot be opened. The stream
+     * set. Returns false (with a warning) when @p path fails
+     * isTracePath() or the file cannot be opened. The stream
      * gets a large (256 KB) output buffer so records pay one memcpy,
      * not one syscall, each.
      *
@@ -198,21 +192,17 @@ class Tracer
      * every JSON artefact (obs/atomic_file) — readers never see a
      * partial file at @p path, and a crashed run leaves only the
      * .tmp behind. The sentinel path "-" streams to stdout instead
-     * (no rename; binary streams still carry their footer, so a
-     * piped consumer sees a finalized container).
+     * (no rename; the stream still carries its footer, so a piped
+     * consumer sees a finalized container).
      */
-    bool open(const std::string &path,
-              TraceFormat format = TraceFormat::Auto);
+    bool open(const std::string &path);
 
-    /** Flush, finalize (binary footer), close and publish the sink;
-     *  tracing reverts to disabled. Also runs on destruction, so
-     *  buffered records are never lost. */
+    /** Flush, finalize (footer), close and publish the sink; tracing
+     *  reverts to disabled. Also runs on destruction, so buffered
+     *  records are never lost. */
     void close();
 
-    /** The resolved format of the open sink. */
-    TraceFormat format() const { return format_; }
-
-    /** Records between binary checkpoints for subsequently opened
+    /** Records between checkpoints for subsequently opened
      *  sinks (0 disables checkpoints; default 8192). */
     void setCheckpointInterval(uint64_t records)
     {
@@ -251,9 +241,8 @@ class Tracer
     std::FILE *out_ = nullptr;
     /** Backing storage handed to setvbuf(); must outlive out_. */
     std::unique_ptr<char[]> iobuf_;
-    /** Binary encoder when format_ == Binary (owns no stream). */
+    /** The encoder over out_ (owns no stream). */
     std::unique_ptr<bintrace::Writer> bin_;
-    TraceFormat format_ = TraceFormat::Jsonl;
     /** Writing to stdout ("-"): flush instead of close + publish. */
     bool toStdout_ = false;
     /** Publication target; the open stream writes publishPath_+".tmp". */
@@ -289,6 +278,8 @@ class LifecycleFold
     void bindPollution(StatGroup &mem);
     /** Queue drops. */
     void bindQueue(StatGroup &queue);
+    /** Adaptive-controller knob moves, counted per knob id. */
+    void bindController(StatGroup &adaptive);
 
     /** Fold one occurrence of @p rec. Fast-forward folds @p count
      *  identical stall cycles at once; it is off whenever stalls are
@@ -328,6 +319,8 @@ class LifecycleFold
     Counter *pollutionUnattributed_ = nullptr;
     Counter *entriesDropped_ = nullptr;
     Counter *candidatesDropped_ = nullptr;
+    /** Indexed by a CtrlTransition record's knob id (its channel). */
+    std::array<Counter *, 4> transitions_{};
 };
 
 } // namespace obs

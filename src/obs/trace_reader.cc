@@ -6,7 +6,6 @@
 #include <unordered_map>
 
 #include "obs/bintrace.hh"
-#include "obs/json_reader.hh"
 
 namespace grp
 {
@@ -26,17 +25,10 @@ constexpr uint64_t kWindowSpanBytes = kBlocksPerRegion * kBlockBytes;
 std::optional<TraceEvent>
 parseTraceEvent(const std::string &name)
 {
-    const TraceEvent all[] = {
-        TraceEvent::HintTrigger, TraceEvent::Enqueue,
-        TraceEvent::Drop,        TraceEvent::Issue,
-        TraceEvent::Stall,       TraceEvent::Filtered,
-        TraceEvent::Fill,        TraceEvent::FirstUse,
-        TraceEvent::EvictedUnused, TraceEvent::EvictVictim,
-        TraceEvent::PollutionMiss, TraceEvent::CtrlTransition,
-    };
-    for (TraceEvent event : all) {
-        if (name == toString(event))
-            return event;
+    for (int e = 0; e <= static_cast<int>(TraceEvent::CtrlTransition);
+         ++e) {
+        if (name == toString(static_cast<TraceEvent>(e)))
+            return static_cast<TraceEvent>(e);
     }
     return std::nullopt;
 }
@@ -44,90 +36,11 @@ parseTraceEvent(const std::string &name)
 std::optional<HintClass>
 parseHintClass(const std::string &name)
 {
-    const HintClass all[] = {
-        HintClass::None,      HintClass::Spatial,
-        HintClass::Pointer,   HintClass::Recursive,
-        HintClass::Indirect,  HintClass::Stride,
-    };
-    for (HintClass hint : all) {
-        if (name == toString(hint))
-            return hint;
+    for (int h = 0; h <= static_cast<int>(HintClass::Stride); ++h) {
+        if (name == toString(static_cast<HintClass>(h)))
+            return static_cast<HintClass>(h);
     }
     return std::nullopt;
-}
-
-TraceParseResult
-readTrace(std::istream &is)
-{
-    TraceParseResult result;
-    std::string line;
-    size_t lineno = 0;
-    auto fail = [&](const std::string &why) {
-        std::ostringstream msg;
-        msg << "line " << lineno << ": " << why;
-        result.errors.push_back(msg.str());
-    };
-
-    while (std::getline(is, line)) {
-        ++lineno;
-        if (line.empty())
-            continue;
-        std::string error;
-        auto doc = parseJson(line, &error);
-        if (!doc || !doc->isObject()) {
-            fail(doc ? "not a JSON object" : error);
-            continue;
-        }
-
-        TraceLine rec;
-        const JsonValue *ev = doc->find("ev");
-        if (!ev || !ev->isString()) {
-            fail("missing \"ev\"");
-            continue;
-        }
-        const auto event = parseTraceEvent(ev->asString());
-        if (!event) {
-            fail("unknown event '" + ev->asString() + "'");
-            continue;
-        }
-        rec.event = *event;
-
-        if (const JsonValue *t = doc->find("t"); t && t->isNumber())
-            rec.t = static_cast<Tick>(t->asNumber());
-        if (const JsonValue *a = doc->find("addr"); a && a->isNumber())
-            rec.addr = static_cast<Addr>(a->asNumber());
-        if (const JsonValue *h = doc->find("hint")) {
-            const auto hint =
-                h->isString() ? parseHintClass(h->asString())
-                              : std::nullopt;
-            if (!hint) {
-                fail("unknown hint class");
-                continue;
-            }
-            rec.hint = *hint;
-        }
-        if (const JsonValue *c = doc->find("ch"); c && c->isNumber())
-            rec.channel = static_cast<int>(c->asNumber());
-        if (const JsonValue *x = doc->find("x"); x && x->isNumber())
-            rec.extra = static_cast<int64_t>(x->asNumber());
-        if (const JsonValue *s = doc->find("site"); s && s->isNumber())
-            rec.site = static_cast<int64_t>(s->asNumber());
-        if (const JsonValue *w = doc->find("warm"))
-            rec.warm = w->asBool();
-        if (const JsonValue *c = doc->find("carry"))
-            rec.carry = c->asBool();
-        result.lines.push_back(rec);
-    }
-    return result;
-}
-
-TraceParseResult
-readTraceData(const std::string &data)
-{
-    if (bintrace::isBinary(data))
-        return bintrace::readLifecycle(data);
-    std::istringstream is(data);
-    return readTrace(is);
 }
 
 TraceParseResult
@@ -140,16 +53,6 @@ readTraceFile(const std::string &path)
         result.errors.push_back("cannot open '" + path + "'");
         return result;
     }
-    // Sniff the container magic: binary traces must be slurped (the
-    // decoder seeks into the checkpoint directory); JSONL can stream.
-    char magic[4] = {};
-    is.read(magic, sizeof(magic));
-    const bool binary = is.gcount() == 4 &&
-                        bintrace::isBinary(std::string(magic, 4));
-    is.clear();
-    is.seekg(0);
-    if (!binary)
-        return readTrace(is);
     std::ostringstream buf;
     buf << is.rdbuf();
     return bintrace::readLifecycle(buf.str());

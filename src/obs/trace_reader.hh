@@ -2,9 +2,10 @@
  * @file
  * Offline reading and analysis of prefetch lifecycle traces.
  *
- * The Tracer writes one JSON object per line (JSONL); this module is
- * the other half of that contract: it parses trace files back into
- * records, replays each block's lifecycle through a small state
+ * The Tracer writes .grpbin (obs/bintrace); this module is the other
+ * half of that contract: it decodes trace files back into records,
+ * renders them as JSONL text, replays each block's lifecycle through
+ * a small state
  * machine to check the invariants the simulator is supposed to
  * uphold (every fill was issued, every first-use had a fill, no
  * event touches a block that is not live), and recomputes the
@@ -18,7 +19,6 @@
 #define GRP_OBS_TRACE_READER_HH
 
 #include <cstdint>
-#include <istream>
 #include <map>
 #include <optional>
 #include <string>
@@ -39,7 +39,7 @@ std::optional<TraceEvent> parseTraceEvent(const std::string &name);
 /** Inverse of toString(HintClass); nullopt for unknown names. */
 std::optional<HintClass> parseHintClass(const std::string &name);
 
-/** One parsed trace line (absent fields keep the writer's
+/** One decoded trace record (absent fields keep the writer's
  *  omitted-value defaults). */
 struct TraceLine
 {
@@ -55,35 +55,29 @@ struct TraceLine
     bool carry = false;
 };
 
-/** The outcome of parsing one trace file. */
+/** The outcome of decoding one trace. */
 struct TraceParseResult
 {
     std::vector<TraceLine> lines;
-    /** Messages for lines that failed to parse ("line N: why");
-     *  malformed lines are skipped, not fatal. */
+    /** Why the input, or a record in it, could not be decoded.
+     *  Records with unknown names are skipped ("record N: why"), not
+     *  fatal; input that is not a .grpbin lifecycle trace gets one
+     *  message and no lines. */
     std::vector<std::string> errors;
     /** The file itself could not be opened. */
     bool openFailed = false;
-    /** The input was a .grpbin binary trace. */
-    bool binary = false;
-    /** Binary input had no finalize footer: the writer never closed
-     *  it (crash / kill / stale .tmp). The intact prefix is still in
+    /** The input had no finalize footer: the writer never closed it
+     *  (crash / kill / stale .tmp). The intact prefix is still in
      *  lines, and errors carries one distinct, actionable message. */
     bool truncated = false;
 };
 
-TraceParseResult readTrace(std::istream &is);
-
-/** Parse an in-memory trace of either format (sniffs the .grpbin
- *  magic, falls back to JSONL) — the stdin path of grptrace. */
-TraceParseResult readTraceData(const std::string &data);
-
-/** Read @p path in either format (magic-sniffed). */
+/** Read the .grpbin lifecycle trace at @p path
+ *  (bintrace::readLifecycle over the file's bytes). */
 TraceParseResult readTraceFile(const std::string &path);
 
-/** Render one parsed line back to the canonical JSONL form (with
- *  trailing newline) via the Tracer's own formatter, so a binary
- *  trace converts to byte-identical JSONL. */
+/** Render one record as its canonical JSONL line (with trailing
+ *  newline) via formatTraceLine(). */
 std::string jsonlLine(const TraceLine &line);
 
 /** One lifecycle invariant violation found during replay. */

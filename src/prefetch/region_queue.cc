@@ -145,19 +145,24 @@ RegionQueue::pushFront(RegionEntry entry)
     const int idx = allocSlot();
     slots_[idx].entry = entry;
     linkFront(idx);
-    while (size_ > capacity_) {
-        const RegionEntry &victim = slots_[allTail_].entry;
-        const int victim_blocks = std::popcount(victim.bitvec);
-        dropped_ += victim_blocks;
-        lifecycle_.note({obs::TraceEvent::Drop,
-                         victim.baseBlock << kBlockShift, victim.hintClass,
-                         -1, victim_blocks, false, victim.refId});
-        removeSlot(allTail_);
-    }
+    while (size_ > capacity_)
+        dropTail();
     // The counter is the high-water mark. Counters only go up, so it
     // advances by its delta, and a stats reset re-bases it.
     if (size_ > occupancyHighWater_->value())
         *occupancyHighWater_ += size_ - occupancyHighWater_->value();
+}
+
+void
+RegionQueue::dropTail()
+{
+    const RegionEntry &victim = slots_[allTail_].entry;
+    const int victim_blocks = std::popcount(victim.bitvec);
+    dropped_ += victim_blocks;
+    lifecycle_.note({obs::TraceEvent::Drop, victim.baseBlock << kBlockShift,
+                     victim.hintClass, -1, victim_blocks, false,
+                     victim.refId});
+    removeSlot(allTail_);
 }
 
 unsigned
@@ -350,6 +355,13 @@ RegionQueue::dequeueTier(const DramBackend &dram, unsigned channel,
     if (fallback_slot >= 0)
         return take(fallback_slot, fallback_pos);
     return std::nullopt;
+}
+
+void
+RegionQueue::flush()
+{
+    while (size_ > 0)
+        dropTail();
 }
 
 void

@@ -110,6 +110,11 @@ class RegionQueue
     StatGroup &stats() { return stats_; }
     const StatGroup &stats() const { return stats_; }
 
+    /** Discard every queued entry as a drop (one Drop record each,
+     *  through the fold); the other counters are left alone. */
+    void flush();
+
+    /** Empty the queue and zero its statistics (engine reset). */
     void clear();
 
   private:
@@ -147,6 +152,8 @@ class RegionQueue
 
     Slot *findCovering(uint64_t block_num);
     void pushFront(RegionEntry entry);
+    /** Drop the oldest entry, accounting its remaining candidates. */
+    void dropTail();
     /** One scan pass over entries whose class priority equals
      *  @p tier (-1 scans every entry: the classic behavior). */
     std::optional<PrefetchCandidate>

@@ -93,7 +93,10 @@ ThrottledSrpEngine::dequeuePrefetch(const DramBackend &dram,
             throttled_ = true;
             throttleStartMisses_ =
                 missesWhileThrottledCounter_->value();
-            queue_.clear();
+            // The pause discards what is queued; each entry leaves
+            // as a drop, so the queue counters keep reconciling with
+            // the site profile and the trace.
+            queue_.flush();
             ++*throttleEvents_;
         }
     }

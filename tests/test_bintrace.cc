@@ -1,15 +1,18 @@
 /** @file Tests for the .grpbin binary flight-recorder container:
- *  JSONL <-> binary round-trip fidelity over every record type,
- *  checkpoint-seek query equivalence against a full scan, and the
- *  distinct truncated/unfinalized error reporting. */
+ *  round-trip fidelity over every record type, checkpoint-seek query
+ *  equivalence against a full scan, the distinct
+ *  truncated/unfinalized error reporting, and clean rejection of
+ *  corrupt input. */
 
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "obs/trace_reader.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 
 namespace grp
 {
@@ -44,45 +48,46 @@ slurp(const std::string &path)
 
 /** Run one traced simulation; returns the trace path. */
 std::string
-runTraced(const char *name, obs::TraceFormat format, int level,
-          uint64_t checkpoint_interval = 0)
+runTraced(const char *name, int level, uint64_t checkpoint_interval = 0,
+          uint64_t instructions = 60'000)
 {
     setQuiet(true);
     const std::string path = tempPath(name);
     SimConfig config;
     config.scheme = PrefetchScheme::GrpVar;
     RunOptions opts;
-    opts.maxInstructions = 60'000;
+    opts.maxInstructions = instructions;
     opts.obs.tracePath = path;
-    opts.obs.traceFormat = format;
     opts.obs.traceLevel = level;
     if (checkpoint_interval)
         obs::Tracer::instance().setCheckpointInterval(
             checkpoint_interval);
     runWorkload("mcf", config, opts);
+    obs::Tracer::instance().setCheckpointInterval(8192); // Restore.
     return path;
 }
 
-/** Hand-drive a Tracer pair (JSONL + binary) over the same records
- *  so every event type and field combination is covered regardless
- *  of what a simulation happens to emit. */
-struct RecordedPair
+/** Hand-driven records covering every event type and field
+ *  combination, regardless of what a simulation happens to emit. */
+struct RecordedTrace
 {
-    std::string jsonlPath;
-    std::string binPath;
+    std::string path;
+    std::vector<obs::TraceRecord> records;
+    std::vector<uint64_t> ticks;
+    /** Records before this index were written during warmup. */
+    size_t warmupEnd = 0;
 };
 
-RecordedPair
+RecordedTrace
 writeAllRecordTypes(const char *stem)
 {
-    RecordedPair out;
-    out.jsonlPath = tempPath((std::string(stem) + ".jsonl").c_str());
-    out.binPath = tempPath((std::string(stem) + ".grpbin").c_str());
+    RecordedTrace out;
+    out.path = tempPath((std::string(stem) + ".grpbin").c_str());
 
     // Every event type once, plus field-presence variations:
     // addresses that jump backwards (zigzag deltas), the None hint
     // (omitted field), carry/warm flags, large extras and sites.
-    const std::vector<obs::TraceRecord> records = {
+    out.records = {
         {obs::TraceEvent::HintTrigger, 0x40000000,
          obs::HintClass::Spatial, -1, -1, false, 3},
         {obs::TraceEvent::Enqueue, 0x40000000,
@@ -109,28 +114,24 @@ writeAllRecordTypes(const char *stem)
          2, 1, false, kInvalidRefId},
     };
     // Ticks exercise dt = 0 runs and large jumps.
-    const uint64_t ticks[] = {0,   0,   5,    5,    5,    1000,
-                              1000, 1000, 99999, 99999, 100000, 1u << 20};
+    out.ticks = {0,    0,    5,     5,     5,      1000,
+                 1000, 1000, 99999, 99999, 100000, 1u << 20};
 
-    for (const bool binary : {false, true}) {
-        obs::Tracer &tracer = obs::Tracer::instance();
-        EXPECT_TRUE(tracer.open(binary ? out.binPath : out.jsonlPath,
-                                binary ? obs::TraceFormat::Binary
-                                       : obs::TraceFormat::Jsonl))
-            << "open failed";
-        tracer.setLevel(3);
-        EventQueue clock;
-        tracer.setClock(&clock);
-        tracer.setWarmup(true);
-        for (size_t i = 0; i < records.size(); ++i) {
-            clock.advanceTo(ticks[i]);
-            if (i == records.size() / 2)
-                tracer.setWarmup(false);
-            tracer.record(records[i]);
-        }
-        tracer.setClock(nullptr);
-        tracer.close();
+    obs::Tracer &tracer = obs::Tracer::instance();
+    EXPECT_TRUE(tracer.open(out.path)) << "open failed";
+    tracer.setLevel(3);
+    EventQueue clock;
+    tracer.setClock(&clock);
+    tracer.setWarmup(true);
+    out.warmupEnd = out.records.size() / 2;
+    for (size_t i = 0; i < out.records.size(); ++i) {
+        clock.advanceTo(out.ticks[i]);
+        if (i == out.warmupEnd)
+            tracer.setWarmup(false);
+        tracer.record(out.records[i]);
     }
+    tracer.setClock(nullptr);
+    tracer.close();
     return out;
 }
 
@@ -163,85 +164,31 @@ TEST(Bintrace, ZigzagRoundTrip)
     EXPECT_LE(obs::bintrace::zigzag((uint64_t)-2), 4u);
 }
 
-TEST(Bintrace, AllRecordTypesFieldEqual)
+TEST(Bintrace, AllRecordTypesRoundTrip)
 {
-    const RecordedPair pair = writeAllRecordTypes("grp_bt_all");
-    const obs::TraceParseResult jsonl =
-        obs::readTraceFile(pair.jsonlPath);
-    const obs::TraceParseResult bin = obs::readTraceFile(pair.binPath);
+    const RecordedTrace written = writeAllRecordTypes("grp_bt_all");
+    const obs::TraceParseResult parsed = obs::readTraceFile(written.path);
 
-    EXPECT_FALSE(jsonl.binary);
-    EXPECT_TRUE(bin.binary);
-    EXPECT_FALSE(bin.truncated);
-    EXPECT_TRUE(jsonl.errors.empty());
-    EXPECT_TRUE(bin.errors.empty());
-    ASSERT_EQ(jsonl.lines.size(), bin.lines.size());
-    ASSERT_EQ(bin.lines.size(), 12u); // One per event type.
-
-    for (size_t i = 0; i < bin.lines.size(); ++i) {
-        const obs::TraceLine &a = jsonl.lines[i];
-        const obs::TraceLine &b = bin.lines[i];
-        EXPECT_EQ(a.t, b.t) << i;
-        EXPECT_EQ(a.event, b.event) << i;
-        EXPECT_EQ(a.addr, b.addr) << i;
-        EXPECT_EQ(a.hint, b.hint) << i;
-        EXPECT_EQ(a.channel, b.channel) << i;
-        EXPECT_EQ(a.extra, b.extra) << i;
-        EXPECT_EQ(a.site, b.site) << i;
-        EXPECT_EQ(a.warm, b.warm) << i;
-        EXPECT_EQ(a.carry, b.carry) << i;
-    }
-}
-
-TEST(Bintrace, ConversionIsByteIdentical)
-{
-    const RecordedPair pair = writeAllRecordTypes("grp_bt_bytes");
-    const obs::TraceParseResult bin = obs::readTraceFile(pair.binPath);
-    std::string converted;
-    for (const obs::TraceLine &line : bin.lines)
-        converted += obs::jsonlLine(line);
-    EXPECT_EQ(converted, slurp(pair.jsonlPath));
-}
-
-TEST(Bintrace, SimulationRoundTripByteIdentical)
-{
-    // The real emitters, not hand-built records: a level-2 grp-var
-    // run in both formats must convert to the same bytes.
-    const std::string jsonl =
-        runTraced("grp_bt_sim.jsonl", obs::TraceFormat::Auto, 2);
-    const std::string bin =
-        runTraced("grp_bt_sim.grpbin", obs::TraceFormat::Auto, 2);
-    const obs::TraceParseResult parsed = obs::readTraceFile(bin);
-    EXPECT_TRUE(parsed.binary);
+    EXPECT_FALSE(parsed.truncated);
     EXPECT_TRUE(parsed.errors.empty());
-    ASSERT_FALSE(parsed.lines.empty());
-    std::string converted;
-    for (const obs::TraceLine &line : parsed.lines)
-        converted += obs::jsonlLine(line);
-    EXPECT_EQ(converted, slurp(jsonl));
-}
+    ASSERT_EQ(parsed.lines.size(), written.records.size());
+    ASSERT_EQ(parsed.lines.size(), 12u); // One per event type.
 
-TEST(Bintrace, AnalyzeEquivalentAcrossFormats)
-{
-    const std::string jsonl =
-        runTraced("grp_bt_an.jsonl", obs::TraceFormat::Auto, 2);
-    const std::string bin =
-        runTraced("grp_bt_an.grpbin", obs::TraceFormat::Auto, 2);
-    const obs::TraceAnalysis a =
-        obs::analyzeTrace(obs::readTraceFile(jsonl).lines);
-    const obs::TraceAnalysis b =
-        obs::analyzeTrace(obs::readTraceFile(bin).lines);
-    EXPECT_EQ(a.records, b.records);
-    EXPECT_EQ(a.warmupRecords, b.warmupRecords);
-    EXPECT_EQ(a.violations.size(), b.violations.size());
-    EXPECT_TRUE(b.violations.empty());
-    ASSERT_EQ(a.byClass.size(), b.byClass.size());
-    for (const auto &[hint, funnel] : a.byClass) {
-        const auto it = b.byClass.find(hint);
-        ASSERT_NE(it, b.byClass.end());
-        EXPECT_EQ(funnel.fills, it->second.fills);
-        EXPECT_EQ(funnel.useful, it->second.useful);
-        EXPECT_EQ(funnel.issued, it->second.issued);
+    for (size_t i = 0; i < parsed.lines.size(); ++i) {
+        const obs::TraceRecord &in = written.records[i];
+        const obs::TraceLine &out = parsed.lines[i];
+        EXPECT_EQ(out.t, written.ticks[i]) << i;
+        EXPECT_EQ(out.event, in.event) << i;
+        EXPECT_EQ(out.addr, in.addr) << i;
+        EXPECT_EQ(out.hint, in.hint) << i;
+        EXPECT_EQ(out.channel, in.channel) << i;
+        EXPECT_EQ(out.extra, in.extra) << i;
+        EXPECT_EQ(out.site, in.site == kInvalidRefId
+                                ? -1
+                                : static_cast<int64_t>(in.site))
+            << i;
+        EXPECT_EQ(out.warm, i < written.warmupEnd) << i;
+        EXPECT_EQ(out.carry, in.carryover) << i;
     }
 }
 
@@ -249,9 +196,7 @@ TEST(Bintrace, QuerySeekMatchesFullScan)
 {
     // A small checkpoint interval guarantees several checkpoints
     // even in a short run.
-    const std::string bin = runTraced(
-        "grp_bt_seek.grpbin", obs::TraceFormat::Auto, 2, 256);
-    obs::Tracer::instance().setCheckpointInterval(8192); // Restore.
+    const std::string bin = runTraced("grp_bt_seek.grpbin", 2, 256);
     const std::string data = slurp(bin);
 
     obs::bintrace::Container container;
@@ -284,8 +229,7 @@ TEST(Bintrace, QuerySeekMatchesFullScan)
 
 TEST(Bintrace, QueryFiltersSiteAndEvent)
 {
-    const std::string bin =
-        runTraced("grp_bt_filter.grpbin", obs::TraceFormat::Auto, 2);
+    const std::string bin = runTraced("grp_bt_filter.grpbin", 2);
     const std::string data = slurp(bin);
 
     obs::bintrace::QueryFilter filter;
@@ -306,16 +250,15 @@ TEST(Bintrace, QueryFiltersSiteAndEvent)
 
 TEST(Bintrace, TruncatedFileReportsDistinctError)
 {
-    const std::string bin =
-        runTraced("grp_bt_trunc.grpbin", obs::TraceFormat::Auto, 1);
+    const std::string bin = runTraced("grp_bt_trunc.grpbin", 1);
     const std::string data = slurp(bin);
     ASSERT_GT(data.size(), 400u);
 
     // Chop the trailer + some records off: the reader must flag
     // truncation distinctly while still scanning the prefix.
     const std::string damaged = data.substr(0, data.size() - 200);
-    const obs::TraceParseResult parsed = obs::readTraceData(damaged);
-    EXPECT_TRUE(parsed.binary);
+    const obs::TraceParseResult parsed =
+        obs::bintrace::readLifecycle(damaged);
     EXPECT_TRUE(parsed.truncated);
     EXPECT_FALSE(parsed.lines.empty());
     ASSERT_FALSE(parsed.errors.empty());
@@ -323,7 +266,7 @@ TEST(Bintrace, TruncatedFileReportsDistinctError)
               std::string::npos);
 
     // The intact file parses clean.
-    const obs::TraceParseResult intact = obs::readTraceData(data);
+    const obs::TraceParseResult intact = obs::bintrace::readLifecycle(data);
     EXPECT_FALSE(intact.truncated);
     EXPECT_TRUE(intact.errors.empty());
 
@@ -352,7 +295,7 @@ TEST(Bintrace, StdoutSinkProducesFinalizedContainer)
     ::close(fd);
 
     obs::Tracer &tracer = obs::Tracer::instance();
-    const bool opened = tracer.open("-", obs::TraceFormat::Binary);
+    const bool opened = tracer.open("-");
     if (opened) {
         tracer.setLevel(1);
         tracer.record({obs::TraceEvent::Issue, 0x1000,
@@ -367,7 +310,6 @@ TEST(Bintrace, StdoutSinkProducesFinalizedContainer)
     ASSERT_TRUE(opened);
 
     const obs::TraceParseResult parsed = obs::readTraceFile(path);
-    EXPECT_TRUE(parsed.binary);
     EXPECT_FALSE(parsed.truncated);
     ASSERT_EQ(parsed.lines.size(), 2u);
     EXPECT_EQ(parsed.lines[1].event, obs::TraceEvent::Fill);
@@ -383,7 +325,7 @@ TEST(Bintrace, CrashSafetyPublishesOnlyOnClose)
     std::remove((path + ".tmp").c_str());
 
     obs::Tracer &tracer = obs::Tracer::instance();
-    ASSERT_TRUE(tracer.open(path, obs::TraceFormat::Binary));
+    ASSERT_TRUE(tracer.open(path));
     tracer.setLevel(1);
     for (uint32_t i = 0; i < 100; ++i) {
         tracer.record({obs::TraceEvent::Issue, 0x1000 + 64ull * i,
@@ -402,34 +344,135 @@ TEST(Bintrace, CrashSafetyPublishesOnlyOnClose)
     EXPECT_EQ(parsed.lines.size(), 100u);
 }
 
-TEST(Bintrace, FormatResolution)
+TEST(Bintrace, TracerAcceptsOnlyGrpbinPaths)
 {
-    using obs::TraceFormat;
-    EXPECT_EQ(obs::resolveTraceFormat("x.grpbin", TraceFormat::Auto),
-              TraceFormat::Binary);
-    EXPECT_EQ(obs::resolveTraceFormat("x.jsonl", TraceFormat::Auto),
-              TraceFormat::Jsonl);
-    EXPECT_EQ(obs::resolveTraceFormat("-", TraceFormat::Auto),
-              TraceFormat::Jsonl);
-    EXPECT_EQ(obs::resolveTraceFormat("x.jsonl", TraceFormat::Binary),
-              TraceFormat::Binary);
-    EXPECT_EQ(obs::resolveTraceFormat("x.grpbin", TraceFormat::Jsonl),
-              TraceFormat::Jsonl);
+    EXPECT_TRUE(obs::isTracePath("x.grpbin"));
+    EXPECT_TRUE(obs::isTracePath("dir/x.grpbin"));
+    EXPECT_TRUE(obs::isTracePath("-"));
+    EXPECT_FALSE(obs::isTracePath("x.jsonl"));
+    EXPECT_FALSE(obs::isTracePath(".grpbin"));
+    EXPECT_FALSE(obs::isTracePath("x.grpbin.tmp"));
+
+    // A rejected path opens nothing: no file, tracing stays off.
+    setQuiet(true);
+    const std::string path = tempPath("grp_bt_reject.jsonl");
+    std::remove(path.c_str());
+    obs::Tracer &tracer = obs::Tracer::instance();
+    EXPECT_FALSE(tracer.open(path));
+    tracer.setLevel(1);
+    EXPECT_FALSE(tracer.enabled(1));
+    tracer.close();
+    EXPECT_FALSE(std::ifstream(path).is_open());
+    EXPECT_FALSE(std::ifstream(path + ".tmp").is_open());
 }
 
-TEST(Bintrace, BinarySmallerThanJsonl)
+TEST(Bintrace, BinarySmallerThanJsonlRendering)
 {
-    const std::string jsonl =
-        runTraced("grp_bt_size.jsonl", obs::TraceFormat::Auto, 2);
-    const std::string bin =
-        runTraced("grp_bt_size.grpbin", obs::TraceFormat::Auto, 2);
-    const size_t jsonl_size = slurp(jsonl).size();
+    const std::string bin = runTraced("grp_bt_size.grpbin", 2);
     const size_t bin_size = slurp(bin).size();
+    size_t jsonl_size = 0;
+    for (const obs::TraceLine &line : obs::readTraceFile(bin).lines)
+        jsonl_size += obs::jsonlLine(line).size();
     ASSERT_GT(jsonl_size, 0u);
     ASSERT_GT(bin_size, 0u);
-    // The tentpole claim: ten-fold smaller on real traces.
+    // The container's reason to exist: ten-fold smaller than the
+    // same records as JSONL text.
     EXPECT_GE(jsonl_size, 10u * bin_size)
         << jsonl_size << " vs " << bin_size;
+}
+
+/** Damaged input decodes to a clean verdict: the reader returns
+ *  lines, errors and/or truncated, and never crashes, hangs or reads
+ *  out of bounds (the sanitizer build runs this too). */
+obs::TraceParseResult
+expectCleanVerdict(const std::string &path, const std::string &data,
+                   const std::string &what)
+{
+    SCOPED_TRACE(what);
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(data.data(), static_cast<std::streamsize>(data.size()));
+    }
+    const obs::TraceParseResult parsed = obs::readTraceFile(path);
+    EXPECT_FALSE(parsed.openFailed);
+    // Every record takes at least three bytes (tag, flags, time).
+    EXPECT_LE(3 * parsed.lines.size(), data.size());
+
+    // The indexed query path trusts the checkpoint directory for its
+    // seek (past every checkpoint here, so it always seeks); a damaged
+    // directory must not send it out of bounds.
+    obs::bintrace::QueryFilter filter;
+    filter.fromTick = std::numeric_limits<Tick>::max();
+    const obs::bintrace::QueryResult queried =
+        obs::bintrace::query(data, filter, true);
+    EXPECT_LE(3 * queried.lines.size(), data.size());
+    return parsed;
+}
+
+TEST(Bintrace, CorruptInputRejectedCleanly)
+{
+    // A small real level-2 trace with frequent checkpoints, so the
+    // mutations hit records, checkpoints, the footer directory and
+    // the trailer alike.
+    const std::string bin = runTraced("grp_bt_fuzz.grpbin", 2, 32, 6'000);
+    const std::string data = slurp(bin);
+    const obs::TraceParseResult intact = obs::readTraceFile(bin);
+    ASSERT_TRUE(intact.errors.empty());
+    ASSERT_FALSE(intact.truncated);
+    ASSERT_GT(intact.lines.size(), 100u);
+    const std::string path = tempPath("grp_bt_fuzz_case.grpbin");
+
+    // Every truncation point (a stride of them on larger traces): the
+    // damage is flagged, and what decodes is a prefix of the intact
+    // records.
+    const size_t stride = std::max<size_t>(1, data.size() / 4096);
+    for (size_t cut = 0; cut < data.size(); cut += stride) {
+        const obs::TraceParseResult parsed = expectCleanVerdict(
+            path, data.substr(0, cut),
+            "truncated at " + std::to_string(cut));
+        EXPECT_TRUE(parsed.truncated || !parsed.errors.empty()) << cut;
+        ASSERT_LE(parsed.lines.size(), intact.lines.size()) << cut;
+        for (size_t i = 0; i < parsed.lines.size(); ++i) {
+            ASSERT_EQ(obs::jsonlLine(parsed.lines[i]),
+                      obs::jsonlLine(intact.lines[i]))
+                << "cut " << cut << " record " << i;
+        }
+    }
+
+    // Every single-bit flip in the footer and trailer (the checkpoint
+    // directory the seek trusts).
+    obs::bintrace::Container container;
+    ASSERT_TRUE(obs::bintrace::parseContainer(data, container, nullptr));
+    for (size_t pos = container.footerOffset; pos < data.size(); ++pos) {
+        for (unsigned bit = 0; bit < 8; ++bit) {
+            std::string damaged = data;
+            damaged[pos] = static_cast<char>(damaged[pos] ^ (1u << bit));
+            expectCleanVerdict(path, damaged,
+                               "footer flip at " + std::to_string(pos) +
+                                   " bit " + std::to_string(bit));
+        }
+    }
+
+    // Fixed-seed byte flips and deletions anywhere in the file.
+    Rng rng(0x6772706266757a7aull);
+    for (int i = 0; i < 400; ++i) {
+        std::string damaged = data;
+        const size_t pos = rng.below(damaged.size());
+        damaged[pos] = static_cast<char>(
+            damaged[pos] ^ static_cast<char>(1u << rng.below(8)));
+        expectCleanVerdict(path, damaged,
+                           "bit flip at " + std::to_string(pos));
+    }
+    for (int i = 0; i < 200; ++i) {
+        std::string damaged = data;
+        const size_t pos = rng.below(damaged.size());
+        const size_t len = 1 + rng.below(16);
+        damaged.erase(pos, len);
+        expectCleanVerdict(path, damaged,
+                           "deleted " + std::to_string(len) + " at " +
+                               std::to_string(pos));
+    }
+    std::remove(path.c_str());
 }
 
 } // namespace

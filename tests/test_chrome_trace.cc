@@ -1,7 +1,7 @@
-/** @file Tests for the offline trace tooling: JSONL parsing round
- *  trip, the lifecycle invariant checker (consistent traces pass,
- *  each corruption class is caught), the offline funnel recompute,
- *  and the Chrome trace_event export. */
+/** @file Tests for the offline trace tooling: event and hint-class
+ *  name parsing, the lifecycle invariant checker (consistent traces
+ *  pass, each corruption class is caught), the offline funnel
+ *  recompute, and the Chrome trace_event export. */
 
 #include <gtest/gtest.h>
 
@@ -37,49 +37,6 @@ make(TraceEvent event, Addr addr, HintClass hint = HintClass::Spatial,
     line.carry = carry;
     line.site = site;
     return line;
-}
-
-TEST(TraceReader, ParsesWriterOutput)
-{
-    std::istringstream in(
-        "{\"t\":5,\"ev\":\"issue\",\"addr\":4096,\"hint\":\"spatial\","
-        "\"ch\":2,\"x\":1,\"site\":9}\n"
-        "\n"
-        "{\"t\":9,\"ev\":\"fill\",\"addr\":4096,\"hint\":\"spatial\","
-        "\"warm\":true,\"carry\":true}\n");
-    const obs::TraceParseResult parsed = obs::readTrace(in);
-    EXPECT_TRUE(parsed.errors.empty());
-    ASSERT_EQ(parsed.lines.size(), 2u);
-    const TraceLine &issue = parsed.lines[0];
-    EXPECT_EQ(issue.t, 5u);
-    EXPECT_EQ(issue.event, TraceEvent::Issue);
-    EXPECT_EQ(issue.addr, 4096u);
-    EXPECT_EQ(issue.hint, HintClass::Spatial);
-    EXPECT_EQ(issue.channel, 2);
-    EXPECT_EQ(issue.extra, 1);
-    EXPECT_EQ(issue.site, 9);
-    EXPECT_FALSE(issue.warm);
-    const TraceLine &fill = parsed.lines[1];
-    EXPECT_EQ(fill.event, TraceEvent::Fill);
-    EXPECT_EQ(fill.site, -1);
-    EXPECT_TRUE(fill.warm);
-    EXPECT_TRUE(fill.carry);
-}
-
-TEST(TraceReader, ReportsMalformedLinesWithoutAborting)
-{
-    std::istringstream in(
-        "{\"t\":1,\"ev\":\"issue\",\"addr\":64}\n"
-        "not json at all\n"
-        "{\"t\":2}\n"
-        "{\"t\":3,\"ev\":\"warp\"}\n"
-        "{\"t\":4,\"ev\":\"fill\",\"addr\":64}\n");
-    const obs::TraceParseResult parsed = obs::readTrace(in);
-    EXPECT_EQ(parsed.lines.size(), 2u);
-    ASSERT_EQ(parsed.errors.size(), 3u);
-    EXPECT_NE(parsed.errors[0].find("line 2"), std::string::npos);
-    EXPECT_NE(parsed.errors[1].find("line 3"), std::string::npos);
-    EXPECT_NE(parsed.errors[2].find("warp"), std::string::npos);
 }
 
 TEST(TraceReader, ParseEventAndHintAreInversesOfToString)

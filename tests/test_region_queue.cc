@@ -136,6 +136,29 @@ TEST_F(RegionQueueTest, CapacityDropsOldEntries)
         EXPECT_NE(regionAlign(addr), 0x100000u);
 }
 
+TEST_F(RegionQueueTest, FlushDropsEveryEntryAndKeepsCounters)
+{
+    // The throttle pause: every queued window leaves as a drop, and
+    // the counters keep their history (clear() is the reset path).
+    RegionQueue queue(32, true, false);
+    queue.noteSpatialMiss(0x100000, 64, 0, 0);
+    queue.noteSpatialMiss(0x200000, 8, 0, 0);
+    const StatGroup &stats = queue.stats();
+    const uint64_t dequeued = queue.dequeue(dram, 0) ? 1 : 0;
+    queue.flush();
+    EXPECT_TRUE(queue.empty());
+    EXPECT_EQ(stats.value("entriesDropped"), 2u);
+    EXPECT_EQ(stats.value("candidatesDropped"), 63u + 7u - dequeued);
+    EXPECT_EQ(queue.droppedCandidates(), 63u + 7u - dequeued);
+    EXPECT_EQ(stats.value("regionsQueued"), 2u);
+    EXPECT_EQ(stats.value("occupancyHighWater"), 2u);
+    EXPECT_TRUE(drain(queue).empty());
+
+    queue.clear();
+    EXPECT_EQ(stats.value("entriesDropped"), 0u);
+    EXPECT_EQ(stats.value("regionsQueued"), 0u);
+}
+
 TEST_F(RegionQueueTest, VariableWindowIsAlignedAndSmall)
 {
     RegionQueue queue(32, true, false);

@@ -289,6 +289,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(PrefetchScheme::Srp,
                           PrefetchScheme::SrpPlusPointer,
+                          PrefetchScheme::SrpThrottled,
                           PrefetchScheme::GrpVar,
                           PrefetchScheme::GrpAdaptive,
                           PrefetchScheme::Stride),

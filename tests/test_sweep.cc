@@ -1,18 +1,21 @@
 /**
  * @file
  * Sweep-executor tests: the determinism invariant (parallel results
- * are exactly the serial results), outcome ordering, exception
- * capture, and concurrent StatRegistry isolation.
+ * are exactly the serial results, and recording-fed jobs are exactly
+ * standalone runs), outcome ordering, exception capture, and
+ * concurrent StatRegistry isolation.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "harness/replay.hh"
 #include "harness/sweep.hh"
 #include "mem/cache.hh"
 #include "obs/stat_registry.hh"
@@ -145,6 +148,55 @@ TEST(Sweep, AdaptiveSchemeIsDeterministicAcrossThreadCounts)
         // The run exercised the controller, not just carried it.
         EXPECT_GT(serial[i].result.stats.value("adaptive.epochs"), 0u);
     }
+}
+
+// A job fed by a shared SweepRecording must equal the same job built
+// standalone. Each kernel's schemes share one recording on four
+// threads, so readers extend it on demand under its lock.
+TEST(Sweep, RecordedJobsMatchStandaloneRuns)
+{
+    setQuiet(true);
+    const RunOptions opts = quickOptions();
+    const auto job = [](const std::string &workload,
+                        PrefetchScheme scheme, RunOptions run) {
+        return [workload, scheme, run] {
+            SimConfig config;
+            config.scheme = scheme;
+            return runWorkload(workload, config, run);
+        };
+    };
+    std::vector<SweepJob> recorded, standalone;
+    std::vector<std::shared_ptr<SweepRecording>> recordings;
+    for (const char *workload : {"mcf", "art", "equake"}) {
+        recordings.push_back(std::make_shared<SweepRecording>(
+            workload, opts.seed, SimConfig{}.l2.sizeBytes));
+        RunOptions shared = opts;
+        shared.recording = recordings.back();
+        for (PrefetchScheme scheme :
+             {PrefetchScheme::None, PrefetchScheme::Srp,
+              PrefetchScheme::GrpVar, PrefetchScheme::GrpAdaptive}) {
+            const std::string label =
+                std::string(workload) + "/" + toString(scheme);
+            recorded.push_back({label, job(workload, scheme, shared)});
+            standalone.push_back({label, job(workload, scheme, opts)});
+        }
+    }
+
+    const std::vector<SweepOutcome> replayed =
+        runSweep(std::move(recorded), 4);
+    const std::vector<SweepOutcome> built =
+        runSweep(std::move(standalone), 1);
+    ASSERT_EQ(replayed.size(), 12u);
+    ASSERT_EQ(built.size(), 12u);
+    for (size_t i = 0; i < replayed.size(); ++i) {
+        SCOPED_TRACE(replayed[i].label);
+        EXPECT_FALSE(replayed[i].failed) << replayed[i].error;
+        EXPECT_FALSE(built[i].failed) << built[i].error;
+        expectResultsEqual(replayed[i].result, built[i].result);
+    }
+    // The jobs really ran off the recordings.
+    for (const auto &recording : recordings)
+        EXPECT_GT(recording->opsRecorded(), 0u) << recording->workload();
 }
 
 TEST(Sweep, OutcomesKeepSubmissionOrder)

@@ -1,18 +1,17 @@
-/** @file End-to-end tests for the prefetch lifecycle tracer: the
- *  JSONL schema, lifecycle ordering, warmup attribution consistency
- *  with RunResult, and level filtering. */
+/** @file End-to-end tests for the prefetch lifecycle tracer:
+ *  lifecycle ordering, warmup attribution consistency with
+ *  RunResult, and level filtering, read back from .grpbin traces. */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "harness/runner.hh"
-#include "obs/json_reader.hh"
 #include "obs/trace.hh"
+#include "obs/trace_reader.hh"
 #include "sim/logging.hh"
 
 namespace grp
@@ -20,59 +19,19 @@ namespace grp
 namespace
 {
 
-/** One parsed trace line, with the optional fields defaulted. */
-struct ParsedRecord
+/** The records of the .grpbin trace at @p path. */
+std::vector<obs::TraceLine>
+records(const std::string &path)
 {
-    uint64_t tick = 0;
-    std::string event;
-    uint64_t addr = 0;
-    std::string hint = "none";
-    int64_t extra = -1;
-    bool warm = false;
-    bool carry = false;
-};
-
-std::vector<ParsedRecord>
-readTrace(const std::string &path)
-{
-    std::vector<ParsedRecord> records;
-    std::ifstream in(path);
-    EXPECT_TRUE(in.is_open()) << path;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        std::string error;
-        auto doc = obs::parseJson(line, &error);
-        EXPECT_TRUE(doc) << error << " in: " << line;
-        if (!doc)
-            continue;
-        ParsedRecord rec;
-        const obs::JsonValue *t = doc->find("t");
-        const obs::JsonValue *ev = doc->find("ev");
-        EXPECT_TRUE(t && ev) << line;
-        if (!t || !ev)
-            continue;
-        rec.tick = static_cast<uint64_t>(t->asNumber());
-        rec.event = ev->asString();
-        if (const obs::JsonValue *addr = doc->find("addr"))
-            rec.addr = static_cast<uint64_t>(addr->asNumber());
-        if (const obs::JsonValue *hint = doc->find("hint"))
-            rec.hint = hint->asString();
-        if (const obs::JsonValue *x = doc->find("x"))
-            rec.extra = static_cast<int64_t>(x->asNumber());
-        if (const obs::JsonValue *warm = doc->find("warm"))
-            rec.warm = warm->asBool();
-        if (const obs::JsonValue *carry = doc->find("carry"))
-            rec.carry = carry->asBool();
-        records.push_back(rec);
-    }
-    return records;
+    const obs::TraceParseResult parsed = obs::readTraceFile(path);
+    EXPECT_TRUE(parsed.errors.empty()) << path << ": "
+                                       << parsed.errors.front();
+    return parsed.lines;
 }
 
 /** A record from the measured window with no warmup attribution. */
 bool
-measured(const ParsedRecord &rec)
+measured(const obs::TraceLine &rec)
 {
     return !rec.warm && !rec.carry;
 }
@@ -100,28 +59,28 @@ tracePath(const char *name)
 
 TEST(Trace, LifecycleOrderingPerBlock)
 {
-    const std::string path = tracePath("grp_trace_order.jsonl");
+    const std::string path = tracePath("grp_trace_order.grpbin");
     runTraced("mcf", PrefetchScheme::GrpVar, path, 2);
-    const std::vector<ParsedRecord> records = readTrace(path);
-    ASSERT_FALSE(records.empty());
+    const std::vector<obs::TraceLine> trace = records(path);
+    ASSERT_FALSE(trace.empty());
 
     // Ticks never go backwards: the trace is an event-ordered log.
-    for (size_t i = 1; i < records.size(); ++i)
-        EXPECT_GE(records[i].tick, records[i - 1].tick);
+    for (size_t i = 1; i < trace.size(); ++i)
+        EXPECT_GE(trace[i].t, trace[i - 1].t);
 
     // Per block: first issue <= first fill <= first use.
     std::map<uint64_t, uint64_t> first_issue, first_fill, first_use;
-    for (const ParsedRecord &rec : records) {
+    for (const obs::TraceLine &rec : trace) {
         if (!rec.addr)
             continue;
         auto note = [&](std::map<uint64_t, uint64_t> &m) {
-            m.emplace(rec.addr, rec.tick);
+            m.emplace(rec.addr, rec.t);
         };
-        if (rec.event == "issue")
+        if (rec.event == obs::TraceEvent::Issue)
             note(first_issue);
-        else if (rec.event == "fill")
+        else if (rec.event == obs::TraceEvent::Fill)
             note(first_fill);
-        else if (rec.event == "firstUse")
+        else if (rec.event == obs::TraceEvent::FirstUse)
             note(first_use);
     }
     ASSERT_FALSE(first_fill.empty());
@@ -141,22 +100,22 @@ TEST(Trace, LifecycleOrderingPerBlock)
 
 TEST(Trace, MeasuredEventsMatchRunResult)
 {
-    const std::string path = tracePath("grp_trace_counts.jsonl");
+    const std::string path = tracePath("grp_trace_counts.grpbin");
     const RunResult result =
         runTraced("mcf", PrefetchScheme::GrpVar, path, 2);
-    const std::vector<ParsedRecord> records = readTrace(path);
+    const std::vector<obs::TraceLine> trace = records(path);
 
     uint64_t measured_use = 0, carry_use = 0, measured_fills = 0;
-    std::map<std::string, uint64_t> use_by_hint, fills_by_hint;
-    for (const ParsedRecord &rec : records) {
-        if (rec.event == "firstUse") {
+    std::map<obs::HintClass, uint64_t> use_by_hint, fills_by_hint;
+    for (const obs::TraceLine &rec : trace) {
+        if (rec.event == obs::TraceEvent::FirstUse) {
             if (measured(rec)) {
                 ++measured_use;
                 ++use_by_hint[rec.hint];
             } else {
                 ++carry_use;
             }
-        } else if (rec.event == "fill" && measured(rec)) {
+        } else if (rec.event == obs::TraceEvent::Fill && measured(rec)) {
             ++measured_fills;
             ++fills_by_hint[rec.hint];
         }
@@ -176,7 +135,7 @@ TEST(Trace, MeasuredEventsMatchRunResult)
     // most what it filled, and the classes partition the totals.
     uint64_t use_sum = 0, fill_sum = 0;
     for (const auto &[hint, fills] : fills_by_hint) {
-        EXPECT_LE(use_by_hint[hint], fills) << hint;
+        EXPECT_LE(use_by_hint[hint], fills) << obs::toString(hint);
         fill_sum += fills;
     }
     for (const auto &[hint, uses] : use_by_hint)
@@ -196,15 +155,15 @@ TEST(Trace, MeasuredEventsMatchRunResult)
 
 TEST(Trace, EvictedUnusedMatchesCounter)
 {
-    const std::string path = tracePath("grp_trace_evict.jsonl");
+    const std::string path = tracePath("grp_trace_evict.grpbin");
     const RunResult result =
         runTraced("art", PrefetchScheme::Srp, path, 1, 150'000);
-    const std::vector<ParsedRecord> records = readTrace(path);
+    const std::vector<obs::TraceLine> trace = records(path);
 
     // Aggressive SRP on a streaming workload must waste some fills.
     uint64_t evicted_measured_window = 0;
-    for (const ParsedRecord &rec : records) {
-        if (rec.event == "evictedUnused" && !rec.warm)
+    for (const obs::TraceLine &rec : trace) {
+        if (rec.event == obs::TraceEvent::EvictedUnused && !rec.warm)
             ++evicted_measured_window;
     }
     EXPECT_GT(evicted_measured_window, 0u);
@@ -214,29 +173,29 @@ TEST(Trace, EvictedUnusedMatchesCounter)
 
 TEST(Trace, LevelOneFiltersQueueAndStallEvents)
 {
-    const std::string path = tracePath("grp_trace_lvl1.jsonl");
+    const std::string path = tracePath("grp_trace_lvl1.grpbin");
     runTraced("mcf", PrefetchScheme::GrpVar, path, 1);
-    const std::vector<ParsedRecord> records = readTrace(path);
-    ASSERT_FALSE(records.empty());
-    for (const ParsedRecord &rec : records) {
-        EXPECT_NE(rec.event, "hintTrigger");
-        EXPECT_NE(rec.event, "enqueue");
-        EXPECT_NE(rec.event, "drop");
-        EXPECT_NE(rec.event, "filtered");
-        EXPECT_NE(rec.event, "stall");
+    const std::vector<obs::TraceLine> trace = records(path);
+    ASSERT_FALSE(trace.empty());
+    for (const obs::TraceLine &rec : trace) {
+        EXPECT_NE(rec.event, obs::TraceEvent::HintTrigger);
+        EXPECT_NE(rec.event, obs::TraceEvent::Enqueue);
+        EXPECT_NE(rec.event, obs::TraceEvent::Drop);
+        EXPECT_NE(rec.event, obs::TraceEvent::Filtered);
+        EXPECT_NE(rec.event, obs::TraceEvent::Stall);
     }
 }
 
 TEST(Trace, LevelTwoAddsQueueEvents)
 {
-    const std::string path = tracePath("grp_trace_lvl2.jsonl");
+    const std::string path = tracePath("grp_trace_lvl2.grpbin");
     runTraced("mcf", PrefetchScheme::GrpVar, path, 2);
-    const std::vector<ParsedRecord> records = readTrace(path);
+    const std::vector<obs::TraceLine> trace = records(path);
     bool saw_queue_event = false;
-    for (const ParsedRecord &rec : records) {
-        if (rec.event == "hintTrigger" || rec.event == "enqueue")
+    for (const obs::TraceLine &rec : trace) {
+        if (rec.event == obs::TraceEvent::HintTrigger || rec.event == obs::TraceEvent::Enqueue)
             saw_queue_event = true;
-        EXPECT_NE(rec.event, "stall"); // Level 3 only.
+        EXPECT_NE(rec.event, obs::TraceEvent::Stall); // Level 3 only.
     }
     EXPECT_TRUE(saw_queue_event);
 }
