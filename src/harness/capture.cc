@@ -1,6 +1,8 @@
 #include "harness/capture.hh"
 
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
@@ -13,12 +15,9 @@ namespace grp
 namespace
 {
 
-/** Table 0 of kind-1 containers, indexed by AccessTag. */
-std::vector<std::vector<std::string>>
-accessTables()
-{
-    return {{"computeRun", "load", "store", "indirectPrefetch"}};
-}
+/** Table 0 of kind-1 containers: the one record type. */
+constexpr const char *kOpBlockName = "opBlock";
+constexpr uint8_t kOpBlockTag = 0;
 
 /** Same large stream buffer the Tracer uses: one memcpy per record,
  *  a filesystem write every few thousand. */
@@ -38,7 +37,8 @@ CaptureTraceSource::CaptureTraceSource(TraceSource &inner,
     iobuf_ = std::make_unique<char[]>(kStreamBufBytes);
     std::setvbuf(out_, iobuf_.get(), _IOFBF, kStreamBufBytes);
     writer_ = std::make_unique<obs::bintrace::Writer>(
-        out_, obs::bintrace::StreamKind::Access, accessTables(),
+        out_, obs::bintrace::StreamKind::Access,
+        std::vector<std::vector<std::string>>{{kOpBlockName}},
         std::vector<std::pair<std::string, std::string>>{
             {"workload", workload},
             {"seed", std::to_string(seed)},
@@ -50,55 +50,56 @@ CaptureTraceSource::~CaptureTraceSource()
     close();
 }
 
-void
-CaptureTraceSource::flushComputeRun()
-{
-    if (!computeRun_)
-        return;
-    uint8_t payload[10];
-    const size_t n = obs::bintrace::putVarint(payload, computeRun_);
-    computeRun_ = 0;
-    writer_->rawRecord(static_cast<uint8_t>(AccessTag::ComputeRun),
-                       payload, n, ops_);
-}
-
 bool
 CaptureTraceSource::next(TraceOp &op)
 {
-    if (!inner_.next(op)) {
-        flushComputeRun();
+    if (!inner_.next(op))
         return false;
-    }
-    ++ops_;
-    uint8_t payload[4 * 10];
-    size_t n = 0;
-    switch (op.kind) {
-      case OpKind::Compute:
-        // Defer: consecutive computes become one counted record.
-        ++computeRun_;
-        return true;
-      case OpKind::Load:
-      case OpKind::Store:
-        flushComputeRun();
-        n = obs::bintrace::putVarint(payload, op.refId);
-        n += obs::bintrace::putVarint(payload + n, op.addr);
-        writer_->rawRecord(op.kind == OpKind::Load
-                               ? static_cast<uint8_t>(AccessTag::Load)
-                               : static_cast<uint8_t>(AccessTag::Store),
-                           payload, n, ops_);
-        return true;
-      case OpKind::IndirectPrefetch:
-        flushComputeRun();
-        n = obs::bintrace::putVarint(payload, op.refId);
-        n += obs::bintrace::putVarint(payload + n, op.addr);
-        n += obs::bintrace::putVarint(payload + n, op.base);
-        n += obs::bintrace::putVarint(payload + n, op.elemSize);
-        writer_->rawRecord(
-            static_cast<uint8_t>(AccessTag::IndirectPrefetch), payload,
-            n, ops_);
-        return true;
-    }
+    append(&op, 1);
     return true;
+}
+
+size_t
+CaptureTraceSource::nextBatch(const TraceOp **ops)
+{
+    const size_t n = inner_.nextBatch(ops);
+    if (n)
+        append(*ops, n);
+    return n;
+}
+
+void
+CaptureTraceSource::append(const TraceOp *ops, size_t n)
+{
+    while (n) {
+        const size_t take = std::min(n, kOpBlockOps - block_.ops());
+        block_.add(ops, take);
+        ops += take;
+        n -= take;
+        ops_ += take;
+        if (block_.full())
+            writeBlock();
+    }
+}
+
+void
+CaptureTraceSource::writeBlock()
+{
+    if (!block_.ops())
+        return;
+    block_.finish();
+    const std::vector<uint64_t> &words = block_.words();
+    uint8_t head[2 * 10];
+    size_t n = obs::bintrace::putVarint(head, block_.ops());
+    n += obs::bintrace::putVarint(head + n, words.size());
+    payload_.assign(head, head + n);
+    // Host byte order, as the container writes its u64 trailer.
+    payload_.resize(n + words.size() * sizeof(uint64_t));
+    std::memcpy(payload_.data() + n, words.data(),
+                words.size() * sizeof(uint64_t));
+    writer_->rawRecord(kOpBlockTag, payload_.data(), payload_.size(),
+                       ops_);
+    block_.clear();
 }
 
 void
@@ -106,7 +107,7 @@ CaptureTraceSource::close()
 {
     if (!out_)
         return;
-    flushComputeRun();
+    writeBlock();
     writer_->finalize();
     writer_.reset();
     std::fclose(out_);
@@ -116,6 +117,7 @@ CaptureTraceSource::close()
 }
 
 ReplayTraceSource::ReplayTraceSource(const std::string &path)
+    : path_(path)
 {
     std::ifstream is(path, std::ios::binary);
     fatal_if(!is, "cannot open capture file '%s'", path.c_str());
@@ -140,14 +142,19 @@ ReplayTraceSource::ReplayTraceSource(const std::string &path)
              "file); refusing to replay a damaged stream",
              path.c_str());
 
-    // The decoder below hard-codes the AccessTag numbering, so refuse
-    // containers whose tag table disagrees (a newer writer).
-    const std::vector<std::vector<std::string>> expected =
-        accessTables();
-    fatal_if(container.tables[0] != expected[0],
-             "capture '%s' uses an unknown record-tag table (recorded "
-             "by a newer writer?)",
-             path.c_str());
+    // Captures hold op-codec blocks; an older build's per-op records
+    // (computeRun/load/store/indirectPrefetch tags) cannot be read.
+    if (container.tables[0] !=
+        std::vector<std::string>{kOpBlockName}) {
+        std::string tags;
+        for (const std::string &tag : container.tables[0])
+            tags += (tags.empty() ? "" : ", ") + tag;
+        fatal("capture '%s' has record tags [%s], not [%s]: it was "
+              "written in another access-capture format (older "
+              "captures stored one record per op; captures now store "
+              "op-codec blocks); re-record it with --capture",
+              path.c_str(), tags.c_str(), kOpBlockName);
+    }
 
     const auto workload = container.metaValue("workload");
     const auto seed = container.metaValue("seed");
@@ -163,21 +170,12 @@ ReplayTraceSource::ReplayTraceSource(const std::string &path)
     end_ = base + container.footerOffset;
 }
 
-bool
-ReplayTraceSource::next(TraceOp &op)
+size_t
+ReplayTraceSource::decodeNext(TraceOp *out)
 {
-    if (pendingCompute_) {
-        --pendingCompute_;
-        ++decoded_;
-        op = TraceOp::compute();
-        return true;
-    }
+    const auto after = [this] { return (unsigned long long)decoded_; };
     while (cursor_ < end_) {
         const uint8_t tag = *cursor_++;
-        if (tag == obs::bintrace::kFooterTag) {
-            cursor_ = end_;
-            return false;
-        }
         if (tag == obs::bintrace::kCheckpointTag) {
             uint64_t key, records, warm, counts;
             bool ok = obs::bintrace::readVarint(cursor_, end_, key) &&
@@ -189,49 +187,41 @@ ReplayTraceSource::next(TraceOp &op)
                 uint64_t count;
                 ok = obs::bintrace::readVarint(cursor_, end_, count);
             }
-            fatal_if(!ok, "capture corrupt at checkpoint after op %llu",
-                     (unsigned long long)decoded_);
+            fatal_if(!ok,
+                     "capture '%s' corrupt at checkpoint after op %llu",
+                     path_.c_str(), after());
             continue;
         }
-        uint64_t a = 0, b = 0, c = 0, d = 0;
-        auto field = [&](uint64_t &value) {
-            fatal_if(!obs::bintrace::readVarint(cursor_, end_, value),
-                     "capture corrupt after op %llu",
-                     (unsigned long long)decoded_);
-        };
-        switch (static_cast<AccessTag>(tag)) {
-          case AccessTag::ComputeRun:
-            field(a);
-            fatal_if(!a, "capture has an empty compute run after op "
-                         "%llu",
-                     (unsigned long long)decoded_);
-            pendingCompute_ = a - 1;
-            ++decoded_;
-            op = TraceOp::compute();
-            return true;
-          case AccessTag::Load:
-          case AccessTag::Store:
-            field(a);
-            field(b);
-            ++decoded_;
-            op = static_cast<AccessTag>(tag) == AccessTag::Load
-                     ? TraceOp::load(b, static_cast<RefId>(a))
-                     : TraceOp::store(b, static_cast<RefId>(a));
-            return true;
-          case AccessTag::IndirectPrefetch:
-            field(a);
-            field(b);
-            field(c);
-            field(d);
-            ++decoded_;
-            op = TraceOp::indirect(c, static_cast<uint32_t>(d), b,
-                                   static_cast<RefId>(a));
-            return true;
-        }
-        fatal("capture has unknown record tag %u after op %llu",
-              (unsigned)tag, (unsigned long long)decoded_);
+        fatal_if(tag != kOpBlockTag,
+                 "capture '%s' has unknown record tag %u after op %llu",
+                 path_.c_str(), (unsigned)tag, after());
+        uint64_t n_ops = 0, n_words = 0;
+        const bool ok =
+            obs::bintrace::readVarint(cursor_, end_, n_ops) &&
+            obs::bintrace::readVarint(cursor_, end_, n_words);
+        fatal_if(!ok || n_ops == 0 || n_ops > kOpBlockOps ||
+                     n_words == 0 ||
+                     n_words > static_cast<uint64_t>(end_ - cursor_) / 8,
+                 "capture '%s' has a malformed op-block header after "
+                 "op %llu (%llu ops in %llu words)",
+                 path_.c_str(), after(), (unsigned long long)n_ops,
+                 (unsigned long long)n_words);
+        words_.resize(n_words);
+        std::memcpy(words_.data(), cursor_, n_words * sizeof(uint64_t));
+        cursor_ += n_words * sizeof(uint64_t);
+        const char *error =
+            decodeOpBlock(words_.data(), words_.size(), n_ops, out);
+        fatal_if(error,
+                 "capture '%s' is corrupt in the op block after op "
+                 "%llu: %s",
+                 path_.c_str(), after(), error);
+        decoded_ += n_ops;
+        return n_ops;
     }
-    return false;
+    fatal_if(decoded_ != totalOps_,
+             "capture '%s' holds %llu ops but its footer records %llu",
+             path_.c_str(), after(), (unsigned long long)totalOps_);
+    return 0;
 }
 
 } // namespace grp

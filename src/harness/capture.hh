@@ -3,12 +3,13 @@
  * Recording and replaying the CPU's dynamic access stream.
  *
  * CaptureTraceSource tees the ops an inner TraceSource (normally the
- * IR interpreter) produces into a kind-1 (Access) .grpbin container:
- * every Load/Store/IndirectPrefetch with its RefId, with runs of
- * Compute ops collapsed into one counted record — on pointer-chasing
- * workloads most dynamic instructions are compute padding, so the
- * run-length batching is what keeps captures compact. The container's
- * meta block pins the (workload, seed) pair the stream came from.
+ * IR interpreter) produces into a kind-1 (Access) .grpbin container,
+ * one `opBlock` record per block of the op codec
+ * (harness/op_codec.hh) — the same packed words the in-memory sweep
+ * recording holds, about 2.7 B/op, with compute ops folded into the
+ * memory op that follows them. obs/bintrace.hh gives the record
+ * layout. The container's meta block pins the (workload, seed) pair
+ * the stream came from.
  *
  * ReplayTraceSource is the inverse: it re-drives the simulated memory
  * system from a recorded stream instead of the interpreter. Because
@@ -17,7 +18,10 @@
  * (workload, seed) reproduces the live run's mem.* counters exactly —
  * and the stream is scheme-independent (IndirectPrefetch ops are
  * always recorded; the CPU filters them by scheme), so one capture
- * can drive sweeps across prefetch configurations.
+ * can drive sweeps across prefetch configurations. A capture file
+ * comes from outside the program, so replay checks every record
+ * length and word as it decodes; a malformed capture ends in fatal()
+ * with a diagnosis.
  */
 
 #ifndef GRP_HARNESS_CAPTURE_HH
@@ -30,20 +34,11 @@
 #include <vector>
 
 #include "cpu/trace.hh"
+#include "harness/op_codec.hh"
 #include "obs/bintrace.hh"
 
 namespace grp
 {
-
-/** Access-stream record tags (string table 0 of kind-1 containers). */
-enum class AccessTag : uint8_t
-{
-    ComputeRun = 0,       ///< payload: varint run length.
-    Load = 1,             ///< payload: varint refId, varint addr.
-    Store = 2,            ///< payload: varint refId, varint addr.
-    IndirectPrefetch = 3, ///< payload: varint refId, varint indexAddr,
-                          ///< varint base, varint elemSize.
-};
 
 /** Tees a TraceSource into a .grpbin access capture. */
 class CaptureTraceSource : public TraceSource
@@ -65,35 +60,41 @@ class CaptureTraceSource : public TraceSource
     CaptureTraceSource &operator=(const CaptureTraceSource &) = delete;
 
     bool next(TraceOp &op) override;
+    size_t nextBatch(const TraceOp **ops) override;
 
-    /** Flush, finalize and publish the capture (also runs on
-     *  destruction). No ops may be pulled afterwards. */
+    /** Write the last block, finalize and publish the capture (also
+     *  runs on destruction). No ops may be pulled afterwards. */
     void close();
 
+    /** Ops pulled through the tee (whole batches: the consumer may
+     *  stop part-way through the last one). */
     uint64_t opsCaptured() const { return ops_; }
 
   private:
-    void flushComputeRun();
+    /** Encode @p n ops, writing each block as it fills. */
+    void append(const TraceOp *ops, size_t n);
+    /** Write the open block as one opBlock record. */
+    void writeBlock();
 
     TraceSource &inner_;
     std::string publishPath_;
     std::FILE *out_ = nullptr;
     std::unique_ptr<char[]> iobuf_;
     std::unique_ptr<obs::bintrace::Writer> writer_;
-    uint64_t computeRun_ = 0; ///< Pending batched Compute ops.
-    uint64_t ops_ = 0;        ///< Ops seen (the stream's position key).
+    OpBlockEncoder block_;
+    std::vector<uint8_t> payload_; ///< The open block's record bytes.
+    uint64_t ops_ = 0; ///< Ops seen (the stream's position key).
 };
 
 /** Replays a recorded .grpbin access capture as a TraceSource. */
-class ReplayTraceSource : public TraceSource
+class ReplayTraceSource : public BlockTraceSource
 {
   public:
     /** Loads and validates @p path. Fatal when the file is missing,
-     *  not an access capture, or truncated (unfinalized): replaying a
-     *  damaged stream would silently produce wrong statistics. */
+     *  not an access capture, in another record format, or truncated
+     *  (unfinalized): replaying a damaged stream would silently
+     *  produce wrong statistics. */
     explicit ReplayTraceSource(const std::string &path);
-
-    bool next(TraceOp &op) override;
 
     /** The capture's recorded workload name / RNG seed. */
     const std::string &workload() const { return workload_; }
@@ -102,12 +103,18 @@ class ReplayTraceSource : public TraceSource
     /** Total ops in the capture (from the finalize footer). */
     uint64_t totalOps() const { return totalOps_; }
 
+  protected:
+    /** Decode the next opBlock record; fatal when it is malformed,
+     *  or when the body ends short of the footer's op count. */
+    size_t decodeNext(TraceOp *out) override;
+
   private:
+    std::string path_;
     std::string data_;
     const uint8_t *cursor_ = nullptr;
     const uint8_t *end_ = nullptr;
-    uint64_t pendingCompute_ = 0;
-    uint64_t decoded_ = 0; ///< Ops handed out (error reporting).
+    std::vector<uint64_t> words_; ///< The current record's words.
+    uint64_t decoded_ = 0; ///< Ops decoded so far (error reporting).
     std::string workload_;
     uint64_t seed_ = 0;
     uint64_t totalOps_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "sim/logging.hh"
 #include "workloads/predecode.hh"
 #include "workloads/workload.hh"
 
@@ -11,10 +12,10 @@ namespace grp
 namespace
 {
 
-/** A per-job cursor over a shared recording. Reads are borrowed
- *  spans of the recording's chunk storage — no per-reader buffer and
- *  no copy; a handful of lock acquisitions per simulated run. */
-class RecordingReader : public TraceSource
+/** A per-job cursor over a shared recording: decodes one block at a
+ *  time into its own buffer, so readers never share decoded ops and
+ *  take the recording's lock once per block. */
+class RecordingReader : public BlockTraceSource
 {
   public:
     explicit RecordingReader(std::shared_ptr<SweepRecording> rec)
@@ -22,40 +23,16 @@ class RecordingReader : public TraceSource
     {
     }
 
-    bool
-    next(TraceOp &op) override
-    {
-        if (pos_ == len_ && !refill())
-            return false; // End of the recorded stream.
-        op = span_[pos_++];
-        return true;
-    }
-
+  protected:
     size_t
-    nextBatch(const TraceOp **ops) override
+    decodeNext(TraceOp *out) override
     {
-        if (pos_ == len_ && !refill())
-            return 0;
-        *ops = span_ + pos_;
-        const size_t run = len_ - pos_;
-        pos_ = len_;
-        return run;
+        return rec_->readBlock(block_++, out);
     }
 
   private:
-    bool
-    refill()
-    {
-        len_ = rec_->fetchSpan(cursor_, &span_);
-        cursor_ += len_;
-        pos_ = 0;
-        return len_ != 0;
-    }
     std::shared_ptr<SweepRecording> rec_;
-    uint64_t cursor_ = 0; ///< Absolute position of the next refill.
-    const TraceOp *span_ = nullptr;
-    size_t pos_ = 0;
-    size_t len_ = 0;
+    uint64_t block_ = 0; ///< Index of the next block to decode.
 };
 
 } // namespace
@@ -122,17 +99,10 @@ SweepRecording::makeReader(std::shared_ptr<SweepRecording> self)
     return std::make_unique<RecordingReader>(std::move(self));
 }
 
-size_t
-SweepRecording::fetchSpan(uint64_t begin, const TraceOp **ops)
+void
+SweepRecording::recordBlock()
 {
-    ensureBuilt();
-    std::lock_guard<std::mutex> lock(mu_);
-    // Extend the recording until it covers the chunk holding @p begin
-    // (the generation cost is paid once across all readers; whoever
-    // asks first generates for everyone). Readers still holding spans
-    // are safe: appends land only past every span handed out so far.
-    const uint64_t chunk_end = (begin / kChunkOps + 1) * kChunkOps;
-    while (recorded_ < chunk_end && !exhausted_) {
+    while (!open_.full()) {
         if (genPos_ == genLen_) {
             genLen_ = source_->nextBatch(&gen_);
             genPos_ = 0;
@@ -141,19 +111,57 @@ SweepRecording::fetchSpan(uint64_t begin, const TraceOp **ops)
                 break;
             }
         }
-        if (recorded_ == chunks_.size() * kChunkOps)
-            chunks_.push_back(std::make_unique<TraceOp[]>(kChunkOps));
-        const size_t at = recorded_ % kChunkOps;
         const size_t n =
-            std::min(kChunkOps - at, genLen_ - genPos_);
-        std::copy_n(gen_ + genPos_, n, chunks_.back().get() + at);
+            std::min(kOpBlockOps - open_.ops(), genLen_ - genPos_);
+        open_.add(gen_ + genPos_, n);
         genPos_ += n;
-        recorded_ += n;
     }
-    if (begin >= recorded_)
+    if (open_.ops() == 0)
+        return;
+    open_.finish();
+    // Copy at the exact size: the encoder keeps its grown buffer.
+    blocks_.push_back({open_.words(), open_.ops()});
+    recorded_ += open_.ops();
+    bytes_ += open_.words().size() * sizeof(uint64_t);
+    open_.clear();
+}
+
+size_t
+SweepRecording::readBlock(uint64_t index, TraceOp *out)
+{
+    ensureBuilt();
+    const uint64_t *words = nullptr;
+    size_t n_words = 0;
+    size_t n_ops = 0;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        // Whoever asks first generates for everyone.
+        while (blocks_.size() <= index && !exhausted_)
+            recordBlock();
+        if (index >= blocks_.size())
+            return 0;
+        const Block &block = blocks_[index];
+        words = block.words.data();
+        n_words = block.words.size();
+        n_ops = block.ops;
+    }
+    const char *error = decodeOpBlock(words, n_words, n_ops, out);
+    panic_if(error, "recorded block %llu of '%s' is corrupt: %s",
+             (unsigned long long)index, workload_.c_str(), error);
+    return n_ops;
+}
+
+size_t
+SweepRecording::fetchSpan(uint64_t begin, const TraceOp **ops)
+{
+    thread_local const std::unique_ptr<TraceOp[]> buf =
+        std::make_unique<TraceOp[]>(kOpBlockOps);
+    const size_t n = readBlock(begin / kOpBlockOps, buf.get());
+    const size_t at = begin % kOpBlockOps;
+    if (at >= n)
         return 0;
-    *ops = chunks_[begin / kChunkOps].get() + begin % kChunkOps;
-    return std::min<uint64_t>(recorded_, chunk_end) - begin;
+    *ops = buf.get() + at;
+    return n - at;
 }
 
 uint64_t
@@ -161,6 +169,13 @@ SweepRecording::opsRecorded() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return recorded_;
+}
+
+uint64_t
+SweepRecording::bytesRecorded() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return bytes_;
 }
 
 } // namespace grp

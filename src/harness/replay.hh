@@ -19,15 +19,21 @@
  *  - the hint table and static hint statistics for the recording's
  *    compiler policy,
  *  - the dynamic access stream, recorded lazily from one interpreter
- *    and replayed to every job through cheap cursor TraceSources.
+ *    and replayed to every job through cursor TraceSources.
+ *
+ * The stream is stored as sealed blocks of the op codec
+ * (harness/op_codec.hh, about 2.7 B/op instead of a 32-byte TraceOp),
+ * the same blocks an on-disk --capture holds. Each reader decodes one
+ * block at a time into a buffer it owns; a sealed block never changes,
+ * so decoding runs outside the recording's lock.
  *
  * The stream is scheme-independent (IndirectPrefetch ops are always
  * emitted; the CPU filters them by scheme), so one recording drives
  * the whole grid, exactly like an on-disk --capture/--replay pair —
- * but with no file, no serialization, and shared setup. Jobs pulling
- * past the recorded end extend the recording on demand under a lock;
- * replayed results are byte-identical to interpreter-driven runs at
- * any thread count because the recorded stream is deterministic.
+ * but with no file and shared setup. Jobs pulling past the recorded
+ * end extend the recording on demand under a lock; replayed results
+ * are byte-identical to interpreter-driven runs at any thread count
+ * because the recorded stream is deterministic.
  */
 
 #ifndef GRP_HARNESS_REPLAY_HH
@@ -45,6 +51,7 @@
 #include "compiler/ir.hh"
 #include "core/hint_table.hh"
 #include "cpu/trace.hh"
+#include "harness/op_codec.hh"
 #include "mem/functional_memory.hh"
 #include "sim/config.hh"
 
@@ -96,7 +103,8 @@ class SweepRecording
 
     /**
      * A cursor over the recorded stream, replaying it op-for-op from
-     * the beginning. Each job gets its own reader; readers share the
+     * the beginning. Each job gets its own reader, which decodes one
+     * block at a time into a buffer it owns; readers share the
      * recording through @p self and extend it on demand when they
      * pull past the recorded end.
      */
@@ -104,19 +112,33 @@ class SweepRecording
     makeReader(std::shared_ptr<SweepRecording> self);
 
     /**
-     * Borrow a read-only span of the recorded stream starting at
-     * absolute position @p begin, generating more ops from the
-     * interpreter if the recording is shorter. Sets @p *ops and
-     * returns the run length (0 only at end of stream). The span
-     * stays valid for the recording's lifetime even while other
-     * readers extend it: chunk storage never moves, and writers only
-     * append past the returned run. (Readers call this in batches;
-     * exposed for tests.)
+     * Decode block @p index of the stream (ops [index * kOpBlockOps,
+     * ...)) into @p out, which holds kOpBlockOps ops, generating
+     * more ops from the interpreter if the recording is shorter.
+     * Returns the block's op count: kOpBlockOps for every block but
+     * the stream's last, 0 past the end of the stream. Generation
+     * runs under the recording's lock and is paid once across all
+     * readers; the decode runs outside it.
+     */
+    size_t readBlock(uint64_t index, TraceOp *out);
+
+    /**
+     * A read-only span of the recorded stream starting at absolute
+     * position @p begin, generating more ops if the recording is
+     * shorter. Sets @p *ops and returns the run length, up to the end
+     * of @p begin's block (0 only at end of stream). The span points
+     * into a buffer of the calling thread: it is valid only until the
+     * calling thread's next fetchSpan() call. (Exposed for tests and
+     * for callers that pre-extend a recording.)
      */
     size_t fetchSpan(uint64_t begin, const TraceOp **ops);
 
     /** Ops recorded so far (monotone; for tests/telemetry). */
     uint64_t opsRecorded() const;
+
+    /** Encoded bytes of the ops recorded so far: the memory the
+     *  stream itself holds (monotone; for tests/telemetry). */
+    uint64_t bytesRecorded() const;
 
   private:
     void ensureBuilt();
@@ -150,17 +172,28 @@ class SweepRecording
     std::mutex hintsMu_;
     std::unique_ptr<TraceSource> source_;
 
-    /** Chunk granularity of the recorded stream (ops per chunk). */
-    static constexpr size_t kChunkOps = 4096;
+    /** One sealed block of the recorded stream, immutable once
+     *  pushed: readers copy its word pointer under mu_ and decode
+     *  outside it (growing blocks_ moves the vectors, never their
+     *  word buffers). */
+    struct Block
+    {
+        std::vector<uint64_t> words;
+        size_t ops = 0;
+    };
+
+    /** Encode the next block from source_ and seal it (mu_ held). */
+    void recordBlock();
 
     mutable std::mutex mu_;
-    /** Recorded stream in fixed-size chunks (guarded by mu_). Chunk
-     *  storage never moves once allocated, which is what lets
-     *  fetchSpan hand out stable pointers instead of copying. */
-    std::vector<std::unique_ptr<TraceOp[]>> chunks_;
-    uint64_t recorded_ = 0;  ///< Ops recorded so far (guarded by mu_).
-    bool exhausted_ = false; ///< source_ returned end-of-trace.
-    /** Leftover interpreter batch carried across fetchSpan calls. */
+    std::vector<Block> blocks_; ///< Sealed blocks (guarded by mu_).
+    /** Encodes each block in turn, keeping its grown word buffer
+     *  (guarded by mu_). */
+    OpBlockEncoder open_;
+    uint64_t recorded_ = 0;     ///< Ops in sealed blocks (mu_).
+    uint64_t bytes_ = 0;        ///< Their word bytes (mu_).
+    bool exhausted_ = false;    ///< source_ returned end-of-trace.
+    /** Leftover interpreter batch carried across recordBlock calls. */
     const TraceOp *gen_ = nullptr;
     size_t genPos_ = 0;
     size_t genLen_ = 0;

@@ -8,7 +8,6 @@
 #include "harness/replay.hh"
 #include "obs/host_prof.hh"
 #include "obs/json_writer.hh"
-#include "sim/env.hh"
 #include "sim/logging.hh"
 
 // Build provenance baked in by src/CMakeLists.txt; the fallbacks keep
@@ -150,16 +149,13 @@ benchOutPath(const std::string &name)
 }
 
 BenchSweep::BenchSweep(std::string bench_name)
-    : name_(std::move(bench_name)),
-      replayEnabled_(envInt("GRP_SWEEP_REPLAY", 1) != 0)
+    : name_(std::move(bench_name))
 {
 }
 
 std::shared_ptr<SweepRecording>
 BenchSweep::recordingFor(const std::string &name, uint64_t seed)
 {
-    if (!replayEnabled_)
-        return nullptr;
     auto key = std::make_pair(name, seed);
     auto it = recordings_.find(key);
     if (it != recordings_.end())

@@ -334,7 +334,7 @@ MemorySystem::notePrefetchUseful(Addr block_addr)
     const PrefetchFillInfo info = it->second;
     livePrefetches_.erase(it);
     const uint64_t distance = std::min<uint64_t>(
-        events_.curTick() - info.fillTick, kDistanceCap);
+        events_.curTick() - info.fillTick, obs::kFillToUseCap);
     lifecycle_.note({obs::TraceEvent::FirstUse, block_addr, info.hint, -1,
                      static_cast<int64_t>(distance), info.warm, info.ref});
 }

@@ -243,9 +243,6 @@ class MemorySystem
     /** Candidate re-draws per channel per cycle when the engine
      *  offers already-present blocks. */
     static constexpr unsigned kPrefetchDrawLimit = 8;
-    /** Fill-to-use distances are clamped before sampling so the
-     *  distribution's bucket vector stays bounded. */
-    static constexpr uint64_t kDistanceCap = 65535;
 
     /** A prefetch-filled block not yet referenced by the CPU. */
     struct PrefetchFillInfo

@@ -12,8 +12,13 @@
  *  - Lifecycle (kind 0): every lifecycle event type, field for field
  *    (jsonlLine() in obs/trace_reader renders a decoded record as
  *    text; `grptrace --jsonl` prints a whole trace that way).
- *  - Access (kind 1): the RefId-tagged demand-access stream the CPU
- *    consumed, recorded for trace-driven replay (src/harness/capture).
+ *  - Access (kind 1): the RefId-tagged op stream the CPU consumed,
+ *    recorded for trace-driven replay (src/harness/capture). Table 0
+ *    is {"opBlock"}, the one record type: tag 0, varint op count
+ *    (1..4096), varint word count, then that many u64 little-endian
+ *    words of one op-codec block (src/harness/op_codec.hh gives the
+ *    word layout; about 2.7 B/op). Checkpoint and footer keys count
+ *    ops.
  *
  * Container layout (all integers LEB128 varints unless noted):
  *
@@ -193,7 +198,7 @@ class Writer
     void record(const TraceRecord &rec, Tick tick, bool warm);
 
     /** Emit one pre-encoded record (Access streams): @p tag indexes
-     *  table 0, @p payload holds the already-varint-encoded fields,
+     *  table 0, @p payload holds the already-encoded record body,
      *  @p key_after is the cumulative position key (ops so far). */
     void rawRecord(uint8_t tag, const uint8_t *payload, size_t len,
                    uint64_t key_after);

@@ -121,6 +121,12 @@ traceLevelOf(TraceEvent event)
     }
 }
 
+/** Largest fill-to-use distance (cycles) a FirstUse record's extra
+ *  carries: the memory system clamps to it, which keeps every
+ *  Distribution sampling the value bounded, and a trace reader
+ *  reports a larger value as corrupt instead of sampling it. */
+constexpr uint64_t kFillToUseCap = 65535;
+
 /** A Stall record's extra: why the prioritizer refused prefetches. */
 enum class StallReason : uint8_t { DemandInFlight, DemandQueued, MshrReserve };
 

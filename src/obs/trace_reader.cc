@@ -219,9 +219,17 @@ analyzeTrace(const std::vector<TraceLine> &lines)
                                          : &FunnelStats::useful;
             ++(cls.*column);
             ++(site.*column);
-            if (!warm_era && line.extra >= 0) {
-                cls.fillToUse.sample(static_cast<uint64_t>(line.extra));
-                site.fillToUse.sample(static_cast<uint64_t>(line.extra));
+            // The writer clamps the distance; a larger one is corrupt
+            // and would size the one-bucket-per-value Distribution.
+            const uint64_t distance = static_cast<uint64_t>(line.extra);
+            if (line.extra >= 0 && distance > kFillToUseCap) {
+                violate(hexaddr(line.addr) + " fill-to-use distance " +
+                        std::to_string(distance) +
+                        " exceeds the writer's cap of " +
+                        std::to_string(kFillToUseCap));
+            } else if (!warm_era && line.extra >= 0) {
+                cls.fillToUse.sample(distance);
+                site.fillToUse.sample(distance);
             }
             break;
           }

@@ -2,8 +2,9 @@
  * @file
  * Sweep-executor tests: the determinism invariant (parallel results
  * are exactly the serial results, and recording-fed jobs are exactly
- * standalone runs), outcome ordering, exception capture, and
- * concurrent StatRegistry isolation.
+ * standalone runs, and concurrent readers of one recording see one
+ * stream), outcome ordering, exception capture, and concurrent
+ * StatRegistry isolation.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/replay.hh"
@@ -197,6 +199,57 @@ TEST(Sweep, RecordedJobsMatchStandaloneRuns)
     // The jobs really ran off the recordings.
     for (const auto &recording : recordings)
         EXPECT_GT(recording->opsRecorded(), 0u) << recording->workload();
+}
+
+// Threads reading one recording extend it on demand under its lock
+// and decode its blocks outside it; every reader, whether a cursor or
+// fetchSpan, must see the same stream.
+TEST(Sweep, ConcurrentReadersShareOneRecording)
+{
+    setQuiet(true);
+    constexpr uint64_t kOps = 50'000;
+    auto rec = std::make_shared<SweepRecording>(
+        "mcf", 1, SimConfig{}.l2.sizeBytes);
+    std::vector<uint64_t> digests(4);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < digests.size(); ++t) {
+        threads.emplace_back([&rec, &digests, t] {
+            uint64_t hash = 1469598103934665603ull;
+            uint64_t seen = 0;
+            const auto fold = [&](const TraceOp *ops, size_t n) {
+                for (size_t i = 0; i < n && seen < kOps; ++i, ++seen) {
+                    hash = (hash ^ ops[i].addr ^
+                            uint64_t{ops[i].refId} << 40 ^
+                            static_cast<uint64_t>(ops[i].kind)) *
+                           1099511628211ull;
+                }
+            };
+            const TraceOp *ops = nullptr;
+            if (t % 2 == 0) {
+                const auto reader = SweepRecording::makeReader(rec);
+                while (seen < kOps) {
+                    const size_t n = reader->nextBatch(&ops);
+                    if (n == 0)
+                        break;
+                    fold(ops, n);
+                }
+            } else {
+                while (seen < kOps) {
+                    const size_t n = rec->fetchSpan(seen, &ops);
+                    if (n == 0)
+                        break;
+                    fold(ops, n);
+                }
+            }
+            digests[t] = seen == kOps ? hash : 0;
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    EXPECT_NE(digests[0], 0u);
+    for (uint64_t digest : digests)
+        EXPECT_EQ(digest, digests[0]);
+    EXPECT_GE(rec->opsRecorded(), kOps);
 }
 
 TEST(Sweep, OutcomesKeepSubmissionOrder)

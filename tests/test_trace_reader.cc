@@ -80,7 +80,7 @@ TEST(TraceReaderErrors, NonGrpbinInputGetsOneError)
 TEST(TraceReaderErrors, AccessCaptureIsNotALifecycleTrace)
 {
     const std::string data =
-        encode({{"computeRun"}}, {}, bintrace::StreamKind::Access);
+        encode({{"opBlock"}}, {}, bintrace::StreamKind::Access);
     const TraceParseResult result = bintrace::readLifecycle(data);
     EXPECT_TRUE(result.lines.empty());
     ASSERT_EQ(result.errors.size(), 1u);
@@ -150,6 +150,44 @@ TEST(TraceReaderErrors, AnalyzerReportsLineNumbersNotAborts)
     EXPECT_NE(analysis.violations[1].message.find("filled twice"),
               std::string::npos);
     EXPECT_EQ(analysis.records, 5u);
+}
+
+/** analyzeTrace() over an issue, a fill and a first use of one
+ *  spatial prefetch whose fill-to-use distance is @p distance. */
+TraceAnalysis
+analyzeOneUse(int64_t distance)
+{
+    const std::string data = encode(
+        lifecycleTables(),
+        {{TraceEvent::Issue, 64, HintClass::Spatial},
+         {TraceEvent::Fill, 64, HintClass::Spatial},
+         {TraceEvent::FirstUse, 64, HintClass::Spatial, -1, distance}});
+    const TraceParseResult parsed = bintrace::readLifecycle(data);
+    EXPECT_TRUE(parsed.errors.empty());
+    return analyzeTrace(parsed.lines);
+}
+
+TEST(TraceReaderErrors, FillToUsePastTheCapIsAViolationNotASample)
+{
+    // The writer clamps fill-to-use distances to kFillToUseCap; one
+    // corrupt record past it must not size the analyzer's
+    // one-bucket-per-value Distribution (2^40 buckets).
+    const TraceAnalysis corrupt = analyzeOneUse(int64_t{1} << 40);
+    ASSERT_EQ(corrupt.violations.size(), 1u);
+    EXPECT_EQ(corrupt.violations[0].line, 3u);
+    EXPECT_NE(corrupt.violations[0].message.find("exceeds"),
+              std::string::npos);
+    EXPECT_EQ(corrupt.byClass.at(HintClass::Spatial).fillToUse.samples(),
+              0u);
+
+    // A distance at the cap is a sample.
+    const TraceAnalysis capped =
+        analyzeOneUse(static_cast<int64_t>(kFillToUseCap));
+    EXPECT_TRUE(capped.violations.empty());
+    const Distribution &samples =
+        capped.byClass.at(HintClass::Spatial).fillToUse;
+    EXPECT_EQ(samples.samples(), 1u);
+    EXPECT_EQ(samples.sum(), kFillToUseCap);
 }
 
 /** A line with every optional field at its omitted default. */
