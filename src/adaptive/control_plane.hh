@@ -5,7 +5,7 @@
  *
  * The controller (src/adaptive/controller.*) owns a ControlPlane and
  * rewrites its per-hint-class knobs at epoch boundaries; the hardware
- * (GrpEngine, HwPrefetchEngine, RegionQueue, MemorySystem) holds a
+ * (RegionEngine, RegionQueue, MemorySystem) holds a
  * `const ControlPlane *` and consults it on each decision it covers:
  *
  *  - regionBlockCap: ceiling on the spatial region window, the

@@ -14,7 +14,7 @@
  *
  * The Source indirection is the testing seam: production code uses
  * memorySource() over a live MemorySystem, while unit tests (and the
- * refactored ThrottledSrpEngine tests) drive a hand-rolled Sample
+ * srp-throttled RegionEngine tests) drive a hand-rolled Sample
  * through a lambda. Everything here reads only per-run state, so
  * controllers built on it preserve the parallel-sweep determinism
  * invariant.

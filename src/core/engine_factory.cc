@@ -1,10 +1,8 @@
 #include "core/engine_factory.hh"
 
 #include "adaptive/signals.hh"
-#include "core/grp_engine.hh"
-#include "prefetch/hw_engine.hh"
+#include "prefetch/region_engine.hh"
 #include "prefetch/stride.hh"
-#include "prefetch/throttled_srp.hh"
 
 namespace grp
 {
@@ -28,30 +26,19 @@ makePrefetchEngine(const SimConfig &config, const FunctionalMemory &fmem,
       case PrefetchScheme::Srp:
       case PrefetchScheme::PointerHw:
       case PrefetchScheme::PointerHwRec:
-      case PrefetchScheme::SrpPlusPointer: {
-        auto hw = std::make_unique<HwPrefetchEngine>(config, fmem,
-                                                     registry);
-        hw->setPresenceTest(present);
-        engine = std::move(hw);
-        break;
-      }
-      case PrefetchScheme::SrpThrottled: {
-        // The governor samples its accuracy epochs from the run's
-        // mem.* counters (queue depth is unused: capacity 0).
-        auto throttled = std::make_unique<ThrottledSrpEngine>(
-            config, adaptive::memorySource(mem, nullptr, 0), 0.20, 64,
-            registry);
-        throttled->setPresenceTest(present);
-        engine = std::move(throttled);
-        break;
-      }
+      case PrefetchScheme::SrpPlusPointer:
+      case PrefetchScheme::SrpThrottled:
       case PrefetchScheme::GrpFix:
       case PrefetchScheme::GrpVar:
       case PrefetchScheme::GrpAdaptive: {
-        auto grp_engine = std::make_unique<GrpEngine>(config, fmem,
-                                                      registry);
-        grp_engine->setPresenceTest(present);
-        engine = std::move(grp_engine);
+        // srp-throttled's governor samples its accuracy epochs from
+        // the run's mem.* counters (queue depth is unused: capacity
+        // 0); the other schemes never read the source.
+        auto region = std::make_unique<RegionEngine>(
+            config, fmem, adaptive::memorySource(mem, nullptr, 0),
+            registry);
+        region->setPresenceTest(present);
+        engine = std::move(region);
         break;
       }
     }

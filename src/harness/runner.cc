@@ -14,7 +14,6 @@
 
 #include "adaptive/controller.hh"
 #include "core/engine_factory.hh"
-#include "core/grp_engine.hh"
 #include "cpu/cpu.hh"
 #include "harness/capture.hh"
 #include "harness/provenance.hh"
@@ -28,6 +27,7 @@
 #include "obs/site_profile.hh"
 #include "obs/timeseries.hh"
 #include "obs/trace.hh"
+#include "prefetch/region_engine.hh"
 #include "sim/env.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
@@ -388,8 +388,8 @@ runWorkload(const std::string &workload_name, SimConfig config,
                                config.region.queueEntries),
                            registry);
         mem.setControlPlane(&controller->plane());
-        if (auto *grp_engine = dynamic_cast<GrpEngine *>(engine.get()))
-            grp_engine->setControlPlane(&controller->plane());
+        if (auto *region = dynamic_cast<RegionEngine *>(engine.get()))
+            region->setControlPlane(&controller->plane());
     }
 
     // The CPU's op source: the interpreter normally, a recorded
@@ -704,8 +704,8 @@ runWorkload(const std::string &workload_name, SimConfig config,
     }
     result.stats = registry.snapshot();
 
-    if (auto *grp_engine = dynamic_cast<GrpEngine *>(engine.get())) {
-        const Distribution &sizes = grp_engine->regionSizes();
+    if (auto *region = dynamic_cast<RegionEngine *>(engine.get())) {
+        const Distribution &sizes = region->regionSizes();
         for (unsigned blocks = 1; blocks <= kBlocksPerRegion;
              blocks <<= 1) {
             const uint64_t count = sizes.count(blocks);

@@ -3,10 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "core/engine_factory.hh"
-#include "core/grp_engine.hh"
-#include "prefetch/hw_engine.hh"
+#include "prefetch/region_engine.hh"
 #include "prefetch/stride.hh"
-#include "prefetch/throttled_srp.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 
@@ -44,30 +42,30 @@ TEST_F(EngineFactoryTest, SchemeToEngineTypeMapping)
     EXPECT_NE(dynamic_cast<StridePrefetcher *>(
                   make(PrefetchScheme::Stride).get()),
               nullptr);
-    EXPECT_NE(dynamic_cast<HwPrefetchEngine *>(
-                  make(PrefetchScheme::Srp).get()),
-              nullptr);
-    EXPECT_NE(dynamic_cast<HwPrefetchEngine *>(
-                  make(PrefetchScheme::PointerHw).get()),
-              nullptr);
-    EXPECT_NE(dynamic_cast<HwPrefetchEngine *>(
-                  make(PrefetchScheme::SrpPlusPointer).get()),
-              nullptr);
-    EXPECT_NE(dynamic_cast<ThrottledSrpEngine *>(
-                  make(PrefetchScheme::SrpThrottled).get()),
-              nullptr);
-    EXPECT_NE(dynamic_cast<GrpEngine *>(
-                  make(PrefetchScheme::GrpFix).get()),
-              nullptr);
-    EXPECT_NE(dynamic_cast<GrpEngine *>(
-                  make(PrefetchScheme::GrpVar).get()),
-              nullptr);
+    // Every other scheme runs the one region engine; its stat group
+    // keeps the scheme family's name.
+    const std::pair<PrefetchScheme, const char *> region[] = {
+        {PrefetchScheme::Srp, "hwEngine"},
+        {PrefetchScheme::PointerHw, "hwEngine"},
+        {PrefetchScheme::PointerHwRec, "hwEngine"},
+        {PrefetchScheme::SrpPlusPointer, "hwEngine"},
+        {PrefetchScheme::SrpThrottled, "throttledSrp"},
+        {PrefetchScheme::GrpFix, "grpEngine"},
+        {PrefetchScheme::GrpVar, "grpEngine"},
+        {PrefetchScheme::GrpAdaptive, "grpEngine"},
+    };
+    for (const auto &[scheme, group] : region) {
+        auto engine = make(scheme);
+        EXPECT_NE(dynamic_cast<RegionEngine *>(engine.get()), nullptr)
+            << toString(scheme);
+        EXPECT_EQ(engine->stats().name(), group) << toString(scheme);
+    }
 }
 
 TEST_F(EngineFactoryTest, PresenceTestSeesTheL2)
 {
     auto engine = make(PrefetchScheme::Srp);
-    auto *hw = dynamic_cast<HwPrefetchEngine *>(engine.get());
+    auto *hw = dynamic_cast<RegionEngine *>(engine.get());
     ASSERT_NE(hw, nullptr);
     // Pre-fill the L2 with the whole region except one block: the
     // region allocation must exclude the present blocks.
@@ -104,7 +102,7 @@ TEST_F(EngineFactoryTest, EngineIsAttachedToTheMemorySystem)
         mem->tick();
     }
     ASSERT_FALSE(done.empty());
-    auto *hw = dynamic_cast<HwPrefetchEngine *>(engine.get());
+    auto *hw = dynamic_cast<RegionEngine *>(engine.get());
     ASSERT_NE(hw, nullptr);
     EXPECT_EQ(hw->stats().value("regionsAllocated"), 1u);
 }

@@ -1,12 +1,14 @@
-/** @file Unit tests for the GRP engine (the paper's contribution). */
+/** @file Unit tests for the region engine under the hint schemes
+ *  (grp-fix, grp-var, grp-adaptive): GRP, the paper's contribution. */
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 #include <vector>
 
-#include "core/grp_engine.hh"
 #include "mem/dram.hh"
+#include "prefetch/region_engine.hh"
 #include "sim/logging.hh"
 
 namespace grp
@@ -14,7 +16,7 @@ namespace grp
 namespace
 {
 
-class GrpEngineTest : public ::testing::Test
+class GrpRegionTest : public ::testing::Test
 {
   protected:
     void SetUp() override
@@ -24,7 +26,7 @@ class GrpEngineTest : public ::testing::Test
     }
 
     std::vector<PrefetchCandidate>
-    drain(GrpEngine &engine)
+    drain(RegionEngine &engine)
     {
         std::vector<PrefetchCandidate> out;
         bool progress = true;
@@ -45,23 +47,47 @@ class GrpEngineTest : public ::testing::Test
     DramSystem dram{DramConfig{}};
 };
 
-TEST_F(GrpEngineTest, RequiresAHintScheme)
+TEST_F(GrpRegionTest, RejectsNoneAndStride)
 {
-    config.scheme = PrefetchScheme::Srp;
-    EXPECT_THROW(GrpEngine(config, mem), std::runtime_error);
+    for (PrefetchScheme scheme :
+         {PrefetchScheme::None, PrefetchScheme::Stride}) {
+        config.scheme = scheme;
+        EXPECT_THROW(RegionEngine(config, mem), std::runtime_error)
+            << toString(scheme);
+    }
 }
 
-TEST_F(GrpEngineTest, UnhintedMissesAreIgnored)
+TEST_F(GrpRegionTest, ExportsTheGrpCounterSet)
 {
-    GrpEngine engine(config, mem);
+    for (PrefetchScheme scheme :
+         {PrefetchScheme::GrpFix, PrefetchScheme::GrpVar,
+          PrefetchScheme::GrpAdaptive}) {
+        config.scheme = scheme;
+        RegionEngine engine(config, mem);
+        EXPECT_EQ(engine.stats().name(), "grpEngine");
+        std::vector<std::string> names;
+        for (const auto &[name, counter] : engine.stats().counters())
+            names.push_back(name);
+        EXPECT_EQ(names, (std::vector<std::string>{
+                             "candidatesOffered", "indirectOps",
+                             "indirectTargets", "linesScanned",
+                             "missesUnhinted", "pointersFound",
+                             "regionsAllocated", "regionsUpdated"}))
+            << toString(scheme);
+    }
+}
+
+TEST_F(GrpRegionTest, UnhintedMissesAreIgnored)
+{
+    RegionEngine engine(config, mem);
     engine.onL2DemandMiss(0x10000, 0, LoadHints{});
     EXPECT_TRUE(drain(engine).empty());
     EXPECT_EQ(engine.stats().value("missesUnhinted"), 1u);
 }
 
-TEST_F(GrpEngineTest, SpatialHintTriggersFullRegion)
+TEST_F(GrpRegionTest, SpatialHintTriggersFullRegion)
 {
-    GrpEngine engine(config, mem);
+    RegionEngine engine(config, mem);
     LoadHints hints;
     hints.flags = kHintSpatial;
     engine.onL2DemandMiss(0x10000, 0, hints);
@@ -69,9 +95,9 @@ TEST_F(GrpEngineTest, SpatialHintTriggersFullRegion)
     EXPECT_EQ(engine.stats().value("regionsAllocated"), 1u);
 }
 
-TEST_F(GrpEngineTest, SizeHintShrinksRegion)
+TEST_F(GrpRegionTest, SizeHintShrinksRegion)
 {
-    GrpEngine engine(config, mem);
+    RegionEngine engine(config, mem);
     LoadHints hints;
     hints.flags = kHintSpatial | kHintSizeValid;
     hints.sizeCoeff = 3;
@@ -81,10 +107,10 @@ TEST_F(GrpEngineTest, SizeHintShrinksRegion)
     EXPECT_EQ(engine.regionSizes().count(2), 1u);
 }
 
-TEST_F(GrpEngineTest, FixModeIgnoresSizeHints)
+TEST_F(GrpRegionTest, FixModeIgnoresSizeHints)
 {
     config.scheme = PrefetchScheme::GrpFix;
-    GrpEngine engine(config, mem);
+    RegionEngine engine(config, mem);
     LoadHints hints;
     hints.flags = kHintSpatial | kHintSizeValid;
     hints.sizeCoeff = 3;
@@ -93,9 +119,9 @@ TEST_F(GrpEngineTest, FixModeIgnoresSizeHints)
     EXPECT_EQ(drain(engine).size(), 63u);
 }
 
-TEST_F(GrpEngineTest, PointerFillScansForTargets)
+TEST_F(GrpRegionTest, PointerFillScansForTargets)
 {
-    GrpEngine engine(config, mem);
+    RegionEngine engine(config, mem);
     const Addr node = mem.heapAlloc(64, 64);
     const Addr next = mem.heapAlloc(64, 64);
     mem.write64(node + 16, next);
@@ -114,9 +140,9 @@ TEST_F(GrpEngineTest, PointerFillScansForTargets)
     EXPECT_TRUE(addrs.count(blockAlign(next) + kBlockBytes));
 }
 
-TEST_F(GrpEngineTest, RecursiveFillPropagatesDepth)
+TEST_F(GrpRegionTest, RecursiveFillPropagatesDepth)
 {
-    GrpEngine engine(config, mem);
+    RegionEngine engine(config, mem);
     const Addr node = mem.heapAlloc(64, 64);
     const Addr next = mem.heapAlloc(64, 64);
     mem.write64(node, next);
@@ -127,9 +153,9 @@ TEST_F(GrpEngineTest, RecursiveFillPropagatesDepth)
         EXPECT_EQ(cand.ptrDepth, 5u);
 }
 
-TEST_F(GrpEngineTest, ZeroDepthFillDoesNotScan)
+TEST_F(GrpRegionTest, ZeroDepthFillDoesNotScan)
 {
-    GrpEngine engine(config, mem);
+    RegionEngine engine(config, mem);
     const Addr node = mem.heapAlloc(64, 64);
     mem.write64(node, mem.heapAlloc(64, 64));
     engine.onFill(node, 0, ReqClass::Prefetch);
@@ -137,9 +163,9 @@ TEST_F(GrpEngineTest, ZeroDepthFillDoesNotScan)
     EXPECT_EQ(engine.stats().value("linesScanned"), 0u);
 }
 
-TEST_F(GrpEngineTest, IndirectGeneratesScaledTargets)
+TEST_F(GrpRegionTest, IndirectGeneratesScaledTargets)
 {
-    GrpEngine engine(config, mem);
+    RegionEngine engine(config, mem);
     // Index array of 16 4-byte entries in one block.
     const Addr index_block = mem.heapAlloc(64, 64);
     for (unsigned i = 0; i < 16; ++i)
@@ -162,10 +188,10 @@ TEST_F(GrpEngineTest, IndirectGeneratesScaledTargets)
     EXPECT_EQ(engine.stats().value("indirectTargets"), 16u);
 }
 
-TEST_F(GrpEngineTest, IndirectFanoutIsConfigurable)
+TEST_F(GrpRegionTest, IndirectFanoutIsConfigurable)
 {
     config.region.indirectFanout = 4;
-    GrpEngine engine(config, mem);
+    RegionEngine engine(config, mem);
     const Addr index_block = mem.heapAlloc(64, 64);
     for (unsigned i = 0; i < 16; ++i)
         mem.write32(index_block + 4 * i, i * 1000);
@@ -173,9 +199,9 @@ TEST_F(GrpEngineTest, IndirectFanoutIsConfigurable)
     EXPECT_EQ(engine.stats().value("indirectTargets"), 4u);
 }
 
-TEST_F(GrpEngineTest, PresenceTestFiltersRegionWindows)
+TEST_F(GrpRegionTest, PresenceTestFiltersRegionWindows)
 {
-    GrpEngine engine(config, mem);
+    RegionEngine engine(config, mem);
     engine.setPresenceTest([](Addr) { return true; });
     LoadHints hints;
     hints.flags = kHintSpatial;
@@ -183,9 +209,9 @@ TEST_F(GrpEngineTest, PresenceTestFiltersRegionWindows)
     EXPECT_TRUE(drain(engine).empty());
 }
 
-TEST_F(GrpEngineTest, ResetClearsQueueAndStats)
+TEST_F(GrpRegionTest, ResetClearsQueueAndStats)
 {
-    GrpEngine engine(config, mem);
+    RegionEngine engine(config, mem);
     LoadHints hints;
     hints.flags = kHintSpatial;
     engine.onL2DemandMiss(0x10000, 0, hints);

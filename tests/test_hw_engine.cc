@@ -1,11 +1,14 @@
-/** @file Unit tests for the pure-hardware engines (SRP, pointer). */
+/** @file Unit tests for the region engine under the hint-free schemes
+ *  (srp, ptr-hw, ptr-hw-rec, srp+ptr). */
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "harness/runner.hh"
 #include "mem/dram.hh"
-#include "prefetch/hw_engine.hh"
+#include "prefetch/region_engine.hh"
 #include "sim/logging.hh"
 
 namespace grp
@@ -19,7 +22,7 @@ class HwEngineTest : public ::testing::Test
     void SetUp() override { setQuiet(true); }
 
     std::vector<PrefetchCandidate>
-    drain(HwPrefetchEngine &engine)
+    drain(RegionEngine &engine)
     {
         std::vector<PrefetchCandidate> out;
         bool progress = true;
@@ -40,16 +43,39 @@ class HwEngineTest : public ::testing::Test
     DramSystem dram{DramConfig{}};
 };
 
-TEST_F(HwEngineTest, RejectsHintSchemes)
+TEST_F(HwEngineTest, RejectsNoneAndStride)
 {
-    config.scheme = PrefetchScheme::GrpVar;
-    EXPECT_THROW(HwPrefetchEngine(config, mem), std::runtime_error);
+    for (PrefetchScheme scheme :
+         {PrefetchScheme::None, PrefetchScheme::Stride}) {
+        config.scheme = scheme;
+        EXPECT_THROW(RegionEngine(config, mem), std::runtime_error)
+            << toString(scheme);
+    }
+}
+
+TEST_F(HwEngineTest, ExportsTheHwCounterSet)
+{
+    for (PrefetchScheme scheme :
+         {PrefetchScheme::Srp, PrefetchScheme::PointerHw,
+          PrefetchScheme::PointerHwRec, PrefetchScheme::SrpPlusPointer}) {
+        config.scheme = scheme;
+        RegionEngine engine(config, mem);
+        EXPECT_EQ(engine.stats().name(), "hwEngine");
+        std::vector<std::string> names;
+        for (const auto &[name, counter] : engine.stats().counters())
+            names.push_back(name);
+        EXPECT_EQ(names, (std::vector<std::string>{
+                             "candidatesOffered", "linesScanned",
+                             "pointersFound", "regionsAllocated",
+                             "regionsUpdated"}))
+            << toString(scheme);
+    }
 }
 
 TEST_F(HwEngineTest, SrpPrefetchesEveryMissUnconditionally)
 {
     config.scheme = PrefetchScheme::Srp;
-    HwPrefetchEngine engine(config, mem);
+    RegionEngine engine(config, mem);
     // No hints at all: SRP does not care.
     engine.onL2DemandMiss(0x40000, kInvalidRefId, LoadHints{});
     EXPECT_EQ(drain(engine).size(), 63u);
@@ -58,18 +84,21 @@ TEST_F(HwEngineTest, SrpPrefetchesEveryMissUnconditionally)
 
 TEST_F(HwEngineTest, SrpDoesNotScanPointers)
 {
+    // The engine scans any fill that carries a chase depth; under srp
+    // the memory system arms none, so a pointer-heavy run scans
+    // nothing while its regions still issue.
     config.scheme = PrefetchScheme::Srp;
-    HwPrefetchEngine engine(config, mem);
-    const Addr node = mem.heapAlloc(64, 64);
-    mem.write64(node, mem.heapAlloc(64, 64));
-    engine.onFill(node, 1, ReqClass::Demand);
-    EXPECT_EQ(engine.stats().value("linesScanned"), 0u);
+    RunOptions opts;
+    opts.maxInstructions = 20'000;
+    const RunResult result = runWorkload("mcf", config, opts);
+    EXPECT_GT(result.stats.value("hwEngine.candidatesOffered"), 0u);
+    EXPECT_EQ(result.stats.value("hwEngine.linesScanned"), 0u);
 }
 
 TEST_F(HwEngineTest, PointerModeScansButNoRegions)
 {
     config.scheme = PrefetchScheme::PointerHw;
-    HwPrefetchEngine engine(config, mem);
+    RegionEngine engine(config, mem);
     engine.onL2DemandMiss(0x40000, 0, LoadHints{});
     EXPECT_TRUE(drain(engine).empty()); // No region prefetching.
 
@@ -85,7 +114,7 @@ TEST_F(HwEngineTest, PointerModeScansButNoRegions)
 TEST_F(HwEngineTest, SrpPlusPointerDoesBoth)
 {
     config.scheme = PrefetchScheme::SrpPlusPointer;
-    HwPrefetchEngine engine(config, mem);
+    RegionEngine engine(config, mem);
     const Addr node = mem.heapAlloc(64, 64);
     mem.write64(node + 8, mem.heapAlloc(64, 64));
 
@@ -102,7 +131,7 @@ TEST_F(HwEngineTest, SrpPlusPointerDoesBoth)
 TEST_F(HwEngineTest, RecursiveDepthDecrements)
 {
     config.scheme = PrefetchScheme::PointerHwRec;
-    HwPrefetchEngine engine(config, mem);
+    RegionEngine engine(config, mem);
     const Addr node = mem.heapAlloc(64, 64);
     mem.write64(node, mem.heapAlloc(4096, 64));
     engine.onFill(node, 6, ReqClass::Demand);
@@ -115,7 +144,7 @@ TEST_F(HwEngineTest, RecursiveDepthDecrements)
 TEST_F(HwEngineTest, SecondMissToRegionUpdatesNotAllocates)
 {
     config.scheme = PrefetchScheme::Srp;
-    HwPrefetchEngine engine(config, mem);
+    RegionEngine engine(config, mem);
     engine.onL2DemandMiss(0x40000, 0, LoadHints{});
     engine.onL2DemandMiss(0x40000 + 3 * kBlockBytes, 0, LoadHints{});
     EXPECT_EQ(engine.stats().value("regionsAllocated"), 1u);
@@ -126,7 +155,7 @@ TEST_F(HwEngineTest, SecondMissToRegionUpdatesNotAllocates)
 TEST_F(HwEngineTest, ResetDropsPendingWork)
 {
     config.scheme = PrefetchScheme::Srp;
-    HwPrefetchEngine engine(config, mem);
+    RegionEngine engine(config, mem);
     engine.onL2DemandMiss(0x40000, 0, LoadHints{});
     engine.reset();
     EXPECT_TRUE(drain(engine).empty());
