@@ -129,7 +129,6 @@ configHash(const SimConfig &config)
     h.mix(uint64_t(static_cast<int>(config.scheme)));
     h.mix(uint64_t(static_cast<int>(config.perfection)));
     h.mix(uint64_t(static_cast<int>(config.policy)));
-    h.mix(config.maxInstructions);
     return h.value();
 }
 

@@ -58,7 +58,6 @@ MemorySystem::MemorySystem(const SimConfig &config, EventQueue &events,
     hot_.l2DemandAccesses = &stats_.counter("l2DemandAccesses");
     hot_.l2DemandHits = &stats_.counter("l2DemandHits");
     hot_.l2DemandMissesTotal = &stats_.counter("l2DemandMissesTotal");
-    hot_.streamHits = &stats_.counter("streamHits");
     hot_.latePrefetchUpgrades = &stats_.counter("latePrefetchUpgrades");
     hot_.l2TargetStalls = &stats_.counter("l2TargetStalls");
     hot_.l2MshrStalls = &stats_.counter("l2MshrStalls");
@@ -208,27 +207,6 @@ MemorySystem::handleL1Miss(Addr addr, RefId ref, const LoadHints &hints,
 
     ++*hot_.l2DemandMissesTotal;
 
-    // Stream-buffer short circuit (stride prefetcher).
-    if (engine_ && engine_->streamHit(block)) {
-        ++*hot_.streamHits;
-        insertIntoL2(block, true, false, ref, obs::HintClass::Stride);
-        // The buffer was armed by the same static reference that now
-        // consumes the block, so the demand's ref is the site.
-        livePrefetches_[block] =
-            PrefetchFillInfo{events_.curTick(), obs::HintClass::Stride,
-                             false, ref};
-        lifecycle_.note({obs::TraceEvent::Fill, block,
-                         obs::HintClass::Stride, -1, -1, false, ref});
-        // Promote; counts a useful prefetch.
-        if (l2_->access(block, false).firstUseOfPrefetch)
-            notePrefetchUseful(block);
-        Mshr &mshr = l1Mshrs_->allocate(block, false, hints, 0,
-                                        events_.curTick());
-        l1Mshrs_->addTarget(mshr, target);
-        respondAfter(l1_to_l2, block);
-        return true;
-    }
-
     // A prefetch for this block may already be in flight: merge.
     if (Mshr *l2_mshr = l2Mshrs_->find(block)) {
         // A demand entry would imply an L1 MSHR for this block, which
@@ -318,9 +296,6 @@ MemorySystem::finishL1Fill(Addr block_addr)
 void
 MemorySystem::notePrefetchUseful(Addr block_addr)
 {
-    if (engine_)
-        engine_->onPrefetchUseful(block_addr);
-
     auto it = livePrefetches_.find(block_addr);
     if (it == livePrefetches_.end()) {
         // No fill record (state carried across a reset()): attribute

@@ -294,7 +294,6 @@ class MemorySystem
         Counter *l2DemandAccesses = nullptr;
         Counter *l2DemandHits = nullptr;
         Counter *l2DemandMissesTotal = nullptr;
-        Counter *streamHits = nullptr;
         Counter *latePrefetchUpgrades = nullptr;
         Counter *l2TargetStalls = nullptr;
         Counter *l2MshrStalls = nullptr;

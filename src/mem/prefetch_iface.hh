@@ -59,26 +59,6 @@ class PrefetchEngine
         (void)block_addr; (void)ptr_depth; (void)cls;
     }
 
-    /** A prefetched block was referenced by the CPU for the first
-     *  time (accuracy feedback for throttling schemes). */
-    virtual void
-    onPrefetchUseful(Addr block_addr)
-    {
-        (void)block_addr;
-    }
-
-    /**
-     * Give the engine a chance to satisfy an L2 miss from prefetch
-     * storage outside the cache (stream buffers). Returns true when
-     * the block was held; the caller then treats the miss as a
-     * short-latency fill.
-     */
-    virtual bool streamHit(Addr block_addr)
-    {
-        (void)block_addr;
-        return false;
-    }
-
     /**
      * Offer a prefetch candidate for @p channel, which is idle.
      * Returns std::nullopt when the engine has nothing useful.

@@ -184,10 +184,7 @@ analyzeTrace(const std::vector<TraceLine> &lines)
           case TraceEvent::Fill: {
             auto it = state.find(line.addr);
             if (it == state.end()) {
-                // Stream-buffer hits fill without a channel issue.
-                if (line.hint != HintClass::Stride)
-                    violate(hexaddr(line.addr) +
-                            " filled without an issue");
+                violate(hexaddr(line.addr) + " filled without an issue");
             } else if (it->second) {
                 violate(hexaddr(line.addr) + " filled twice");
             }

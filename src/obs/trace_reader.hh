@@ -149,9 +149,7 @@ struct TraceAnalysis
  * recompute the funnel aggregates.
  *
  * Checked invariants:
- *  - a Fill must follow an Issue for the same block (stride-hint
- *    fills are exempt: stream-buffer hits fill without a channel
- *    issue);
+ *  - a Fill must follow an Issue for the same block;
  *  - a FirstUse must hit a filled block (carry-flagged uses are
  *    exempt: their fill predates a stats reset);
  *  - an EvictedUnused must evict a filled block;

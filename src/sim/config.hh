@@ -204,9 +204,6 @@ struct SimConfig
     Perfection perfection = Perfection::None;
     CompilerPolicy policy = CompilerPolicy::Default;
 
-    /** Stop after this many retired instructions (0 = whole trace). */
-    uint64_t maxInstructions = 0;
-
     /** Safety net against deadlock bugs: abort if a single
      *  instruction stays at the ROB head this many cycles. */
     uint64_t deadlockCycles = 2'000'000;

@@ -152,6 +152,22 @@ TEST(TraceReaderErrors, AnalyzerReportsLineNumbersNotAborts)
     EXPECT_EQ(analysis.records, 5u);
 }
 
+TEST(TraceReaderErrors, StrideFillWithoutIssueIsAViolation)
+{
+    // Every prefetch class reaches the L2 through a channel issue,
+    // the stride prefetcher's included; a fill with no issue before
+    // it is corrupt whatever its class.
+    const std::string data = encode(
+        lifecycleTables(), {{TraceEvent::Fill, 64, HintClass::Stride}});
+    const TraceParseResult parsed = bintrace::readLifecycle(data);
+    ASSERT_TRUE(parsed.errors.empty());
+    const TraceAnalysis analysis = analyzeTrace(parsed.lines);
+    ASSERT_EQ(analysis.violations.size(), 1u);
+    EXPECT_EQ(analysis.violations[0].line, 1u);
+    EXPECT_NE(analysis.violations[0].message.find("without an issue"),
+              std::string::npos);
+}
+
 /** analyzeTrace() over an issue, a fill and a first use of one
  *  spatial prefetch whose fill-to-use distance is @p distance. */
 TraceAnalysis
