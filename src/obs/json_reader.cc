@@ -46,7 +46,7 @@ class JsonParser
     bool
     parse(JsonValue &out, std::string &error)
     {
-        if (!parseValue(out, error))
+        if (!parseValue(out, error, 0))
             return false;
         skipWs();
         if (pos_ != text_.size()) {
@@ -143,13 +143,61 @@ class JsonParser
         return true;
     }
 
+    /** Skip a run of ASCII digits; false when there is none. */
     bool
-    parseValue(JsonValue &out, std::string &error)
+    digits()
+    {
+        const size_t start = pos_;
+        while (pos_ < text_.size() &&
+               std::isdigit(static_cast<unsigned char>(text_[pos_])))
+            ++pos_;
+        return pos_ > start;
+    }
+
+    /** A number in exactly the JSON grammar (no nan, inf, hex or
+     *  leading '+', which strtod alone would take). */
+    bool
+    parseNumber(JsonValue &out, std::string &error)
+    {
+        const size_t start = pos_;
+        if (text_[pos_] == '-')
+            ++pos_;
+        if (pos_ < text_.size() && text_[pos_] == '0')
+            ++pos_;
+        else if (!digits())
+            return fail(error, "expected value");
+        if (pos_ < text_.size() && text_[pos_] == '.') {
+            ++pos_;
+            if (!digits())
+                return fail(error, "expected fraction digits");
+        }
+        if (pos_ < text_.size() &&
+            (text_[pos_] == 'e' || text_[pos_] == 'E')) {
+            ++pos_;
+            if (pos_ < text_.size() &&
+                (text_[pos_] == '+' || text_[pos_] == '-'))
+                ++pos_;
+            if (!digits())
+                return fail(error, "expected exponent digits");
+        }
+        out.kind_ = JsonValue::Kind::Number;
+        out.number_ =
+            std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);
+        return true;
+    }
+
+    bool
+    parseValue(JsonValue &out, std::string &error, unsigned depth)
     {
         skipWs();
         if (pos_ >= text_.size())
             return fail(error, "unexpected end of input");
         const char c = text_[pos_];
+        // Every container recurses once; the writers nest at most 5
+        // deep, and a corrupt line must not exhaust the stack.
+        if ((c == '{' || c == '[') && depth >= kMaxDepth)
+            return fail(error, "nesting deeper than " +
+                                   std::to_string(kMaxDepth));
         if (c == '{') {
             ++pos_;
             out.kind_ = JsonValue::Kind::Object;
@@ -168,7 +216,7 @@ class JsonParser
                     return fail(error, "expected ':'");
                 ++pos_;
                 JsonValue member;
-                if (!parseValue(member, error))
+                if (!parseValue(member, error, depth + 1))
                     return false;
                 out.object_.emplace(std::move(name), std::move(member));
                 skipWs();
@@ -195,7 +243,7 @@ class JsonParser
             }
             while (true) {
                 JsonValue element;
-                if (!parseValue(element, error))
+                if (!parseValue(element, error, depth + 1))
                     return false;
                 out.array_.push_back(std::move(element));
                 skipWs();
@@ -236,17 +284,10 @@ class JsonParser
             out.kind_ = JsonValue::Kind::Null;
             return true;
         }
-        // Number.
-        const char *start = text_.c_str() + pos_;
-        char *end = nullptr;
-        const double parsed = std::strtod(start, &end);
-        if (end == start)
-            return fail(error, "expected value");
-        pos_ += static_cast<size_t>(end - start);
-        out.kind_ = JsonValue::Kind::Number;
-        out.number_ = parsed;
-        return true;
+        return parseNumber(out, error);
     }
+
+    static constexpr unsigned kMaxDepth = 64;
 
     const std::string &text_;
     size_t pos_ = 0;

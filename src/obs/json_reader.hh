@@ -7,7 +7,9 @@
  * stats exports, time-series dumps and trace records — without an
  * external dependency. Supports the full JSON grammar the writer
  * produces: objects, arrays, strings (with the writer's escapes),
- * numbers, booleans and null.
+ * numbers, booleans and null. Corrupt input is an error, never a
+ * crash: numbers must follow the JSON grammar exactly, and nesting
+ * is capped at 64 levels.
  */
 
 #ifndef GRP_OBS_JSON_READER_HH

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <unistd.h>
@@ -401,12 +402,22 @@ toString(PulseVerdict verdict)
 namespace
 {
 
+/** Integer field @p name (0 when absent). A value that is not an
+ *  integer in [0, 2^64) reads as 0 and, if no earlier field of the
+ *  record was bad, names itself in @p bad. */
 uint64_t
-numField(const JsonValue &record, const char *name, uint64_t fallback = 0)
+numField(const JsonValue &record, const char *name, std::string &bad)
 {
     const JsonValue *v = record.find(name);
-    return v && v->isNumber() ? static_cast<uint64_t>(v->asNumber())
-                              : fallback;
+    if (!v)
+        return 0;
+    // NaN fails every comparison, so it lands with the other misfits.
+    const double d = v->isNumber() ? v->asNumber() : -1.0;
+    if (d >= 0.0 && d < 0x1p64 && d == std::floor(d))
+        return static_cast<uint64_t>(d);
+    if (bad.empty())
+        bad = name;
+    return 0;
 }
 
 double
@@ -468,7 +479,8 @@ analyzePulse(std::istream &is)
             out.problems.push_back(
                 "record after seal at line " + std::to_string(i + 1));
         }
-        const uint64_t seq = numField(*record, "seq");
+        std::string bad;
+        const uint64_t seq = numField(*record, "seq", bad);
         if (haveSeq && seq <= lastSeq) {
             malformed = true;
             out.problems.push_back(
@@ -479,7 +491,7 @@ analyzePulse(std::istream &is)
         }
         lastSeq = seq;
         haveSeq = true;
-        const uint64_t nanos = numField(*record, "tMonoNs");
+        const uint64_t nanos = numField(*record, "tMonoNs", bad);
         if (nanos < lastNanos) {
             malformed = true;
             out.problems.push_back(
@@ -496,12 +508,12 @@ analyzePulse(std::istream &is)
             job.workload = stringField(*record, "workload");
             job.scheme = stringField(*record, "scheme");
             job.targetInstructions =
-                numField(*record, "targetInstructions");
+                numField(*record, "targetInstructions", bad);
         } else if (ev == "beat") {
             ++out.beats;
             ++job.beats;
             const uint64_t instructions =
-                numField(*record, "instructions");
+                numField(*record, "instructions", bad);
             if (instructions < job.instructions) {
                 malformed = true;
                 out.problems.push_back(
@@ -509,7 +521,7 @@ analyzePulse(std::istream &is)
                     "' at line " + std::to_string(i + 1));
             }
             job.instructions = instructions;
-            job.cycles = numField(*record, "cycles");
+            job.cycles = numField(*record, "cycles", bad);
             job.lastBeatNanos = nanos;
             job.lastInstPerSec = doubleField(*record, "instPerSec");
             job.queueOccupancy =
@@ -551,6 +563,12 @@ analyzePulse(std::istream &is)
             out.problems.push_back("unknown record type '" + ev +
                                    "' at line " +
                                    std::to_string(i + 1));
+        }
+        if (!bad.empty()) {
+            malformed = true;
+            out.problems.push_back("field '" + bad +
+                                   "' is not an unsigned integer at "
+                                   "line " + std::to_string(i + 1));
         }
     }
     // The anonymous job slot exists only when single-run records

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -12,6 +13,7 @@
 #include "obs/json_reader.hh"
 #include "obs/pulse.hh"
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 
 namespace grp
 {
@@ -315,6 +317,101 @@ TEST_F(PulseTest, GarbageInteriorLineIsMalformed)
         "200}\n";
     EXPECT_EQ(analyzeString(text).verdict,
               obs::PulseVerdict::Malformed);
+}
+
+TEST_F(PulseTest, DeeplyNestedRecordIsMalformedNotACrash)
+{
+    std::string deep = "{\"ev\":\"beat\",\"seq\":1,\"x\":";
+    deep += std::string(200'000, '[');
+    std::string text =
+        "{\"ev\":\"beat\",\"seq\":0,\"tMonoNs\":10,\"instructions\":"
+        "100}\n" +
+        deep + "\n" +
+        "{\"ev\":\"beat\",\"seq\":2,\"tMonoNs\":20,\"instructions\":"
+        "200}\n";
+    const obs::PulseAnalysis analysis = analyzeString(text);
+    EXPECT_EQ(analysis.verdict, obs::PulseVerdict::Malformed);
+    ASSERT_FALSE(analysis.problems.empty());
+    EXPECT_NE(analysis.problems[0].find("line 2"), std::string::npos);
+}
+
+TEST_F(PulseTest, NonIntegerCounterFieldIsMalformed)
+{
+    // Valid JSON numbers (and non-numbers) that no uint64_t holds:
+    // each must mark the record malformed and name the field, never
+    // be cast.
+    for (const char *value :
+         {"-1", "1.5", "1e300", "18446744073709551616", "\"7\"", "null",
+          "true", "[]"}) {
+        for (const char *field : {"seq", "tMonoNs", "instructions"}) {
+            std::string record = "{\"ev\":\"beat\",\"seq\":1,"
+                                 "\"tMonoNs\":10,\"instructions\":100}";
+            const std::string key = std::string("\"") + field + "\":";
+            const size_t at = record.find(key) + key.size();
+            record.replace(at, record.find_first_of(",}", at) - at, value);
+            const std::string text =
+                record + "\n{\"ev\":\"seal\",\"seq\":2,\"tMonoNs\":"
+                         "20,\"partial\":false}\n";
+            const obs::PulseAnalysis analysis = analyzeString(text);
+            EXPECT_EQ(analysis.verdict, obs::PulseVerdict::Malformed)
+                << record;
+            bool named = false;
+            for (const std::string &problem : analysis.problems) {
+                if (problem.find(std::string("'") + field + "'") !=
+                    std::string::npos)
+                    named = true;
+            }
+            EXPECT_TRUE(named) << record;
+        }
+    }
+}
+
+TEST_F(PulseTest, CorruptStreamsAlwaysEndInAVerdict)
+{
+    const std::string path = tempPath("pulse_fuzz.jsonl");
+    SimConfig config;
+    config.scheme = PrefetchScheme::GrpVar;
+    RunOptions opts;
+    opts.maxInstructions = 20'000;
+    opts.obs.pulsePath = path;
+    opts.obs.pulse.intervalInstructions = 1'000;
+    runWorkload("mcf", config, opts);
+    const std::string data = slurp(path);
+    std::remove(path.c_str());
+    ASSERT_EQ(analyzeString(data).verdict, obs::PulseVerdict::Healthy);
+    ASSERT_GT(data.size(), 1000u);
+
+    auto verdictOf = [](const std::string &text) {
+        const obs::PulseAnalysis analysis = analyzeString(text);
+        EXPECT_TRUE(analysis.verdict == obs::PulseVerdict::Healthy ||
+                    !analysis.problems.empty());
+        return analysis.verdict;
+    };
+
+    // Every truncation point at a fixed stride: short of the seal's
+    // last character the stream is never healthy.
+    const size_t stride = std::max<size_t>(1, data.size() / 2048);
+    for (size_t cut = 0; cut + 1 < data.size(); cut += stride) {
+        EXPECT_NE(verdictOf(data.substr(0, cut)),
+                  obs::PulseVerdict::Healthy)
+            << "truncated at " << cut;
+    }
+
+    // Fixed-seed byte flips and deletions anywhere in the stream.
+    Rng rng(0x70756c73656675ull);
+    for (int i = 0; i < 2000; ++i) {
+        std::string damaged = data;
+        const size_t pos = rng.below(damaged.size());
+        damaged[pos] = static_cast<char>(
+            damaged[pos] ^ static_cast<char>(1u << rng.below(8)));
+        verdictOf(damaged);
+    }
+    for (int i = 0; i < 1000; ++i) {
+        std::string damaged = data;
+        const size_t pos = rng.below(damaged.size());
+        damaged.erase(pos, 1 + rng.below(16));
+        verdictOf(damaged);
+    }
 }
 
 TEST_F(PulseTest, RecordAfterSealIsMalformed)
