@@ -1,10 +1,6 @@
 #include "workloads/predecode.hh"
 
-#include <cstdlib>
-#include <cstring>
-
 #include "sim/logging.hh"
-#include "workloads/interpreter.hh"
 
 namespace grp
 {
@@ -597,23 +593,10 @@ DecodedInterpreter::nextBatch(const TraceOp **ops)
 // ---------------------------------------------------------------------------
 // Selection.
 
-InterpMode
-interpMode()
-{
-    const char *mode = std::getenv("GRP_INTERP");
-    if (!mode || !*mode || std::strcmp(mode, "decoded") == 0)
-        return InterpMode::Decoded;
-    if (std::strcmp(mode, "tree") == 0)
-        return InterpMode::Tree;
-    fatal("GRP_INTERP must be 'decoded' or 'tree', not '%s'", mode);
-}
-
 std::unique_ptr<TraceSource>
 makeTraceSource(const Program &prog, FunctionalMemory &mem,
                 uint64_t seed, uint64_t passes)
 {
-    if (interpMode() == InterpMode::Tree)
-        return std::make_unique<Interpreter>(prog, mem, seed, passes);
     return std::make_unique<DecodedInterpreter>(prog, mem, seed, passes);
 }
 

@@ -20,9 +20,8 @@
  * element identical to Interpreter — including the order of RNG
  * draws, the per-dimension wrap-into-extent semantics, null-pointer
  * statement skips and the pass/reset lifecycle. tests/
- * test_predecode.cc asserts this across every registered kernel; the
- * tree walker stays available behind GRP_INTERP=tree so the check
- * can run forever.
+ * test_predecode.cc asserts this across every registered kernel,
+ * which is what keeps the tree walker in the tree.
  */
 
 #ifndef GRP_WORKLOADS_PREDECODE_HH
@@ -248,19 +247,7 @@ class DecodedInterpreter : public TraceSource
     uint64_t emitted_ = 0;
 };
 
-/** Which interpreter implementation GRP_INTERP selects. */
-enum class InterpMode
-{
-    Decoded, ///< Pre-decoded op stream (default).
-    Tree,    ///< Tree-walking reference interpreter.
-};
-
-/** Parse GRP_INTERP ("decoded" | "tree", default decoded; anything
- *  else is fatal). */
-InterpMode interpMode();
-
-/** Build the TraceSource for one run: a DecodedInterpreter normally,
- *  the tree-walking Interpreter under GRP_INTERP=tree. */
+/** Build the TraceSource for one run: a DecodedInterpreter. */
 std::unique_ptr<TraceSource> makeTraceSource(const Program &prog,
                                              FunctionalMemory &mem,
                                              uint64_t seed,

@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
+#include "compiler/hint_generator.hh"
 #include "sim/logging.hh"
 #include "workloads/interpreter.hh"
 #include "workloads/kernels.hh"
@@ -32,10 +31,12 @@ class PredecodeTest : public ::testing::Test
     }
 
     /** Drive both interpreters @p count ops and assert element-for-
-     *  element stream equality (including end-of-trace position). */
+     *  element stream equality (including end-of-trace position).
+     *  Adds the indirect-prefetch ops seen to @p indirect. */
     static void
     expectSameStream(Interpreter &tree, DecodedInterpreter &decoded,
-                     const std::string &name, uint64_t count)
+                     const std::string &name, uint64_t count,
+                     uint64_t *indirect = nullptr)
     {
         TraceOp a, b;
         for (uint64_t k = 0; k < count; ++k) {
@@ -45,6 +46,8 @@ class PredecodeTest : public ::testing::Test
             if (!more_tree)
                 return;
             expectSameOp(a, b, name, k);
+            if (indirect && a.kind == OpKind::IndirectPrefetch)
+                ++*indirect;
         }
         ASSERT_EQ(tree.opsEmitted(), decoded.opsEmitted()) << name;
     }
@@ -52,16 +55,29 @@ class PredecodeTest : public ::testing::Test
 
 TEST_F(PredecodeTest, AllKernelsEmitIdenticalStreams)
 {
+    // Each kernel as built, and as the runner runs it: after
+    // HintGenerator::transform adds its indirect-prefetch statements,
+    // over a longer stream than a 100k-instruction run consumes.
+    uint64_t indirect = 0;
     for (const auto &name : workloadNames()) {
-        FunctionalMemory m1, m2;
-        auto w1 = makeWorkload(name);
-        auto w2 = makeWorkload(name);
-        Program p1 = w1->build(m1, 42);
-        Program p2 = w2->build(m2, 42);
-        Interpreter tree(p1, m1, 42);
-        DecodedInterpreter decoded(p2, m2, 42);
-        expectSameStream(tree, decoded, name, 50'000);
+        for (const bool transformed : {false, true}) {
+            FunctionalMemory m1, m2;
+            auto w1 = makeWorkload(name);
+            auto w2 = makeWorkload(name);
+            Program p1 = w1->build(m1, 42);
+            Program p2 = w2->build(m2, 42);
+            if (transformed) {
+                HintGenerator::transform(p1);
+                HintGenerator::transform(p2);
+            }
+            Interpreter tree(p1, m1, 42);
+            DecodedInterpreter decoded(p2, m2, 42);
+            expectSameStream(tree, decoded,
+                             transformed ? name + "/transformed" : name,
+                             transformed ? 150'000 : 50'000, &indirect);
+        }
     }
+    EXPECT_GT(indirect, 0u) << "no kernel emitted an indirect prefetch";
 }
 
 TEST_F(PredecodeTest, IdenticalAcrossSeeds)
@@ -320,39 +336,20 @@ TEST_F(PredecodeTest, SharedDecodedProgramIsReusable)
     }
 }
 
-TEST_F(PredecodeTest, InterpModeParsesTheEnvironment)
-{
-    unsetenv("GRP_INTERP");
-    EXPECT_EQ(interpMode(), InterpMode::Decoded);
-    setenv("GRP_INTERP", "", 1);
-    EXPECT_EQ(interpMode(), InterpMode::Decoded);
-    setenv("GRP_INTERP", "decoded", 1);
-    EXPECT_EQ(interpMode(), InterpMode::Decoded);
-    setenv("GRP_INTERP", "tree", 1);
-    EXPECT_EQ(interpMode(), InterpMode::Tree);
-    setenv("GRP_INTERP", "bogus", 1);
-    EXPECT_THROW(interpMode(), std::runtime_error);
-    unsetenv("GRP_INTERP");
-}
-
-TEST_F(PredecodeTest, FactoryHonoursInterpMode)
+TEST_F(PredecodeTest, FactoryReturnsTheDecodedInterpreter)
 {
     FunctionalMemory m1, m2;
     auto w1 = makeWorkload("gzip");
     auto w2 = makeWorkload("gzip");
     Program p1 = w1->build(m1, 42);
     Program p2 = w2->build(m2, 42);
-    setenv("GRP_INTERP", "tree", 1);
-    auto tree = makeTraceSource(p1, m1, 42);
-    setenv("GRP_INTERP", "decoded", 1);
+    Interpreter tree(p1, m1, 42);
     auto decoded = makeTraceSource(p2, m2, 42);
-    unsetenv("GRP_INTERP");
-    EXPECT_NE(dynamic_cast<Interpreter *>(tree.get()), nullptr);
     EXPECT_NE(dynamic_cast<DecodedInterpreter *>(decoded.get()),
               nullptr);
     TraceOp a, b;
     for (int k = 0; k < 5'000; ++k) {
-        ASSERT_TRUE(tree->next(a));
+        ASSERT_TRUE(tree.next(a));
         ASSERT_TRUE(decoded->next(b));
         expectSameOp(a, b, "gzip/factory", k);
     }
