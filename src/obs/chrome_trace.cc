@@ -125,8 +125,8 @@ writeChromeTrace(std::ostream &os, const std::vector<TraceLine> &lines,
           }
           case TraceEvent::Fill: {
             auto it = open.find(line.addr);
-            // Stream-buffer prefetches fill without an issue: the
-            // fill opens their arc.
+            // A fill with no issue before it (an analyzer
+            // violation) opens its own arc, so spans stay balanced.
             const std::string &id = it != open.end()
                                         ? it->second
                                         : openArc(line);
@@ -215,10 +215,13 @@ writeChromeTrace(std::ostream &os, const std::vector<TraceLine> &lines,
                 const size_t n = std::min(t->asArray().size(),
                                           v->asArray().size());
                 for (size_t i = 0; i < n; ++i) {
+                    // A sample time no Tick holds is corrupt: skip
+                    // it rather than cast it.
+                    const double tick = t->asArray()[i].asNumber();
+                    if (!(tick >= 0.0 && tick < 0x1p64))
+                        continue;
                     emit.common("C", name.c_str(),
-                                static_cast<Tick>(
-                                    t->asArray()[i].asNumber()),
-                                0);
+                                static_cast<Tick>(tick), 0);
                     w.key("args").beginObject();
                     w.kv("value", v->asArray()[i].asNumber());
                     w.endObject();
