@@ -70,9 +70,7 @@ void
 BM_BinaryWriterRecord(benchmark::State &state)
 {
     std::FILE *sink = std::fopen("/dev/null", "wb");
-    obs::bintrace::Writer writer(
-        sink, obs::bintrace::StreamKind::Lifecycle,
-        obs::lifecycleTables());
+    obs::bintrace::Writer writer(sink, obs::lifecycleTables());
     size_t i = 0;
     for (auto _ : state) {
         writer.record(sampleRecord(i), 1000 + 3 * i, false);

@@ -20,7 +20,7 @@
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "workloads/heap_builders.hh"
-#include "workloads/interpreter.hh"
+#include "workloads/predecode.hh"
 
 using namespace grp;
 
@@ -81,8 +81,8 @@ simulate(const Program &prog_template, FunctionalMemory &mem,
     EventQueue events;
     MemorySystem memsys(config, events);
     auto engine = makePrefetchEngine(config, mem, memsys);
-    Interpreter interp(prog, mem, 42);
-    Cpu cpu(config, memsys, events, interp,
+    const auto trace = makeTraceSource(prog, mem, 42);
+    Cpu cpu(config, memsys, events, *trace,
             config.usesHints() ? &table : nullptr);
 
     Tick cycle = 0;

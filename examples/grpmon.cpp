@@ -28,14 +28,15 @@
  */
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
 
 #include "obs/pulse.hh"
+#include "sim/env.hh"
 #include "sim/logging.hh"
 
 using namespace grp;
@@ -139,7 +140,7 @@ try {
                 usage();
                 fatal("--interval-ms needs a value");
             }
-            interval_ms = std::strtoull(argv[++i], nullptr, 0);
+            interval_ms = parseUint("--interval-ms", argv[++i]);
         } else if (arg == "--help") {
             usage();
             return 0;

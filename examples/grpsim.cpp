@@ -7,7 +7,6 @@
  *          [--seed N] [--warmup N] [--dump-stats] [--list]
  *          [--stats-json PATH] [--stats-csv PATH]
  *          [--trace PATH] [--trace-level N]
- *          [--capture PATH] [--replay PATH]
  *          [--timeseries PATH] [--timeseries-bucket N]
  *          [--site-profile PATH] [--site-report N]
  *          [--shadow] [--cost-report] [--adaptive-report]
@@ -30,24 +29,25 @@
  * the path ends in .grpbin; --trace - streams it to stdout for
  * piping into grptrace, and grptrace --jsonl renders it as text),
  * sample queue/channel/MSHR time series and profile per-hint-site
- * behaviour; --capture records the CPU's dynamic
- * access stream to a .grpbin file and --replay re-drives a later
- * run from such a recording (same workload + seed) instead of the
- * interpreter; --shadow runs the counterfactual shadow
+ * behaviour; --shadow runs the counterfactual shadow
  * tags (pollution/coverage classification, mem.pollution* counters)
  * and --cost-report additionally prints the cost report (implies
  * --shadow). --host-prof writes the host-side self-profile (where
  * the simulator's own wall time went, by phase) as JSON; it implies
  * profiling level 2 unless --host-prof-level or GRP_HOST_PROF says
  * otherwise. Every flag accepts both "--flag value" and
- * "--flag=value". Output paths are validated up front: a path
+ * "--flag=value"; a numeric flag whose value is not a plain
+ * non-negative decimal integer is rejected with the flag's name.
+ * Output paths are validated up front: a path
  * whose parent directory does not exist is rejected before the
  * simulation spends any time — except the sentinel "-", which
  * streams the artefact to stdout (--stats-json, --stats-csv,
  * --host-prof).
  */
 
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -61,6 +61,7 @@
 #include "obs/json_writer.hh"
 #include "obs/pulse.hh"
 #include "obs/trace.hh"
+#include "sim/env.hh"
 #include "sim/logging.hh"
 #include "workloads/workload.hh"
 
@@ -136,7 +137,6 @@ usage()
         "              [--dump-stats] [--list]\n"
         "              [--stats-json PATH] [--stats-csv PATH]\n"
         "              [--trace PATH.grpbin|-] [--trace-level N]\n"
-        "              [--capture PATH] [--replay PATH]\n"
         "              [--timeseries PATH] [--timeseries-bucket N]\n"
         "              [--site-profile PATH] [--site-report N]\n"
         "              [--shadow] [--cost-report] [--adaptive-report]\n"
@@ -183,8 +183,8 @@ try {
             }
             return argv[++i];
         };
-        auto number = [&]() {
-            return std::strtoull(value().c_str(), nullptr, 0);
+        auto number = [&](uint64_t max = UINT64_MAX) {
+            return parseUint(arg.c_str(), value().c_str(), max);
         };
         if (arg == "--workload") {
             workload_name = value();
@@ -217,11 +217,7 @@ try {
                      "one as text",
                      options.obs.tracePath.c_str());
         } else if (arg == "--trace-level") {
-            options.obs.traceLevel = static_cast<int>(number());
-        } else if (arg == "--capture") {
-            options.capturePath = outputPath(arg, value());
-        } else if (arg == "--replay") {
-            options.replayPath = value();
+            options.obs.traceLevel = static_cast<int>(number(INT_MAX));
         } else if (arg == "--timeseries") {
             options.obs.timeseriesPath = outputPath(arg, value());
         } else if (arg == "--timeseries-bucket") {
@@ -229,7 +225,7 @@ try {
         } else if (arg == "--site-profile") {
             options.obs.siteProfilePath = outputPath(arg, value());
         } else if (arg == "--site-report") {
-            options.obs.siteReportTop = static_cast<int>(number());
+            options.obs.siteReportTop = static_cast<int>(number(INT_MAX));
         } else if (arg == "--shadow") {
             options.obs.shadow = true;
         } else if (arg == "--cost-report") {
@@ -239,7 +235,8 @@ try {
         } else if (arg == "--host-prof") {
             options.obs.hostProfPath = outputPath(arg, value());
         } else if (arg == "--host-prof-level") {
-            options.obs.hostProfLevel = static_cast<int>(number());
+            options.obs.hostProfLevel =
+                static_cast<int>(number(INT_MAX));
         } else if (arg == "--pulse") {
             options.obs.pulsePath = outputPath(arg, value());
         } else if (arg == "--pulse-interval") {

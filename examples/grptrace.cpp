@@ -31,8 +31,8 @@
  */
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -48,6 +48,7 @@
 #include "obs/json_reader.hh"
 #include "obs/json_writer.hh"
 #include "obs/trace_reader.hh"
+#include "sim/env.hh"
 #include "sim/logging.hh"
 
 using namespace grp;
@@ -219,9 +220,9 @@ parseWindow(const std::string &spec, obs::bintrace::QueryFilter &filter)
     const std::string from = spec.substr(0, colon);
     const std::string to = spec.substr(colon + 1);
     if (!from.empty())
-        filter.fromTick = std::strtoull(from.c_str(), nullptr, 0);
+        filter.fromTick = parseUint("--window start", from.c_str());
     if (!to.empty())
-        filter.toTick = std::strtoull(to.c_str(), nullptr, 0);
+        filter.toTick = parseUint("--window end", to.c_str());
 }
 
 } // namespace
@@ -263,11 +264,16 @@ try {
         } else if (arg == "--timeseries") {
             timeseries_path = value();
         } else if (arg == "--top") {
-            top = std::strtoull(value().c_str(), nullptr, 0);
+            top = parseUint("--top", value().c_str(), SIZE_MAX);
         } else if (arg == "--quiet") {
             quiet = true;
         } else if (arg == "--site") {
-            filter.site = std::strtoll(value().c_str(), nullptr, 0);
+            // -1 selects the unattributed records.
+            const std::string site = value();
+            filter.site = site == "-1"
+                              ? -1
+                              : static_cast<int64_t>(parseUint(
+                                    "--site", site.c_str(), INT64_MAX));
             query_mode = true;
         } else if (arg == "--window") {
             parseWindow(value(), filter);

@@ -16,7 +16,7 @@
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "workloads/heap_builders.hh"
-#include "workloads/interpreter.hh"
+#include "workloads/predecode.hh"
 
 using namespace grp;
 
@@ -75,8 +75,8 @@ run(Kernel &kernel, PrefetchScheme scheme)
     EventQueue events;
     MemorySystem mem(config, events);
     auto engine = makePrefetchEngine(config, kernel.mem, mem);
-    Interpreter interp(prog, kernel.mem, 42);
-    Cpu cpu(config, mem, events, interp,
+    const auto trace = makeTraceSource(prog, kernel.mem, 42);
+    Cpu cpu(config, mem, events, *trace,
             config.usesHints() ? &table : nullptr);
     Tick cycle = 0;
     while (!cpu.done() && cpu.retiredInstructions() < 400'000) {

@@ -11,8 +11,8 @@
  * keep helping.
  */
 
+#include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "compiler/builder.hh"
@@ -21,10 +21,11 @@
 #include "cpu/cpu.hh"
 #include "mem/memory_system.hh"
 #include "obs/trace.hh"
+#include "sim/env.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "workloads/heap_builders.hh"
-#include "workloads/interpreter.hh"
+#include "workloads/predecode.hh"
 
 using namespace grp;
 
@@ -78,8 +79,8 @@ run(ListKernel &kernel, PrefetchScheme scheme)
     EventQueue events;
     MemorySystem mem(config, events);
     auto engine = makePrefetchEngine(config, kernel.mem, mem);
-    Interpreter interp(prog, kernel.mem, 42);
-    Cpu cpu(config, mem, events, interp,
+    const auto trace = makeTraceSource(prog, kernel.mem, 42);
+    Cpu cpu(config, mem, events, *trace,
             config.usesHints() ? &table : nullptr);
     obs::Tracer::instance().setClock(&events);
     Tick cycle = 0;
@@ -97,7 +98,7 @@ run(ListKernel &kernel, PrefetchScheme scheme)
 
 int
 main(int argc, char **argv)
-{
+try {
     setQuiet(true);
     // Optional prefetch lifecycle tracing across all the runs below:
     //   pointer_chase [--trace=PATH.grpbin] [--trace-level=N]
@@ -108,7 +109,8 @@ main(int argc, char **argv)
         if (arg.rfind("--trace=", 0) == 0)
             trace_path = arg.substr(8);
         else if (arg.rfind("--trace-level=", 0) == 0)
-            trace_level = std::atoi(arg.c_str() + 14);
+            trace_level = static_cast<int>(
+                parseUint("--trace-level", arg.c_str() + 14, INT_MAX));
     }
     if (!trace_path.empty()) {
         if (obs::Tracer::instance().open(trace_path))
@@ -136,4 +138,7 @@ main(int argc, char **argv)
                 "table state.\n");
     obs::Tracer::instance().close();
     return 0;
+} catch (const std::exception &) {
+    // fatal() already printed the message with its location.
+    return 1;
 }

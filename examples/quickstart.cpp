@@ -9,22 +9,21 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "harness/suite.hh"
+#include "sim/env.hh"
 #include "sim/logging.hh"
 
 using namespace grp;
 
 int
 main(int argc, char **argv)
-{
+try {
     setQuiet(true);
     const std::string name = argc > 1 ? argv[1] : "equake";
     RunOptions opts;
     opts.maxInstructions =
-        argc > 2 ? static_cast<uint64_t>(std::atoll(argv[2]))
-                 : 400'000;
+        argc > 2 ? parseUint("instructions", argv[2]) : 400'000;
 
     std::printf("Guided Region Prefetching quickstart: %s, %llu "
                 "instructions\n\n",
@@ -57,4 +56,7 @@ main(int argc, char **argv)
     std::printf("\nGRP's goal (paper, Table 1): match SRP's speedup "
                 "at a fraction of its traffic.\n");
     return 0;
+} catch (const std::exception &) {
+    // fatal() already printed the message with its location.
+    return 1;
 }

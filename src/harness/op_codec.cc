@@ -167,32 +167,4 @@ decodeOpBlock(const uint64_t *words, size_t n_words, size_t n_ops,
     return nullptr;
 }
 
-bool
-BlockTraceSource::refill()
-{
-    len_ = decodeNext(buf_.get());
-    pos_ = 0;
-    return len_ != 0;
-}
-
-bool
-BlockTraceSource::next(TraceOp &op)
-{
-    if (pos_ == len_ && !refill())
-        return false;
-    op = buf_[pos_++];
-    return true;
-}
-
-size_t
-BlockTraceSource::nextBatch(const TraceOp **ops)
-{
-    if (pos_ == len_ && !refill())
-        return 0;
-    *ops = buf_.get() + pos_;
-    const size_t run = len_ - pos_;
-    pos_ = len_;
-    return run;
-}
-
 } // namespace grp

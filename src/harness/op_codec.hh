@@ -1,8 +1,7 @@
 /**
  * @file
- * The one compact encoding of the CPU's dynamic op stream, shared by
- * the in-memory sweep recording (harness/replay) and the on-disk
- * access capture (harness/capture).
+ * The compact encoding in which the in-memory sweep recording
+ * (harness/replay) holds the CPU's dynamic op stream.
  *
  * A block of at most kOpBlockOps TraceOps packs into 64-bit words.
  * Compute ops are never stored one by one: each memory op's word
@@ -29,8 +28,8 @@
  *
  * The encoding is lossless for every TraceOp. The decoder checks
  * every word against the block's bounds and its declared op count,
- * so a corrupt block from a capture file is reported, never
- * misdecoded past the end of a buffer.
+ * so a corrupt block is reported, never misdecoded past the end of a
+ * buffer.
  */
 
 #ifndef GRP_HARNESS_OP_CODEC_HH
@@ -38,7 +37,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "cpu/trace.hh"
@@ -86,32 +84,6 @@ class OpBlockEncoder
  */
 const char *decodeOpBlock(const uint64_t *words, size_t n_words,
                           size_t n_ops, TraceOp *out);
-
-/**
- * A TraceSource that hands out a stream one decoded block at a time
- * (the sweep recording's readers, capture replay). Subclasses decode
- * the next block into a buffer this class owns; next() and
- * nextBatch() walk it.
- */
-class BlockTraceSource : public TraceSource
-{
-  public:
-    bool next(TraceOp &op) final;
-    size_t nextBatch(const TraceOp **ops) final;
-
-  protected:
-    /** Decode the stream's next block into @p out (kOpBlockOps ops);
-     *  returns its op count, 0 at the end of the stream. */
-    virtual size_t decodeNext(TraceOp *out) = 0;
-
-  private:
-    bool refill();
-
-    std::unique_ptr<TraceOp[]> buf_ =
-        std::make_unique<TraceOp[]>(kOpBlockOps);
-    size_t pos_ = 0;
-    size_t len_ = 0;
-};
 
 } // namespace grp
 

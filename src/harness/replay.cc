@@ -15,7 +15,7 @@ namespace
 /** A per-job cursor over a shared recording: decodes one block at a
  *  time into its own buffer, so readers never share decoded ops and
  *  take the recording's lock once per block. */
-class RecordingReader : public BlockTraceSource
+class RecordingReader final : public TraceSource
 {
   public:
     explicit RecordingReader(std::shared_ptr<SweepRecording> rec)
@@ -23,16 +23,43 @@ class RecordingReader : public BlockTraceSource
     {
     }
 
-  protected:
-    size_t
-    decodeNext(TraceOp *out) override
+    bool
+    next(TraceOp &op) override
     {
-        return rec_->readBlock(block_++, out);
+        if (pos_ == len_ && !refill())
+            return false;
+        op = buf_[pos_++];
+        return true;
+    }
+
+    size_t
+    nextBatch(const TraceOp **ops) override
+    {
+        if (pos_ == len_ && !refill())
+            return 0;
+        *ops = buf_.get() + pos_;
+        const size_t run = len_ - pos_;
+        pos_ = len_;
+        return run;
     }
 
   private:
+    /** Decode the next block into buf_; false at the end of the
+     *  stream. */
+    bool
+    refill()
+    {
+        len_ = rec_->readBlock(block_++, buf_.get());
+        pos_ = 0;
+        return len_ != 0;
+    }
+
     std::shared_ptr<SweepRecording> rec_;
     uint64_t block_ = 0; ///< Index of the next block to decode.
+    std::unique_ptr<TraceOp[]> buf_ =
+        std::make_unique<TraceOp[]>(kOpBlockOps);
+    size_t pos_ = 0;
+    size_t len_ = 0;
 };
 
 } // namespace

@@ -22,17 +22,16 @@
  *    and replayed to every job through cursor TraceSources.
  *
  * The stream is stored as sealed blocks of the op codec
- * (harness/op_codec.hh, about 2.7 B/op instead of a 32-byte TraceOp),
- * the same blocks an on-disk --capture holds. Each reader decodes one
- * block at a time into a buffer it owns; a sealed block never changes,
- * so decoding runs outside the recording's lock.
+ * (harness/op_codec.hh, about 2.7 B/op instead of a 32-byte TraceOp).
+ * Each reader decodes one block at a time into a buffer it owns; a
+ * sealed block never changes, so decoding runs outside the
+ * recording's lock.
  *
  * The stream is scheme-independent (IndirectPrefetch ops are always
  * emitted; the CPU filters them by scheme), so one recording drives
- * the whole grid, exactly like an on-disk --capture/--replay pair —
- * but with no file and shared setup. Jobs pulling past the recorded
- * end extend the recording on demand under a lock; replayed results
- * are byte-identical to interpreter-driven runs at any thread count
+ * the whole grid. Jobs pulling past the recorded end extend the
+ * recording on demand under a lock; replayed results are
+ * byte-identical to interpreter-driven runs at any thread count
  * because the recorded stream is deterministic.
  */
 
@@ -158,8 +157,8 @@ class SweepRecording
 
     std::once_flag buildOnce_;
     FunctionalMemory fmem_;
-    /** Kept alive for the interpreter (the tree walker holds a
-     *  reference into it). */
+    /** The transformed program: the per-policy analyses in
+     *  policyHints() read it after the build. */
     std::optional<Program> prog_;
     /** HintGenerator::transform's indirect count (feeds every
      *  policy's stats row). */

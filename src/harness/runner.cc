@@ -15,7 +15,6 @@
 #include "adaptive/controller.hh"
 #include "core/engine_factory.hh"
 #include "cpu/cpu.hh"
-#include "harness/capture.hh"
 #include "harness/provenance.hh"
 #include "harness/replay.hh"
 #include "mem/dram_backend/factory.hh"
@@ -343,10 +342,6 @@ runWorkload(const std::string &workload_name, SimConfig config,
                  "sweep recording targets a %llu-byte L2, not %llu",
                  (unsigned long long)rec->l2Bytes(),
                  (unsigned long long)config.l2.sizeBytes);
-        fatal_if(!options.capturePath.empty() ||
-                     !options.replayPath.empty(),
-                 "an in-memory sweep recording is mutually exclusive "
-                 "with --capture/--replay");
     }
     FunctionalMemory own_fmem;
     std::optional<Program> own_prog;
@@ -392,44 +387,11 @@ runWorkload(const std::string &workload_name, SimConfig config,
             region->setControlPlane(&controller->plane());
     }
 
-    // The CPU's op source: the interpreter normally, a recorded
-    // capture under --replay, and a capturing tee around the
-    // interpreter under --capture. Replay rebuilds the same
-    // functional memory (the workload/seed check above the stream
-    // guarantees build() produced identical contents), so the
-    // recorded ops reproduce the live run exactly.
-    fatal_if(!options.capturePath.empty() &&
-                 !options.replayPath.empty(),
-             "--capture and --replay are mutually exclusive");
-    std::unique_ptr<TraceSource> interp;
-    std::optional<ReplayTraceSource> replay;
-    std::optional<CaptureTraceSource> capture;
-    TraceSource *source = nullptr;
-    if (!options.replayPath.empty()) {
-        replay.emplace(options.replayPath);
-        fatal_if(replay->workload() != workload_name,
-                 "capture '%s' records workload '%s', not '%s'",
-                 options.replayPath.c_str(),
-                 replay->workload().c_str(), workload_name.c_str());
-        fatal_if(replay->seed() != options.seed,
-                 "capture '%s' records seed %llu, not %llu (functional "
-                 "memory would differ)",
-                 options.replayPath.c_str(),
-                 (unsigned long long)replay->seed(),
-                 (unsigned long long)options.seed);
-        source = &*replay;
-    } else if (rec) {
-        interp = SweepRecording::makeReader(options.recording);
-        source = interp.get();
-    } else {
-        interp = makeTraceSource(*own_prog, fmem, options.seed);
-        source = interp.get();
-    }
-    if (!options.capturePath.empty()) {
-        capture.emplace(*source, options.capturePath, workload_name,
-                        options.seed);
-        source = &*capture;
-    }
+    // The CPU's op source: the sweep recording's stream for a grid
+    // job, the interpreter for a standalone run.
+    const std::unique_ptr<TraceSource> source =
+        rec ? SweepRecording::makeReader(options.recording)
+            : makeTraceSource(*own_prog, fmem, options.seed);
     const HintTable *cpu_hints = config.usesHints() ? &table : nullptr;
     Cpu cpu(config, mem, events, *source, cpu_hints, registry);
 

@@ -159,22 +159,13 @@ struct RunOptions
      *  maxInstructions / 4 when left at ~0. */
     uint64_t warmupInstructions = ~0ull;
     uint64_t seed = 42;
-    /** Record the CPU's dynamic access stream to this .grpbin file
-     *  (kind-1 container, see harness/capture.hh); empty disables. */
-    std::string capturePath;
-    /** Re-drive the run from a recorded access capture instead of
-     *  the interpreter. The capture's (workload, seed) meta must
-     *  match this run's, or the run aborts: replaying against a
-     *  different functional memory would silently produce garbage. */
-    std::string replayPath;
     /**
      * Shared in-memory run context (harness/replay.hh): the run
      * reuses the recording's built workload, functional memory, hint
      * table and recorded access stream instead of rebuilding them.
-     * The recording's (workload, seed, policy, L2 size) key must
-     * match this run's, or the run aborts. Mutually exclusive with
-     * capturePath / replayPath. BenchSweep injects this for grid
-     * jobs; null preserves the standalone build-everything path.
+     * The recording's (workload, seed, L2 size) key must match this
+     * run's, or the run aborts. BenchSweep injects this for grid
+     * jobs; null builds everything and interprets the program.
      */
     std::shared_ptr<SweepRecording> recording;
     ObsOptions obs;

@@ -188,8 +188,7 @@ BenchSweep::addScheme(const std::string &name, PrefetchScheme scheme,
     if (policy != CompilerPolicy::Default)
         label += std::string("/") + toString(policy);
     RunOptions opts = options;
-    if (opts.capturePath.empty() && opts.replayPath.empty())
-        opts.recording = recordingFor(name, opts.seed);
+    opts.recording = recordingFor(name, opts.seed);
     return add(std::move(label),
                [name, scheme, opts = std::move(opts), policy] {
                    return runScheme(name, scheme, opts, policy);
@@ -201,9 +200,7 @@ BenchSweep::addPerfect(const std::string &name, Perfection perfection,
                        const RunOptions &options)
 {
     RunOptions opts = options;
-    if (opts.capturePath.empty() && opts.replayPath.empty()) {
-        opts.recording = recordingFor(name, opts.seed);
-    }
+    opts.recording = recordingFor(name, opts.seed);
     return add(name + "/" + toString(perfection),
                [name, perfection, opts = std::move(opts)] {
                    return runPerfect(name, perfection, opts);
@@ -216,8 +213,7 @@ BenchSweep::addConfig(std::string label, const std::string &name,
                       const RunOptions &options)
 {
     RunOptions opts = options;
-    if (opts.capturePath.empty() && opts.replayPath.empty() &&
-        config.l2.sizeBytes == SimConfig{}.l2.sizeBytes)
+    if (config.l2.sizeBytes == SimConfig{}.l2.sizeBytes)
         opts.recording = recordingFor(name, opts.seed);
     return add(std::move(label),
                [name, config, opts = std::move(opts)] {

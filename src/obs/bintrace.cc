@@ -73,16 +73,6 @@ readVarint(const uint8_t *&p, const uint8_t *end, uint64_t &value)
     return false;
 }
 
-std::optional<std::string>
-Container::metaValue(std::string_view key) const
-{
-    for (const auto &[k, v] : meta) {
-        if (k == key)
-            return v;
-    }
-    return std::nullopt;
-}
-
 bool
 parseContainer(std::string_view data, Container &out,
                std::string *error)
@@ -103,21 +93,20 @@ parseContainer(std::string_view data, Container &out,
     out.version = *p++;
     if (out.version != kVersion)
         return fail("unsupported .grpbin version");
-    const uint8_t kind = *p++;
-    if (kind > static_cast<uint8_t>(StreamKind::Access))
-        return fail("unknown stream kind");
-    out.kind = static_cast<StreamKind>(kind);
+    // Kind 0 is the lifecycle stream, the only one there is.
+    if (*p++ != 0)
+        return fail("not a lifecycle trace (unknown stream kind)");
     p += 2; // reserved
 
+    // The meta section is skipped: the writer leaves it empty and
+    // no reader needs it, but its lengths are still checked.
     uint64_t n = 0;
     if (!readVarint(p, end, n) || n > 1024)
         return fail("corrupt meta section");
-    out.meta.clear();
     for (uint64_t i = 0; i < n; ++i) {
         std::string key, value;
         if (!readString(p, end, key) || !readString(p, end, value))
             return fail("corrupt meta section");
-        out.meta.emplace_back(std::move(key), std::move(value));
     }
 
     uint64_t tables = 0;
@@ -182,18 +171,16 @@ parseContainer(std::string_view data, Container &out,
     return true;
 }
 
-Writer::Writer(std::FILE *out, StreamKind kind,
+Writer::Writer(std::FILE *out,
                std::vector<std::vector<std::string>> tables,
-               std::vector<std::pair<std::string, std::string>> meta,
                uint64_t checkpoint_interval)
-    : out_(out), kind_(kind), interval_(checkpoint_interval)
+    : out_(out), interval_(checkpoint_interval)
 {
     panic_if(tables.empty() || tables[0].empty(),
              "bintrace writer needs a record-tag table");
     eventCount_ = tables[0].size();
-    panic_if(kind == StreamKind::Lifecycle &&
-                 (tables.size() < 2 ||
-                  eventCount_ * tables[1].size() >= kCheckpointTag),
+    panic_if(tables.size() < 2 ||
+                 eventCount_ * tables[1].size() >= kCheckpointTag,
              "lifecycle tag space (|events| x |hints|) must fit "
              "below the checkpoint tag");
     tagCounts_.assign(eventCount_, 0);
@@ -201,17 +188,12 @@ Writer::Writer(std::FILE *out, StreamKind kind,
     std::vector<uint8_t> header;
     header.insert(header.end(), kMagic, kMagic + 4);
     header.push_back(kVersion);
-    header.push_back(static_cast<uint8_t>(kind));
+    header.push_back(0); // stream kind: lifecycle
+    header.push_back(0); // u16 reserved
     header.push_back(0);
-    header.push_back(0);
+    header.push_back(0); // meta section: no entries
     uint8_t buf[10];
-    size_t n = putVarint(buf, meta.size());
-    header.insert(header.end(), buf, buf + n);
-    for (const auto &[key, value] : meta) {
-        putString(header, key);
-        putString(header, value);
-    }
-    n = putVarint(buf, tables.size());
+    size_t n = putVarint(buf, tables.size());
     header.insert(header.end(), buf, buf + n);
     for (const auto &table : tables) {
         n = putVarint(buf, table.size());
@@ -232,8 +214,6 @@ Writer::emit(const uint8_t *buf, size_t len)
 void
 Writer::record(const TraceRecord &rec, Tick tick, bool warm)
 {
-    panic_if(kind_ != StreamKind::Lifecycle,
-             "lifecycle record on a non-lifecycle stream");
     uint8_t buf[kMaxRecordBytes];
     const uint8_t event_tag = static_cast<uint8_t>(rec.event);
     // The tag byte jointly encodes (hint, event); hint index 0 is
@@ -278,21 +258,6 @@ Writer::record(const TraceRecord &rec, Tick tick, bool warm)
         ++tagCounts_[event_tag];
     if (warm)
         ++warmRecords_;
-    ++sinceCheckpoint_;
-    maybeCheckpoint();
-}
-
-void
-Writer::rawRecord(uint8_t tag, const uint8_t *payload, size_t len,
-                  uint64_t key_after)
-{
-    uint8_t head = tag;
-    emit(&head, 1);
-    emit(payload, len);
-    key_ = key_after;
-    ++records_;
-    if (tag < tagCounts_.size())
-        ++tagCounts_[tag];
     ++sinceCheckpoint_;
     maybeCheckpoint();
 }
@@ -499,12 +464,6 @@ readLifecycle(std::string_view data)
         result.errors.push_back(error);
         return result;
     }
-    if (container.kind != StreamKind::Lifecycle) {
-        result.errors.push_back(
-            "not a lifecycle trace (this .grpbin holds an access "
-            "capture stream; replay it with grpsim --replay)");
-        return result;
-    }
     const LifecycleTables tables = resolveTables(container);
     const uint8_t *base =
         reinterpret_cast<const uint8_t *>(data.data());
@@ -552,10 +511,6 @@ query(std::string_view data, const QueryFilter &filter, bool use_index)
     std::string error;
     if (!parseContainer(data, container, &error)) {
         result.errors.push_back(error);
-        return result;
-    }
-    if (container.kind != StreamKind::Lifecycle) {
-        result.errors.push_back("not a lifecycle trace");
         return result;
     }
     const LifecycleTables tables = resolveTables(container);

@@ -2,28 +2,20 @@
  * @file
  * The `.grpbin` binary flight-recorder trace container.
  *
- * The one on-disk encoding of the prefetch lifecycle trace, and of
- * the access-stream capture: varint-encoded, delta-timestamped
- * binary records (about 7 B each) in a self-describing container,
- * cheap enough to leave on at paper-scale (200M-instruction) windows,
- * with offline tooling doing the heavy lifting. Two stream kinds
- * share the container:
- *
- *  - Lifecycle (kind 0): every lifecycle event type, field for field
- *    (jsonlLine() in obs/trace_reader renders a decoded record as
- *    text; `grptrace --jsonl` prints a whole trace that way).
- *  - Access (kind 1): the RefId-tagged op stream the CPU consumed,
- *    recorded for trace-driven replay (src/harness/capture). Table 0
- *    is {"opBlock"}, the one record type: tag 0, varint op count
- *    (1..4096), varint word count, then that many u64 little-endian
- *    words of one op-codec block (src/harness/op_codec.hh gives the
- *    word layout; about 2.7 B/op). Checkpoint and footer keys count
- *    ops.
+ * The one on-disk encoding of the prefetch lifecycle trace:
+ * varint-encoded, delta-timestamped binary records (about 7 B each)
+ * in a self-describing container, cheap enough to leave on at
+ * paper-scale (200M-instruction) windows, with offline tooling doing
+ * the heavy lifting. Every lifecycle event type is recorded field for
+ * field (jsonlLine() in obs/trace_reader renders a decoded record as
+ * text; `grptrace --jsonl` prints a whole trace that way).
  *
  * Container layout (all integers LEB128 varints unless noted):
  *
- *   header   "GRPB", u8 version, u8 kind, u16 reserved (zero)
- *            meta: n, then n x (key string, value string)
+ *   header   "GRPB", u8 version, u8 stream kind (always 0, the
+ *            lifecycle stream), u16 reserved (zero)
+ *            meta: n, then n x (key string, value string); the
+ *            writer leaves it empty
  *            tables: t, then t x (s, then s x string)
  *            (strings are varint length + bytes; table 0 names the
  *            record tags, so readers never depend on enum numbering)
@@ -59,7 +51,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "obs/trace.hh"
@@ -78,13 +69,6 @@ constexpr char kEndMagic[4] = {'G', 'R', 'P', 'E'};
 constexpr uint8_t kVersion = 1;
 /** Trailer bytes: u64 footer offset + end magic. */
 constexpr size_t kTrailerBytes = 8 + 4;
-
-/** What the record stream carries. */
-enum class StreamKind : uint8_t
-{
-    Lifecycle = 0, ///< Prefetch lifecycle events (obs/trace.hh).
-    Access = 1,    ///< RefId-tagged CPU access stream (replay).
-};
 
 /** Reserved tag bytes (real record tags index string table 0). */
 constexpr uint8_t kCheckpointTag = 0xFE;
@@ -135,8 +119,8 @@ unzigzag(uint64_t value)
 struct CheckpointRef
 {
     uint64_t offset = 0; ///< Byte offset of the 0xFE tag.
-    /** Cumulative position key: the delta-clock value (lifecycle:
-     *  tick of the preceding record; access: ops so far). */
+    /** Cumulative position key: the delta-clock value (the tick of
+     *  the preceding record). */
     uint64_t key = 0;
     uint64_t recordIndex = 0; ///< Records before the checkpoint.
 };
@@ -145,8 +129,6 @@ struct CheckpointRef
 struct Container
 {
     uint8_t version = 0;
-    StreamKind kind = StreamKind::Lifecycle;
-    std::vector<std::pair<std::string, std::string>> meta;
     std::vector<std::vector<std::string>> tables;
     size_t bodyOffset = 0; ///< First record byte.
     /** The finalize trailer was present and consistent. */
@@ -155,9 +137,6 @@ struct Container
     std::vector<CheckpointRef> checkpoints; ///< Iff finalized.
     uint64_t totalRecords = 0;              ///< Iff finalized.
     uint64_t finalKey = 0;                  ///< Iff finalized.
-
-    /** First meta value for @p key, if any. */
-    std::optional<std::string> metaValue(std::string_view key) const;
 };
 
 /**
@@ -171,10 +150,9 @@ bool parseContainer(std::string_view data, Container &out,
                     std::string *error);
 
 /**
- * The streaming writer behind Tracer (lifecycle) and the capture
- * sidecar (access). Writes through an already-open stdio stream the
- * caller owns; finalize() must run before the stream is closed for
- * the file to carry the footer + trailer.
+ * The streaming writer behind Tracer. Writes through an already-open
+ * stdio stream the caller owns; finalize() must run before the stream
+ * is closed for the file to carry the footer + trailer.
  */
 class Writer
 {
@@ -182,26 +160,19 @@ class Writer
     /**
      * Writes the container header immediately.
      *
-     * @param tables Table 0 must name the record tags.
+     * @param tables Table 0 names the events, table 1 the hint
+     *        classes (lifecycleTables()).
      * @param checkpoint_interval Records between checkpoints (0
      *        disables checkpoints; the footer is still written).
      */
-    Writer(std::FILE *out, StreamKind kind,
-           std::vector<std::vector<std::string>> tables,
-           std::vector<std::pair<std::string, std::string>> meta = {},
+    Writer(std::FILE *out, std::vector<std::vector<std::string>> tables,
            uint64_t checkpoint_interval = kDefaultCheckpointInterval);
 
     Writer(const Writer &) = delete;
     Writer &operator=(const Writer &) = delete;
 
-    /** Emit one lifecycle record (Lifecycle streams only). */
+    /** Emit one lifecycle record. */
     void record(const TraceRecord &rec, Tick tick, bool warm);
-
-    /** Emit one pre-encoded record (Access streams): @p tag indexes
-     *  table 0, @p payload holds the already-encoded record body,
-     *  @p key_after is the cumulative position key (ops so far). */
-    void rawRecord(uint8_t tag, const uint8_t *payload, size_t len,
-                   uint64_t key_after);
 
     /** Write the checkpoint directory, footer and trailer. Records
      *  must not be emitted afterwards. Idempotent. */
@@ -215,7 +186,6 @@ class Writer
     void maybeCheckpoint();
 
     std::FILE *out_;
-    StreamKind kind_;
     /** |table 0|: the modulus of the joint (hint, event) tag byte. */
     size_t eventCount_;
     uint64_t interval_;
@@ -223,8 +193,8 @@ class Writer
     uint64_t records_ = 0;
     uint64_t bytes_ = 0;
     uint64_t warmRecords_ = 0;
-    uint64_t key_ = 0; ///< Delta clock (lifecycle) / op count (access).
-    uint64_t addrKey_ = 0; ///< Address-delta base (lifecycle).
+    uint64_t key_ = 0;     ///< Delta clock.
+    uint64_t addrKey_ = 0; ///< Address-delta base.
     std::vector<uint64_t> tagCounts_;
     std::vector<CheckpointRef> checkpoints_;
     bool finalized_ = false;
@@ -232,7 +202,7 @@ class Writer
 
 /**
  * Decode a lifecycle .grpbin into TraceLines. Input that is not a
- * lifecycle .grpbin gets one error and no lines. Unknown tags/hints
+ * .grpbin lifecycle trace gets one error and no lines. Unknown tags/hints
  * (a newer writer) skip the record with a "record N:" error; a
  * missing trailer sets truncated and adds one distinct, actionable
  * error, after scanning the intact prefix.

@@ -137,9 +137,7 @@ Tracer::open(const std::string &path)
         std::setvbuf(out_, iobuf_.get(), _IOFBF, kStreamBufBytes);
     }
     bin_ = std::make_unique<bintrace::Writer>(
-        out_, bintrace::StreamKind::Lifecycle, lifecycleTables(),
-        std::vector<std::pair<std::string, std::string>>{},
-        checkpointInterval_);
+        out_, lifecycleTables(), checkpointInterval_);
     records_ = 0;
     return true;
 }

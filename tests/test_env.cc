@@ -1,4 +1,4 @@
-/** @file Unit tests for the shared numeric env-knob parser. */
+/** @file Unit tests for the shared numeric env-knob and flag parser. */
 
 #include <gtest/gtest.h>
 
@@ -83,6 +83,50 @@ TEST_F(EnvIntTest, DiagnosticNamesTheVariable)
         EXPECT_NE(std::string(e.what()).find("bogus"),
                   std::string::npos)
             << e.what();
+    }
+}
+
+// The rule envInt applies, called directly the way the command-line
+// tools call it for their numeric flags.
+TEST(ParseUint, AcceptsPlainDecimalsUpToTheMax)
+{
+    EXPECT_EQ(parseUint("--n", "0"), 0u);
+    EXPECT_EQ(parseUint("--n", "007"), 7u);
+    EXPECT_EQ(parseUint("--n", "18446744073709551615"), ~0ull);
+    EXPECT_EQ(parseUint("--n", "100", 100), 100u);
+}
+
+TEST(ParseUint, RejectsMalformedText)
+{
+    setQuiet(true);
+    for (const char *bad :
+         {"", "-1", "+1", "-0", " 7", "7 ", "\t7", "7\n", "abc", "4x",
+          "20k", "1e6", "0x10", "1.5", "18446744073709551616",
+          "99999999999999999999999999"}) {
+        EXPECT_THROW(parseUint("--n", bad), std::runtime_error)
+            << "accepted '" << bad << "'";
+    }
+}
+
+TEST(ParseUint, RejectsValuesAboveTheMax)
+{
+    setQuiet(true);
+    EXPECT_THROW(parseUint("--n", "101", 100), std::runtime_error);
+    EXPECT_THROW(parseUint("--n", "2147483648", 2147483647),
+                 std::runtime_error);
+}
+
+TEST(ParseUint, DiagnosticNamesTheFlag)
+{
+    setQuiet(true);
+    try {
+        parseUint("--instructions", "abc");
+        FAIL() << "expected fatal";
+    } catch (const std::runtime_error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("--instructions"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("abc"), std::string::npos) << what;
     }
 }
 

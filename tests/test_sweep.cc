@@ -201,6 +201,37 @@ TEST(Sweep, RecordedJobsMatchStandaloneRuns)
         EXPECT_GT(recording->opsRecorded(), 0u) << recording->workload();
 }
 
+// A recording's program, memory image, hint tables and op stream
+// were built for its (workload, seed, L2 size) key; a run with any
+// other key must refuse it rather than simulate the wrong stream.
+TEST(Sweep, RecordingForAnotherKeyIsFatal)
+{
+    setQuiet(true);
+    const RunOptions opts = quickOptions();
+    const uint64_t l2 = SimConfig{}.l2.sizeBytes;
+    // Each run differs from the recording in one part of the key. Only
+    // the key check's own error counts as a refusal.
+    const auto run = [&](const char *workload, uint64_t seed,
+                         uint64_t l2_bytes) {
+        RunOptions shared = opts;
+        shared.recording =
+            std::make_shared<SweepRecording>(workload, seed, l2);
+        SimConfig config;
+        config.l2.sizeBytes = l2_bytes;
+        try {
+            runWorkload("mcf", config, shared);
+        } catch (const std::runtime_error &e) {
+            if (std::string(e.what()).find("sweep recording") !=
+                std::string::npos)
+                throw;
+            ADD_FAILURE() << e.what();
+        }
+    };
+    EXPECT_THROW(run("art", opts.seed, l2), std::runtime_error);
+    EXPECT_THROW(run("mcf", opts.seed + 1, l2), std::runtime_error);
+    EXPECT_THROW(run("mcf", opts.seed, 2 * l2), std::runtime_error);
+}
+
 // Threads reading one recording extend it on demand under its lock
 // and decode its blocks outside it; every reader, whether a cursor or
 // fetchSpan, must see the same stream.

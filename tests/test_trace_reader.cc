@@ -27,12 +27,11 @@ namespace
  *  tables are @p tables; record i gets tick 10 * (i + 1). */
 std::string
 encode(std::vector<std::vector<std::string>> tables,
-       const std::vector<TraceRecord> &records,
-       bintrace::StreamKind kind = bintrace::StreamKind::Lifecycle)
+       const std::vector<TraceRecord> &records)
 {
     std::FILE *file = std::tmpfile();
     EXPECT_NE(file, nullptr);
-    bintrace::Writer writer(file, kind, std::move(tables));
+    bintrace::Writer writer(file, std::move(tables));
     Tick tick = 0;
     for (const TraceRecord &rec : records)
         writer.record(rec, tick += 10, false);
@@ -79,13 +78,26 @@ TEST(TraceReaderErrors, NonGrpbinInputGetsOneError)
 
 TEST(TraceReaderErrors, AccessCaptureIsNotALifecycleTrace)
 {
-    const std::string data =
-        encode({{"opBlock"}}, {}, bintrace::StreamKind::Access);
-    const TraceParseResult result = bintrace::readLifecycle(data);
-    EXPECT_TRUE(result.lines.empty());
-    ASSERT_EQ(result.errors.size(), 1u);
-    EXPECT_NE(result.errors[0].find("not a lifecycle trace"),
-              std::string::npos);
+    // Stream kind 0 is the only one; byte 5 of the header holds it.
+    // Older builds wrote kind 1 for access-stream captures.
+    std::string data = encode(lifecycleTables(),
+                              {{TraceEvent::Issue, 64},
+                               {TraceEvent::Fill, 64}});
+    ASSERT_EQ(data[5], 0);
+    for (const char kind : {'\x01', '\xff'}) {
+        SCOPED_TRACE(static_cast<int>(static_cast<uint8_t>(kind)));
+        data[5] = kind;
+        const TraceParseResult result = bintrace::readLifecycle(data);
+        EXPECT_TRUE(result.lines.empty());
+        ASSERT_EQ(result.errors.size(), 1u);
+        EXPECT_NE(result.errors[0].find("not a lifecycle trace"),
+                  std::string::npos);
+        const bintrace::QueryResult queried =
+            bintrace::query(data, bintrace::QueryFilter{});
+        EXPECT_TRUE(queried.lines.empty());
+        ASSERT_EQ(queried.errors.size(), 1u);
+        EXPECT_EQ(queried.errors[0], result.errors[0]);
+    }
 }
 
 TEST(TraceReaderErrors, UnknownEventSkippedWithRecordNumber)

@@ -21,7 +21,8 @@ Regenerate a baseline on purpose with:
         build/bench/<bench_name>
 
 Exit status: 0 when everything matches, 1 with one line per failure
-otherwise.
+otherwise. An unreadable or malformed input is a failure whose line
+names the file, the field and the problem.
 """
 
 import argparse
@@ -114,21 +115,47 @@ TIMING_KEYS = {
 }
 
 
-def provenance_warnings(baseline_dir, out_dir):
+def load_json(path):
+    """(document, None), or (None, "<file>: <root>: <problem>") when
+    the file cannot be read or is not UTF-8 JSON."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8")), None
+    except OSError as err:
+        return None, f"{path}: <root>: cannot read: {err.strerror}"
+    except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
+        return None, f"{path}: <root>: not UTF-8 JSON: {err}"
+
+
+def load_provenance(path):
+    """(the manifest's provenance block, None), or (None, failure
+    line) when the manifest at path is malformed."""
+    manifest, problem = load_json(path)
+    if problem:
+        return None, problem
+    if not isinstance(manifest, dict):
+        return None, f"{path}: <root>: not a JSON object"
+    provenance = manifest.get("provenance") or {}
+    if not isinstance(provenance, dict):
+        return None, f"{path}: provenance: not a JSON object"
+    return provenance, None
+
+
+def provenance_warnings(baseline_dir, out_dir, failures):
     """Compare the two manifests' provenance blocks; mismatches are
     warnings, not failures — timing baselines from another machine
-    are expected, perf numbers from one are not trustworthy."""
+    are expected, perf numbers from one are not trustworthy. A
+    malformed manifest appends a line to failures instead."""
     warnings = []
     pair = []
     for where in (baseline_dir, out_dir):
         path = where / "manifest.json"
         if not path.is_file():
             return warnings
-        try:
-            pair.append(json.loads(path.read_text())
-                        .get("provenance") or {})
-        except (OSError, json.JSONDecodeError):
+        provenance, problem = load_provenance(path)
+        if problem:
+            failures.append(problem)
             return warnings
+        pair.append(provenance)
     base, out = pair
     for key in sorted(base.keys() | out.keys()):
         if base.get(key) != out.get(key):
@@ -225,18 +252,19 @@ def main():
             failures.append(f"{base_path.name}: not generated "
                             f"(expected {out_path})")
             continue
-        try:
-            base = json.loads(base_path.read_text())
-            out = json.loads(out_path.read_text())
-        except json.JSONDecodeError as err:
-            failures.append(f"{base_path.name}: unparseable: {err}")
+        base, problem = load_json(base_path)
+        if problem is None:
+            out, problem = load_json(out_path)
+        if problem:
+            failures.append(problem)
             continue
-        before = len(failures)
-        diff("", "", base, out, failures)
-        status = "ok" if len(failures) == before else "FAIL"
-        print(f"{base_path.name}: {status}")
+        mismatches = []
+        diff("", "", base, out, mismatches)
+        failures.extend(f"{out_path}: {m}" for m in mismatches)
+        print(f"{base_path.name}: {'FAIL' if mismatches else 'ok'}")
 
-    for warning in provenance_warnings(args.baseline, args.out):
+    for warning in provenance_warnings(args.baseline, args.out,
+                                       failures):
         print(f"bench_compare: warning: {warning}", file=sys.stderr)
 
     for failure in failures:

@@ -26,7 +26,9 @@ same runner class, so the gate stays meaningful there.
 deliberate perf change or a runner migration); commit the result.
 
 Exit status: 0 when within tolerance (or mismatched provenance
-without --strict), 1 on a gated regression or missing inputs.
+without --strict), 1 on a gated regression or on missing or malformed
+inputs. A malformed manifest gets one line naming the file, the field
+and the problem.
 """
 
 import argparse
@@ -40,17 +42,58 @@ PROVENANCE_KEYS = (
     "traceMode")
 
 
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def manifest_problem(manifest):
+    """(field, problem) for the first field this tool reads whose type
+    it cannot use, or None when every such field is usable."""
+    if not isinstance(manifest, dict):
+        return "<root>", "not a JSON object"
+    if not isinstance(manifest.get("provenance") or {}, dict):
+        return "provenance", "not a JSON object"
+    benches = manifest.get("benches", {})
+    if not isinstance(benches, dict):
+        return "benches", "not a JSON object"
+    figures = [("instructionsPerSecond",
+                manifest.get("instructionsPerSecond"))]
+    for name, data in benches.items():
+        field = f"benches.{name}"
+        if not isinstance(data, dict):
+            return field, "not a JSON object"
+        figures.append((f"{field}.instructionsPerSecond",
+                        data.get("instructionsPerSecond")))
+        phases = data.get("hostPhases") or {}
+        if not isinstance(phases, dict):
+            return f"{field}.hostPhases", "not a JSON object"
+        for phase, totals in phases.items():
+            if not isinstance(totals, dict) or \
+                    not is_number(totals.get("selfNanos", 0)):
+                return (f"{field}.hostPhases.{phase}",
+                        "not an object with a numeric selfNanos")
+    for field, value in figures:
+        if value is not None and not is_number(value):
+            return field, f"{value!r} is not a number"
+    return None
+
+
 def load(path):
+    """The manifest at path, or None after one line naming the file,
+    the field and the problem."""
     try:
-        return json.loads(path.read_text())
+        manifest = json.loads(path.read_text(encoding="utf-8"))
     except OSError as err:
-        print(f"perf_compare: cannot read {path}: {err}",
-              file=sys.stderr)
-        return None
-    except json.JSONDecodeError as err:
-        print(f"perf_compare: {path} unparseable: {err}",
-              file=sys.stderr)
-        return None
+        field, problem = "<root>", f"cannot read: {err.strerror}"
+    except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
+        field, problem = "<root>", f"not UTF-8 JSON: {err}"
+    else:
+        found = manifest_problem(manifest)
+        if found is None:
+            return manifest
+        field, problem = found
+    print(f"perf_compare: {path}: {field}: {problem}", file=sys.stderr)
+    return None
 
 
 def inst_per_sec(manifest):
