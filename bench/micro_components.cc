@@ -2,8 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's hot
  * components: cache tag access, region-queue churn, DRAM timing,
- * pointer scanning, the IR interpreter, and a short full-system
- * simulation step.
+ * pointer scanning, a run's op source (the decoded interpreter), and
+ * a short full-system simulation step.
  */
 
 #include <benchmark/benchmark.h>
@@ -17,7 +17,7 @@
 #include "prefetch/region_queue.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
-#include "workloads/interpreter.hh"
+#include "workloads/predecode.hh"
 #include "workloads/workload.hh"
 
 namespace
@@ -90,11 +90,10 @@ BM_InterpreterThroughput(benchmark::State &state)
     FunctionalMemory mem;
     auto workload = makeWorkload("wupwise");
     Program prog = workload->build(mem, 42);
-    Interpreter interp(prog, mem, 42);
+    const auto trace = makeTraceSource(prog, mem, 42);
     TraceOp op;
     for (auto _ : state) {
-        if (!interp.next(op))
-            interp.reset();
+        trace->next(op);
         benchmark::DoNotOptimize(op);
     }
 }

@@ -19,6 +19,10 @@ DramBackend::DramBackend(const DramConfig &config,
              !isPowerOfTwo(config.banksPerChannel) ||
              !isPowerOfTwo(blocksPerRow_),
              "DRAM geometry must be powers of two");
+    channelPeriod_ = config.channels >= 64
+                         ? 1
+                         : ~0ull / ((1ull << config.channels) - 1);
+    rowSpanBlocks_ = uint64_t{config.channels} * blocksPerRow_;
     channels_.resize(config.channels);
     for (Channel &channel : channels_)
         channel.banks.resize(config.banksPerChannel);

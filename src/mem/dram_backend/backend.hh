@@ -77,6 +77,21 @@ class DramBackend
         return channel_block >> (blocksPerRowShift_ + bankShift_);
     }
 
+    /** Bit i set exactly when block @p base_block + i maps to
+     *  @p channel: the channel's blocks in a 64-block window. */
+    uint64_t
+    channelBlocks(uint64_t base_block, unsigned channel) const
+    {
+        const uint64_t shift =
+            (channel - base_block) & (config_.channels - 1);
+        return shift < 64 ? channelPeriod_ << shift : 0;
+    }
+
+    /** Blocks in one aligned row span (channels x blocks per row).
+     *  The blocks of a span that map to one channel share one bank
+     *  and one row. */
+    uint64_t rowSpanBlocks() const { return rowSpanBlocks_; }
+
     /** True when the channel's data bus is free at @p now. */
     bool
     channelIdle(unsigned channel, Tick now) const
@@ -307,6 +322,10 @@ class DramBackend
     unsigned blocksPerRow_;
     unsigned blocksPerRowShift_;
     unsigned bankShift_;       ///< log2(banksPerChannel).
+    /** channelBlocks() of channel 0 at base 0: every channels-th bit
+     *  (bit 0 alone from 64 channels up). */
+    uint64_t channelPeriod_ = 0;
+    uint64_t rowSpanBlocks_ = 0;
 
     std::vector<Channel> channels_;
     /** High-water mark of every channel's busyUntil (allIdle()). */

@@ -268,21 +268,31 @@ RegionQueue::dequeueTier(const DramBackend &dram, unsigned channel,
     // queue order (within the tier, when one is given).
     int fallback_slot = -1;
     unsigned fallback_pos = 0;
+    const uint64_t span = dram.rowSpanBlocks();
 
     auto scan_entry = [&](int idx) -> std::optional<unsigned> {
         const RegionEntry &entry = slots_[idx].entry;
-        for (unsigned step = 0; step < entry.numBlocks; ++step) {
-            const unsigned pos = (entry.index + step) % entry.numBlocks;
-            if (!(entry.bitvec & (1ull << pos)))
-                continue;
-            const Addr addr = (entry.baseBlock + pos) << kBlockShift;
-            if (dram.channelOf(addr) != channel)
-                continue;
-            if (!bankAware_ || dram.rowOpen(addr))
-                return pos;
-            if (fallback_slot < 0) {
-                fallback_slot = idx;
-                fallback_pos = pos;
+        const uint64_t on =
+            entry.bitvec & dram.channelBlocks(entry.baseBlock, channel);
+        // Positions from the scan start up, then those below it: the
+        // (index + step) % numBlocks order, since bitvec has no bit at
+        // or above numBlocks.
+        const uint64_t below = (1ull << entry.index) - 1;
+        for (uint64_t pass : {on & ~below, on & below}) {
+            while (pass != 0) {
+                const unsigned pos = std::countr_zero(pass);
+                const uint64_t block = entry.baseBlock + pos;
+                if (!bankAware_ || dram.rowOpen(block << kBlockShift))
+                    return pos;
+                if (fallback_slot < 0) {
+                    fallback_slot = idx;
+                    fallback_pos = pos;
+                }
+                // The channel's other blocks in this aligned row span
+                // are in the same bank and row, so closed too.
+                const uint64_t span_end =
+                    (block | (span - 1)) + 1 - entry.baseBlock;
+                pass = span_end < 64 ? pass & (~0ull << span_end) : 0;
             }
         }
         return std::nullopt;

@@ -8,7 +8,9 @@
  * miss). New entries are pushed at the head; the queue has a fixed
  * capacity (32) and old entries fall off the bottom. Dequeue order is
  * LIFO (newest region first) and optionally bank-aware, preferring
- * candidates whose DRAM row is already open.
+ * candidates whose DRAM row is already open. A dequeue masks each
+ * entry's vector with the channel's blocks and tests one open row per
+ * aligned row span, so it costs O(entries), not O(entries x window).
  *
  * Pointer and indirect prefetches reuse the same entry format with
  * small windows (2 blocks per pointer) and a pointer-chase depth.

@@ -152,6 +152,73 @@ TEST_F(DramBackendTest, ConfigHashUnchangedForLegacyOnly)
 }
 
 // ---------------------------------------------------------------------
+// Geometry helpers behind the region queue's masked scan.
+// ---------------------------------------------------------------------
+
+/** channelBlocks() and rowSpanBlocks() against channelOf/bankOf/rowOf
+ *  at 1,000 random window bases. */
+void
+checkGeometryHelpers(const DramBackend &dram)
+{
+    const unsigned channels = dram.config().channels;
+    const uint64_t span = dram.rowSpanBlocks();
+    ASSERT_EQ(span, uint64_t{channels} *
+                        (dram.config().rowBytes / kBlockBytes));
+
+    uint64_t lcg = 0x9E3779B97F4A7C15ull;
+    for (unsigned trial = 0; trial < 1000; ++trial) {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        const uint64_t base = lcg >> 24;
+        for (unsigned ch = 0; ch < channels; ++ch) {
+            uint64_t want = 0;
+            for (unsigned i = 0; i < 64; ++i) {
+                if (dram.channelOf((base + i) << kBlockShift) == ch)
+                    want |= 1ull << i;
+            }
+            ASSERT_EQ(dram.channelBlocks(base, ch), want)
+                << "base " << base << " channel " << ch;
+        }
+
+        // Same-channel blocks of base's aligned span: one bank, one
+        // row.
+        const uint64_t first = base & ~(span - 1);
+        std::map<unsigned, Addr> leader;
+        for (uint64_t block = first; block < first + span; ++block) {
+            const Addr addr = block << kBlockShift;
+            const auto [it, fresh] =
+                leader.emplace(dram.channelOf(addr), addr);
+            if (fresh)
+                continue;
+            ASSERT_EQ(dram.bankOf(addr), dram.bankOf(it->second))
+                << "block " << block;
+            ASSERT_EQ(dram.rowOf(addr), dram.rowOf(it->second))
+                << "block " << block;
+        }
+    }
+}
+
+TEST_F(DramBackendTest, GeometryHelpersMatchAddressMapping)
+{
+    // 64 channels: the period must not be built from 1 << 64. 128
+    // channels: half the channels have no block in a window.
+    for (unsigned channels : {1u, 2u, 4u, 8u, 64u, 128u}) {
+        for (unsigned row_bytes : {64u, 512u, 2048u}) {
+            SCOPED_TRACE(testing::Message() << channels << " channels, "
+                                            << row_bytes << " B rows");
+            DramConfig cfg;
+            cfg.channels = channels;
+            cfg.rowBytes = row_bytes;
+            DramSystem dram(cfg);
+            ASSERT_NO_FATAL_FAILURE(checkGeometryHelpers(dram));
+        }
+    }
+    for (const std::string &name : dramPresetNames()) {
+        SCOPED_TRACE(name);
+        ASSERT_NO_FATAL_FAILURE(checkGeometryHelpers(*makeTiming(name)));
+    }
+}
+
+// ---------------------------------------------------------------------
 // Queued-backend mechanics.
 // ---------------------------------------------------------------------
 

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """The Python manifest readers' error contract.
 
-tools/perf_compare.py and tools/bench_compare.py read JSON files that
-come from outside the program. Each malformed input below must end
-the tool with exit status 1 and one line naming the file, never a
-Python traceback; a well-formed pair must still pass.
+tools/perf_compare.py, tools/bench_compare.py and
+tools/bench_manifest.py read JSON files that come from outside the
+program. Each malformed input below must end the tool with exit
+status 1 and one line naming the file, never a Python traceback; a
+well-formed input must still pass.
 
 Run directly (python3 tests/test_tools.py) or through ctest.
 """
@@ -28,6 +29,19 @@ MANIFEST = {
                         "hostPhases": {"Cpu": {"selfNanos": 5}}}},
 }
 ARTEFACT = {"schema": "grp-bench-v1", "rows": [{"speedup": 1.25}]}
+SIDECAR = {
+    "schema": "grp-bench-timing-v2",
+    "bench": "tab",
+    "threads": 1,
+    "provenance": {"compiler": "test", "buildType": "Release"},
+    "totalWallSeconds": 2.0,
+    "simulatedInstructions": 1000,
+    "instructionsPerSecond": 500.0,
+    "jobs": [{"label": "mcf/none", "wallSeconds": 2.0,
+              "instructions": 1000,
+              "hostProf": {"phases": {"Cpu": {
+                  "totalNanos": 9, "selfNanos": 5, "calls": 1}}}}],
+}
 
 
 def write(path, content):
@@ -142,6 +156,52 @@ class BenchCompare(ToolCase):
             artefact={"schema": "grp-bench-v1", "rows": [{"speedup": 2}]})
         self.assert_rejected(result, self.artefact)
         self.assertIn("rows[0].speedup", result.stderr)
+
+
+class BenchManifest(ToolCase):
+    def finish(self, sidecar):
+        out = self.dir / "out"
+        (out / "timings").mkdir(parents=True)
+        self.sidecar = write(out / "timings" / "tab.json", sidecar)
+        self.manifest = out / "manifest.json"
+        return self.run_tool("bench_manifest.py", "finish", "--out", out,
+                             "--repo", self.dir)
+
+    def assert_sidecar_rejected(self, result, field):
+        """One line naming the sidecar and the field; no manifest."""
+        self.assert_rejected(result, self.sidecar)
+        self.assertEqual(len(result.stderr.splitlines()), 1,
+                         result.stderr)
+        self.assertTrue(result.stderr.startswith(
+            f"bench_manifest.py: {self.sidecar}: {field}: "),
+            result.stderr)
+        self.assertFalse(self.manifest.exists())
+
+    def test_well_formed_sidecar_yields_a_manifest(self):
+        result = self.finish(SIDECAR)
+        self.assertEqual(result.returncode, 0, result.stderr)
+        manifest = json.loads(self.manifest.read_text())
+        self.assertEqual(manifest["simulatedInstructions"], 1000)
+        bench = manifest["benches"]["tab"]
+        self.assertEqual(bench["hostPhases"]["Cpu"]["selfNanos"], 5)
+
+    def test_sidecar_that_is_not_json(self):
+        self.assert_sidecar_rejected(self.finish(b"{"), "<root>")
+
+    def test_sidecar_that_is_a_list(self):
+        self.assert_sidecar_rejected(self.finish([SIDECAR]), "<root>")
+
+    def test_self_time_that_is_a_string(self):
+        job = dict(SIDECAR["jobs"][0],
+                   hostProf={"phases": {"Cpu": {"selfNanos": "5"}}})
+        self.assert_sidecar_rejected(
+            self.finish(dict(SIDECAR, jobs=[job])),
+            "jobs[0].hostProf.phases.Cpu.selfNanos")
+
+    def test_instruction_count_that_is_a_string(self):
+        self.assert_sidecar_rejected(
+            self.finish(dict(SIDECAR, simulatedInstructions="1000")),
+            "simulatedInstructions")
 
 
 if __name__ == "__main__":

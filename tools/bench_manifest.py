@@ -25,7 +25,10 @@ machine-dependent by nature); perf_compare.py gates on the
 manifest's inst/s figures and diffs any two manifests.
 
 The manifest is published atomically (tmp + rename), matching the
-simulator's own JSON exporters.
+simulator's own JSON exporters. A sidecar that is unreadable, not
+JSON, or has a field of the wrong type ends `finish` with exit status
+1 and one line naming the file, the field and the problem; no
+manifest is written.
 """
 
 import argparse
@@ -39,6 +42,7 @@ from pathlib import Path
 
 STAMP_NAME = ".bench_started"
 MANIFEST_NAME = "manifest.json"
+PHASE_KEYS = ("totalNanos", "selfNanos", "calls")
 
 
 def git(repo, *args):
@@ -76,25 +80,78 @@ def aggregate_host_phases(jobs):
     for job in jobs:
         prof = job.get("hostProf") or {}
         for name, totals in (prof.get("phases") or {}).items():
-            agg = phases.setdefault(
-                name, {"totalNanos": 0, "selfNanos": 0, "calls": 0})
+            agg = phases.setdefault(name, dict.fromkeys(PHASE_KEYS, 0))
             for key in agg:
                 agg[key] += totals.get(key, 0)
     return phases or None
 
 
+class SidecarError(Exception):
+    """A timing sidecar finish cannot use: (path, field, problem)."""
+
+
+def is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def sidecar_problem(data):
+    """(field, problem) for the first field of a sidecar that finish
+    reads and cannot use, or None when every such field is usable."""
+    if not isinstance(data, dict):
+        return "<root>", "not a JSON object"
+    if not isinstance(data.get("bench", ""), str):
+        return "bench", "not a string"
+    if not isinstance(data.get("provenance", {}), dict):
+        return "provenance", "not a JSON object"
+    for key in ("threads", "totalWallSeconds", "simulatedInstructions",
+                "instructionsPerSecond"):
+        value = data.get(key)
+        if value is not None and not is_number(value):
+            return key, f"{value!r} is not a number"
+    jobs = data.get("jobs", [])
+    if not isinstance(jobs, list):
+        return "jobs", "not a JSON list"
+    for i, job in enumerate(jobs):
+        field = f"jobs[{i}]"
+        if not isinstance(job, dict):
+            return field, "not a JSON object"
+        prof = job.get("hostProf") or {}
+        if not isinstance(prof, dict):
+            return f"{field}.hostProf", "not a JSON object"
+        phases = prof.get("phases") or {}
+        if not isinstance(phases, dict):
+            return f"{field}.hostProf.phases", "not a JSON object"
+        for name, totals in phases.items():
+            where = f"{field}.hostProf.phases.{name}"
+            if not isinstance(totals, dict):
+                return where, "not a JSON object"
+            for key in PHASE_KEYS:
+                value = totals.get(key, 0)
+                if not is_number(value):
+                    return f"{where}.{key}", f"{value!r} is not a number"
+    return None
+
+
 def load_timings(out_dir):
     """Collect the per-bench timing sidecars the bench binaries wrote
-    to out/timings/, keyed by bench name."""
+    to out/timings/, keyed by bench name. Raises SidecarError on the
+    first sidecar that cannot be used."""
     timings = {}
     timing_dir = out_dir / "timings"
     if not timing_dir.is_dir():
         return timings
     for path in sorted(timing_dir.glob("*.json")):
         try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            continue
+            data = json.loads(path.read_text(encoding="utf-8"))
+        except OSError as err:
+            raise SidecarError(path, "<root>",
+                               f"cannot read: {err.strerror}") from err
+        except ValueError as err:  # JSONDecodeError, UnicodeDecodeError
+            raise SidecarError(path, "<root>",
+                               f"not UTF-8 JSON: {err}") from err
+        found = sidecar_problem(data)
+        if found is not None:
+            raise SidecarError(path, *found)
         jobs = data.get("jobs", [])
         entry = {
             "threads": data.get("threads"),
@@ -143,6 +200,14 @@ def run_provenance(timings):
 
 def cmd_finish(out_dir, repo):
     out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        timings = load_timings(out_dir)
+    except SidecarError as err:
+        path, field, problem = err.args
+        print(f"bench_manifest.py: {path}: {field}: {problem}",
+              file=sys.stderr)
+        return 1
+
     stamp = out_dir / STAMP_NAME
     wall = None
     if stamp.is_file():
@@ -158,7 +223,6 @@ def cmd_finish(out_dir, repo):
         if config.is_file() else None
     )
 
-    timings = load_timings(out_dir)
     total_instructions = sum(
         t["simulatedInstructions"] or 0 for t in timings.values())
     bench_wall = sum(
