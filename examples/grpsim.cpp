@@ -159,9 +159,6 @@ try {
     config.scheme = PrefetchScheme::GrpVar;
     RunOptions options;
     options.obs.traceLevel = 2;
-    // Ad-hoc CLI artefacts always record what produced them; bench
-    // baselines keep the flag off to stay byte-comparable.
-    options.obs.statsProvenance = true;
     bool show_provenance = false;
 
     for (int i = 1; i < argc; ++i) {

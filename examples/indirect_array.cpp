@@ -9,83 +9,67 @@
 #include <cstdio>
 
 #include "compiler/builder.hh"
-#include "compiler/hint_generator.hh"
-#include "core/engine_factory.hh"
-#include "cpu/cpu.hh"
-#include "mem/memory_system.hh"
-#include "sim/event_queue.hh"
-#include "sim/logging.hh"
+#include "harness/runner.hh"
 #include "workloads/heap_builders.hh"
-#include "workloads/predecode.hh"
 
 using namespace grp;
 
 namespace
 {
 
-struct Kernel
+/** a[b[i]] over a 16 MB target; the indices run sequentially for
+ *  @p cluster_run elements before they jump (1 = fully random). */
+class Gather : public Workload
 {
-    FunctionalMemory mem;
-    Program prog;
-};
+  public:
+    explicit Gather(unsigned cluster_run) : cluster_run_(cluster_run) {}
 
-std::unique_ptr<Kernel>
-buildGather(unsigned cluster_run)
-{
-    auto kernel = std::make_unique<Kernel>();
-    Rng rng(7);
-    ProgramBuilder b(kernel->mem);
-    const uint64_t n = 256 * 1024;
-    const uint64_t data_elems = 2 * 1024 * 1024; // 16 MB target.
-    const ArrayId data = b.array("data", 8, {data_elems});
-    const ArrayId index = b.array("index", 4, {n});
-    fillIndexArray(kernel->mem, b.arrayBase(index), n, data_elems,
-                   cluster_run, rng);
-    const ArrayId hot = b.array("hot", 8, {1024});
-
-    const VarId i = b.forLoop(0, static_cast<int64_t>(n));
-    b.arrayRef(data, {Subscript::indirect(index, Affine::var(i))});
+    WorkloadInfo
+    info() const override
     {
-        const VarId j = b.forLoop(0, 40);
-        b.arrayRef(hot, {Subscript::affine(Affine::var(j))});
-        b.compute(2);
-        b.end();
+        WorkloadInfo info;
+        info.name = "gather";
+        return info;
     }
-    b.end();
-    kernel->prog = b.build();
-    return kernel;
-}
 
-struct Outcome
-{
-    double ipc;
-    uint64_t traffic;
+    Program
+    build(FunctionalMemory &mem, uint64_t) override
+    {
+        Rng rng(7);
+        ProgramBuilder b(mem);
+        const uint64_t n = 256 * 1024;
+        const uint64_t data_elems = 2 * 1024 * 1024; // 16 MB target.
+        const ArrayId data = b.array("data", 8, {data_elems});
+        const ArrayId index = b.array("index", 4, {n});
+        fillIndexArray(mem, b.arrayBase(index), n, data_elems,
+                       cluster_run_, rng);
+        const ArrayId hot = b.array("hot", 8, {1024});
+
+        const VarId i = b.forLoop(0, static_cast<int64_t>(n));
+        b.arrayRef(data, {Subscript::indirect(index, Affine::var(i))});
+        {
+            const VarId j = b.forLoop(0, 40);
+            b.arrayRef(hot, {Subscript::affine(Affine::var(j))});
+            b.compute(2);
+            b.end();
+        }
+        b.end();
+        return b.build();
+    }
+
+  private:
+    unsigned cluster_run_;
 };
 
-Outcome
-run(Kernel &kernel, PrefetchScheme scheme)
+RunResult
+run(Gather &kernel, PrefetchScheme scheme)
 {
-    Program prog = kernel.prog;
     SimConfig config;
     config.scheme = scheme;
-    HintTable table;
-    HintGenerator generator(config.policy, config.l2.sizeBytes);
-    generator.run(prog, table);
-
-    EventQueue events;
-    MemorySystem mem(config, events);
-    auto engine = makePrefetchEngine(config, kernel.mem, mem);
-    const auto trace = makeTraceSource(prog, kernel.mem, 42);
-    Cpu cpu(config, mem, events, *trace,
-            config.usesHints() ? &table : nullptr);
-    Tick cycle = 0;
-    while (!cpu.done() && cpu.retiredInstructions() < 400'000) {
-        events.advanceTo(cycle);
-        cpu.tick();
-        mem.tick();
-        ++cycle;
-    }
-    return {cpu.ipc(), mem.trafficBytes()};
+    RunOptions opts;
+    opts.maxInstructions = 400'000;
+    opts.warmupInstructions = 0;
+    return runWorkload(kernel, config, opts);
 }
 
 } // namespace
@@ -105,16 +89,17 @@ main()
     };
     for (const Case &c : {Case{"random (bzip2-like)", 1},
                           Case{"clustered (vpr-like)", 16}}) {
-        auto kernel = buildGather(c.cluster);
-        const Outcome base = run(*kernel, PrefetchScheme::None);
-        const Outcome stride = run(*kernel, PrefetchScheme::Stride);
-        const Outcome srp = run(*kernel, PrefetchScheme::Srp);
-        const Outcome grp = run(*kernel, PrefetchScheme::GrpVar);
+        Gather kernel(c.cluster);
+        const RunResult base = run(kernel, PrefetchScheme::None);
+        const RunResult stride = run(kernel, PrefetchScheme::Stride);
+        const RunResult srp = run(kernel, PrefetchScheme::Srp);
+        const RunResult grp = run(kernel, PrefetchScheme::GrpVar);
         std::printf("%-22s %8.3f %8.3f %8.3f | %.2fx / %.2fx\n",
                     c.label, stride.ipc / base.ipc,
                     srp.ipc / base.ipc, grp.ipc / base.ipc,
-                    double(srp.traffic) / double(base.traffic),
-                    double(grp.traffic) / double(base.traffic));
+                    double(srp.trafficBytes) / double(base.trafficBytes),
+                    double(grp.trafficBytes) /
+                        double(base.trafficBytes));
     }
     std::printf("\nRandom indices defeat region prefetching (traffic "
                 "without coverage); the indirect\ninstruction covers "

@@ -307,6 +307,14 @@ forcedTrace()
 
 RunResult
 runWorkload(const std::string &workload_name, SimConfig config,
+            const RunOptions &options)
+{
+    return runWorkload(*makeWorkload(workload_name), std::move(config),
+                       options);
+}
+
+RunResult
+runWorkload(Workload &workload, SimConfig config,
             const RunOptions &options_in)
 {
     RunOptions options = options_in;
@@ -314,8 +322,8 @@ runWorkload(const std::string &workload_name, SimConfig config,
     ScopedHostProf host_prof(options.obs);
     GRP_HOST_SCOPE_NAMED(run_scope, 1, Run);
     GRP_HOST_SCOPE_NAMED(setup_scope, 1, Setup);
-    auto workload = makeWorkload(workload_name);
-    const WorkloadInfo info = workload->info();
+    const WorkloadInfo info = workload.info();
+    const std::string &workload_name = info.name;
     if (info.recursiveDepthOverride != 0)
         config.region.recursiveDepth = info.recursiveDepthOverride;
     // Resolve the DRAM backend up front so everything downstream —
@@ -350,7 +358,7 @@ runWorkload(const std::string &workload_name, SimConfig config,
     if (rec) {
         hint_stats = rec->hintStats(config.policy);
     } else {
-        own_prog.emplace(workload->build(own_fmem, options.seed));
+        own_prog.emplace(workload.build(own_fmem, options.seed));
         HintGenerator generator(config.policy, config.l2.sizeBytes);
         hint_stats = generator.run(*own_prog, own_table);
     }
@@ -465,7 +473,6 @@ runWorkload(const std::string &workload_name, SimConfig config,
     std::optional<obs::TimeSeries> series;
     if (!options.obs.timeseriesPath.empty())
         series.emplace(options.obs.timeseriesBucket);
-    const uint64_t bucket = options.obs.timeseriesBucket;
 
     // Stall fast-forward (see docs/PERFORMANCE.md): when the CPU is
     // provably stalled and the memory system has no per-cycle work,
@@ -477,137 +484,159 @@ runWorkload(const std::string &workload_name, SimConfig config,
         envInt("GRP_FAST_FORWARD", 1) != 0 &&
         !obs::Tracer::instance().enabled(
             obs::traceLevelOf(obs::TraceEvent::Stall));
-    setup_scope.stop();
 
-    GRP_HOST_SCOPE_NAMED(loop_scope, 1, SimLoop);
-    Tick cycle = 0;
-    uint64_t warm_instructions = 0;
-    uint64_t warm_cycles = 0;
-    bool measuring = warmup == 0;
-    bool stopped = false;
-    while (!cpu.done() &&
-           cpu.retiredInstructions() <
-               options.maxInstructions + warmup) {
-        {
-            GRP_HOST_SCOPE(2, Events);
-            events.advanceTo(cycle);
-        }
-        {
-            GRP_HOST_SCOPE(2, CpuTick);
-            cpu.tick();
-        }
-        {
-            GRP_HOST_SCOPE(2, MemTick);
-            mem.tick();
-        }
-        if (controller && cycle &&
-            cycle % config.adaptive.epochCycles == 0) {
+    // The periodic observers, each with the one tick at which it is
+    // next due (kMaxTick when the run has no such observer): the
+    // controller epoch at E, 2E, ..., the time-series bucket at 0, B,
+    // 2B, ..., and the stop/wall-floor poll. The poll reads an atomic
+    // and the clock, so it runs once per kPollCycles, in the
+    // iterations for ticks 0x3FFF, 0x7FFF, ...
+    constexpr Tick kPollCycles = 0x4000;
+    const Tick epoch_cycles = config.adaptive.epochCycles;
+    Tick next_epoch = controller ? epoch_cycles : kMaxTick;
+    Tick next_bucket = series ? 0 : kMaxTick;
+    Tick next_poll = kPollCycles - 1;
+    const auto next_due = [&] {
+        return std::min({next_epoch, next_bucket, next_poll});
+    };
+    // Fires every observer due at tick @p now, the epoch before the
+    // bucket that samples the controller; true when the poll found a
+    // stop request. The stop check is deliberately independent of
+    // pulse enablement — SIGINT winds down cleanly with telemetry off.
+    const auto fire_due = [&](Tick now) {
+        if (now == next_epoch) {
             GRP_HOST_SCOPE(1, Adaptive);
-            controller->onEpoch(cycle);
+            controller->onEpoch(now);
+            next_epoch += epoch_cycles;
         }
-        if (series && cycle % bucket == 0) {
+        if (now == next_bucket) {
             GRP_HOST_SCOPE(1, Timeseries);
-            series->record("prefetchQueueDepth", cycle,
+            next_bucket += series->bucket();
+            series->record("prefetchQueueDepth", now,
                            engine ? static_cast<double>(
                                         engine->queueDepth())
                                   : 0.0);
-            series->record("busyChannels", cycle,
-                           mem.dram().busyChannels(cycle));
+            series->record("busyChannels", now,
+                           mem.dram().busyChannels(now));
             // Bank prep visibility exists only on queued backends;
             // gating the track keeps legacy time-series artefacts
             // byte-identical.
             if (mem.dram().queued()) {
-                series->record("activeBanks", cycle,
-                               mem.dram().activeBanks(cycle));
+                series->record("activeBanks", now,
+                               mem.dram().activeBanks(now));
             }
-            series->record("l2MshrInFlight", cycle,
+            series->record("l2MshrInFlight", now,
                            mem.l2Mshrs().inFlight());
-            series->record("demandQueueDepth", cycle,
+            series->record("demandQueueDepth", now,
                            static_cast<double>(
                                mem.demandQueueDepth()));
-            series->record("writebackQueueDepth", cycle,
+            series->record("writebackQueueDepth", now,
                            static_cast<double>(
                                mem.writebackQueueDepth()));
             if (controller) {
-                series->record("adaptiveSpatialRegionBlocks", cycle,
+                series->record("adaptiveSpatialRegionBlocks", now,
                                static_cast<double>(
                                    controller->spatialRegionBlocks()));
-                series->record("adaptiveTransitions", cycle,
+                series->record("adaptiveTransitions", now,
                                static_cast<double>(
                                    controller->totalTransitions()));
             }
         }
-        ++cycle;
-        if (!measuring && cpu.retiredInstructions() >= warmup) {
-            // End of warmup: discard cold-start statistics.
-            mem.resetStats();
-            if (engine.get())
-                engine->resetStats();
-            obs::Tracer::instance().setWarmup(false);
-            // Restart the site table with the measured window so its
-            // column sums reconcile with the post-reset registry
-            // totals (warmup-era fills still in flight attribute to
-            // the warmup columns via PrefetchFillInfo::warm).
-            obs::SiteProfiler::instance().clear();
-            if (controller)
-                controller->onWarmupBoundary();
-            warm_instructions = cpu.retiredInstructions();
-            warm_cycles = cycle;
-            measuring = true;
-        }
-        // Telemetry beats: the instruction trigger is a single
-        // compare per cycle; the wall-clock floor and the clean-stop
-        // flag read a clock/atomic, so they poll on a coarse cycle
-        // mask. The stop check is deliberately independent of pulse
-        // enablement — SIGINT winds down cleanly with telemetry off.
-        if (pulse && pulse->due(cpu.retiredInstructions()))
-            pulse->beat(sample_pulse(cycle));
-        if ((cycle & 0x3FFF) == 0) {
-            if (obs::stopRequested()) {
-                stopped = true;
-                break;
+        if (now != next_poll)
+            return false;
+        next_poll += kPollCycles;
+        if (obs::stopRequested())
+            return true;
+        // Beats sample the clock after their tick, as the loop's does.
+        if (pulse && pulse->wallFloorDue())
+            pulse->beat(sample_pulse(now + 1));
+        return false;
+    };
+
+    // Simulates until @p target instructions have retired, the CPU
+    // runs out of ops or the poll finds a stop request (returns true).
+    // It returns at its target before any fast forward, so no skip
+    // runs past the last instruction.
+    Tick cycle = 0;
+    const auto run_until = [&](uint64_t target) {
+        if (cpu.done() || cpu.retiredInstructions() >= target)
+            return false;
+        Tick now = cycle;
+        Tick due = next_due();
+        bool stop = false;
+        for (;;) {
+            {
+                GRP_HOST_SCOPE(2, Events);
+                events.advanceTo(now);
             }
-            if (pulse && pulse->wallFloorDue())
-                pulse->beat(sample_pulse(cycle));
-        }
-        if (fast_forward) {
-            // The iteration for tick (cycle-1) just completed; the
-            // next iterations handle ticks cycle, cycle+1, ... Every
+            {
+                GRP_HOST_SCOPE(2, CpuTick);
+                cpu.tick();
+            }
+            {
+                GRP_HOST_SCOPE(2, MemTick);
+                mem.tick();
+            }
+            if (now == due) {
+                stop = fire_due(now);
+                due = next_due();
+            }
+            ++now;
+            if (stop || cpu.done() ||
+                cpu.retiredInstructions() >= target)
+                break;
+            // The instruction-driven beat: one compare per cycle.
+            if (pulse && pulse->due(cpu.retiredInstructions()))
+                pulse->beat(sample_pulse(now));
+            if (!fast_forward)
+                continue;
+            // The iteration for tick now-1 just completed. Every
             // skipped tick must be one where (a) the CPU can only
             // repeat its stall accounting, (b) no event fires, (c)
             // the memory system only repeats its per-cycle
-            // accounting, and (d) no observable (epoch, timeseries
-            // bucket, stop/wall poll, deadlock panic) would trigger.
-            const Cpu::StallState st = cpu.stallState(cycle - 1);
-            if (st.stalled) {
-                GRP_HOST_SCOPE(2, Events);
-                Tick target =
-                    std::min(events.nextEventTick(), st.readyTick);
-                target =
-                    std::min(target, mem.nextWorkTick(cycle - 1));
-                target = std::min(target, cpu.deadlockTick());
-                if (controller) {
-                    const uint64_t e = config.adaptive.epochCycles;
-                    target = std::min(target,
-                                      (cycle + e - 1) / e * e);
-                }
-                if (series) {
-                    target = std::min(
-                        target, (cycle + bucket - 1) / bucket * bucket);
-                }
-                // The stop/wall poll fires when the post-increment
-                // counter hits a 0x4000 multiple, i.e. during the
-                // iteration for tick B-1: never skip past it.
-                const Tick poll = ((cycle + 1 + 0x3FFF) & ~0x3FFFull);
-                target = std::min(target, poll - 1);
-                if (target > cycle) {
-                    cpu.fastForward(target - cycle, st.robFullPath);
-                    mem.fastForwardTicks(cycle, target);
-                    cycle = target;
-                }
+            // accounting, and (d) neither a periodic observer nor the
+            // deadlock watchdog would trigger.
+            const Cpu::StallState st = cpu.stallState(now - 1);
+            if (!st.stalled)
+                continue;
+            GRP_HOST_SCOPE(2, Events);
+            const Tick skip_to =
+                std::min({events.nextEventTick(), st.readyTick,
+                          mem.nextWorkTick(now - 1),
+                          cpu.deadlockTick(), due});
+            if (skip_to > now) {
+                cpu.fastForward(skip_to - now, st.robFullPath);
+                mem.fastForwardTicks(now, skip_to);
+                now = skip_to;
             }
         }
+        cycle = now;
+        return stop;
+    };
+    setup_scope.stop();
+
+    GRP_HOST_SCOPE_NAMED(loop_scope, 1, SimLoop);
+    bool stopped = run_until(warmup);
+    uint64_t warm_instructions = 0;
+    uint64_t warm_cycles = 0;
+    if (warmup > 0 && cpu.retiredInstructions() >= warmup) {
+        // End of warmup: discard cold-start statistics.
+        mem.resetStats();
+        if (engine.get())
+            engine->resetStats();
+        obs::Tracer::instance().setWarmup(false);
+        // Restart the site table with the measured window so its
+        // column sums reconcile with the post-reset registry
+        // totals (warmup-era fills still in flight attribute to
+        // the warmup columns via PrefetchFillInfo::warm).
+        obs::SiteProfiler::instance().clear();
+        if (controller)
+            controller->onWarmupBoundary();
+        warm_instructions = cpu.retiredInstructions();
+        warm_cycles = cycle;
     }
+    if (!stopped)
+        stopped = run_until(warmup + options.maxInstructions);
     loop_scope.stop();
     if (pulse) {
         pulse->finish(sample_pulse(cycle), stopped,
@@ -681,16 +710,12 @@ runWorkload(const std::string &workload_name, SimConfig config,
     GRP_HOST_SCOPE_NAMED(export_scope, 1, StatsExport);
     const ObsOptions &obs = options.obs;
     // Top-level additions to the stats JSON: the partial-run marker
-    // (only on interrupted runs) and the provenance block (only when
-    // asked). When neither fires the lambda emits nothing and the
-    // document is byte-identical to the historical format.
+    // (only on interrupted runs) and the provenance block.
     const auto stats_extra = [&](obs::JsonWriter &json) {
         if (result.partial)
             json.kv("partial", true);
-        if (obs.statsProvenance) {
-            json.key("provenance");
-            writeProvenance(json, config);
-        }
+        json.key("provenance");
+        writeProvenance(json, config);
     };
     const auto partial_extra = [&](obs::JsonWriter &json) {
         if (result.partial)

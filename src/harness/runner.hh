@@ -144,10 +144,6 @@ struct ObsOptions
     std::string pulsePath;
     /** Beat cadence and watchdog thresholds for the pulse stream. */
     PulseConfig pulse;
-    /** Append a provenance block (harness/provenance.hh) to the
-     *  stats JSON export. Off by default so existing artefacts stay
-     *  byte-identical; grpsim turns it on. */
-    bool statsProvenance = false;
 };
 
 /** Options for a run. */
@@ -172,13 +168,19 @@ struct RunOptions
 };
 
 /**
- * Simulate @p workload_name under @p config.
+ * Simulate @p workload under @p config: warm up, reset the
+ * statistics, then run the measured window.
  *
  * The compiler pipeline always runs (its statistics are reported
  * regardless), but the CPU executes the hinted binary only for
  * hint-consuming schemes, matching the paper's methodology of
- * separate binaries.
+ * separate binaries. A workload that is not in the registry (an
+ * example's own kernel) runs through this form.
  */
+RunResult runWorkload(Workload &workload, SimConfig config,
+                      const RunOptions &options);
+
+/** Simulate the registered workload @p workload_name. */
 RunResult runWorkload(const std::string &workload_name,
                       SimConfig config, const RunOptions &options);
 

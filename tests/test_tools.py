@@ -34,13 +34,17 @@ SIDECAR = {
     "bench": "tab",
     "threads": 1,
     "provenance": {"compiler": "test", "buildType": "Release"},
-    "totalWallSeconds": 2.0,
-    "simulatedInstructions": 1000,
+    "totalWallSeconds": 3.0,
+    "simulatedInstructions": 1500,
     "instructionsPerSecond": 500.0,
     "jobs": [{"label": "mcf/none", "wallSeconds": 2.0,
               "instructions": 1000,
               "hostProf": {"phases": {"Cpu": {
-                  "totalNanos": 9, "selfNanos": 5, "calls": 1}}}}],
+                  "totalNanos": 9, "selfNanos": 5, "calls": 1}}}},
+             {"label": "art/none", "wallSeconds": 1.0,
+              "instructions": 500,
+              "hostProf": {"phases": {"Cpu": {
+                  "totalNanos": 4, "selfNanos": 3, "calls": 2}}}}],
 }
 
 
@@ -181,9 +185,13 @@ class BenchManifest(ToolCase):
         result = self.finish(SIDECAR)
         self.assertEqual(result.returncode, 0, result.stderr)
         manifest = json.loads(self.manifest.read_text())
-        self.assertEqual(manifest["simulatedInstructions"], 1000)
+        self.assertEqual(manifest["simulatedInstructions"], 1500)
         bench = manifest["benches"]["tab"]
-        self.assertEqual(bench["hostPhases"]["Cpu"]["selfNanos"], 5)
+        # Per-job records stay in the sidecar; the manifest keeps only
+        # the per-bench aggregates, host phases summed over the jobs.
+        self.assertNotIn("jobs", bench)
+        self.assertEqual(bench["hostPhases"]["Cpu"],
+                         {"totalNanos": 13, "selfNanos": 8, "calls": 3})
 
     def test_sidecar_that_is_not_json(self):
         self.assert_sidecar_rejected(self.finish(b"{"), "<root>")

@@ -14,12 +14,13 @@ the GRP_INSTRUCTIONS override in effect, and the run's wall-clock
 duration. Each bench binary also drops a timing sidecar into
 bench/out/timings/<bench>.json (threads used, per-job wall clock,
 simulated instructions per second, and — when GRP_HOST_PROF >= 1 —
-per-job host-phase breakdowns); `finish` folds those into the
-manifest under "benches" and sums them into aggregate throughput
-figures. v3 adds host provenance (CPU model, compiler, build type
+per-job host-phase breakdowns); `finish` folds each sidecar's
+per-bench aggregates into the manifest under "benches" and sums them
+into aggregate throughput figures. The per-job records stay in the
+sidecars. v3 adds host provenance (CPU model, compiler, build type
 and flags, thread count) so perf_compare.py can tell a regression
-from a machine change, plus per-bench "hostPhases" aggregates of
-the job-level host profiles. bench_compare.py ignores the manifest
+from a machine change, plus per-bench "hostPhases" sums of the
+job-level host profiles. bench_compare.py ignores the manifest
 and the sidecars (they have no baselines — timing is
 machine-dependent by nature); perf_compare.py gates on the
 manifest's inst/s figures and diffs any two manifests.
@@ -152,7 +153,6 @@ def load_timings(out_dir):
         found = sidecar_problem(data)
         if found is not None:
             raise SidecarError(path, *found)
-        jobs = data.get("jobs", [])
         entry = {
             "threads": data.get("threads"),
             "wallSeconds": data.get("totalWallSeconds"),
@@ -160,11 +160,10 @@ def load_timings(out_dir):
                 "simulatedInstructions"),
             "instructionsPerSecond": data.get(
                 "instructionsPerSecond"),
-            "jobs": jobs,
         }
         if "provenance" in data:
             entry["provenance"] = data["provenance"]
-        host_phases = aggregate_host_phases(jobs)
+        host_phases = aggregate_host_phases(data.get("jobs", []))
         if host_phases:
             entry["hostPhases"] = host_phases
         timings[data.get("bench", path.stem)] = entry
