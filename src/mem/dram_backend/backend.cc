@@ -81,12 +81,12 @@ DramBackend::noteChannelCycle(unsigned channel, Tick now)
     ++*counters.slots[4]; // Accounted cycles for this channel.
     ++*contentionCounters_[slot];
     if (bankAccounting_)
-        accountBankCycle(channel, now);
+        accountBankCycles(channel, now, 1);
 }
 
 void
-DramBackend::noteChannelCycles(unsigned channel, uint64_t busy_cycles,
-                               uint64_t idle_cycles)
+DramBackend::noteChannelCycles(unsigned channel, Tick from,
+                               uint64_t busy_cycles, uint64_t idle_cycles)
 {
     const Channel &ch = channels_[channel];
     ChannelCycleCounters &counters = cycleCounters_[channel];
@@ -106,11 +106,11 @@ DramBackend::noteChannelCycles(unsigned channel, uint64_t busy_cycles,
     }
     *counters.slots[4] += busy_cycles + idle_cycles;
     if (bankAccounting_)
-        accountBankCycles(channel, busy_cycles + idle_cycles);
+        accountBankCycles(channel, from, busy_cycles + idle_cycles);
 }
 
 void
-DramBackend::noteAllIdleCycle()
+DramBackend::noteAllIdleCycle(Tick now)
 {
     for (ChannelCycleCounters &counters : cycleCounters_) {
         ++*counters.slots[3]; // Idle.
@@ -119,7 +119,7 @@ DramBackend::noteAllIdleCycle()
     *contentionCounters_[3] += channels_.size();
     if (bankAccounting_) {
         for (unsigned ch = 0; ch < config_.channels; ++ch)
-            accountBankCycles(ch, 1);
+            accountBankCycles(ch, now, 1);
     }
 }
 

@@ -153,8 +153,9 @@ class DramBackend
     }
 
     /** True when this backend queues commands internally: serve()
-     *  returns kTickPending, tick()/popCompleted() must be driven
-     *  every busy cycle, and canAccept() gates arbitration. */
+     *  returns kTickPending, tick()/popCompleted() must be driven at
+     *  least at every nextTransitionTick(), and canAccept() gates
+     *  arbitration. */
     bool queued() const { return queued_; }
 
     /** Advance internal command scheduling to @p now (queued
@@ -178,10 +179,12 @@ class DramBackend
         return channelIdle(channel, now);
     }
 
-    /** First tick after @p now at which this backend changes state on
-     *  its own (queued backends return now + 1 while any command is
-     *  pending; immediate backends never do — their completions are
-     *  events the caller already tracks). Bounds stall fast-forward. */
+    /** First tick after @p now at which tick() would change this
+     *  backend's state: retire, commit or schedule a transfer.
+     *  Between @p now and that tick, tick() and popCompleted() do
+     *  nothing, so the stall fast-forward may skip there. kMaxTick
+     *  when nothing is pending; immediate backends always return it
+     *  (their completions are events the caller already tracks). */
     virtual Tick
     nextTransitionTick(Tick now) const
     {
@@ -203,19 +206,21 @@ class DramBackend
     void noteChannelCycle(unsigned channel, Tick now);
 
     /**
-     * Batched form of noteChannelCycle for the stall fast-forward: in
-     * a window where the channel's occupant cannot change, @p
-     * busy_cycles cycles attribute to the current occupant's class and
-     * @p idle_cycles to idle — byte-identical to calling
-     * noteChannelCycle once per cycle across the window.
+     * Batched form of noteChannelCycle for the stall fast-forward:
+     * over the window [@p from, @p from + busy + idle), in which
+     * tick() changes nothing, the first @p busy_cycles cycles
+     * attribute to the current occupant's class and the rest to idle
+     * — byte-identical to calling noteChannelCycle once per cycle
+     * across the window.
      */
-    void noteChannelCycles(unsigned channel, uint64_t busy_cycles,
-                           uint64_t idle_cycles);
+    void noteChannelCycles(unsigned channel, Tick from,
+                           uint64_t busy_cycles, uint64_t idle_cycles);
 
-    /** One all-channels-idle cycle: equivalent to noteChannelCycle on
-     *  every (idle) channel, minus the per-channel dispatch — the
-     *  accounting arm of the memory system's quiet-cycle fast path. */
-    void noteAllIdleCycle();
+    /** One all-channels-idle cycle at @p now: equivalent to
+     *  noteChannelCycle on every (idle) channel, minus the
+     *  per-channel dispatch — the accounting arm of the memory
+     *  system's quiet-cycle fast path. */
+    void noteAllIdleCycle(Tick now);
 
     /** Demand requests spent @p waiting request-cycles stalled behind
      *  an in-flight prefetch transfer the prioritizer could not
@@ -298,23 +303,17 @@ class DramBackend
 
     /** Per-bank state-cycle accounting hook, invoked from the note*
      *  functions only when the subclass set bankAccounting_ (the
-     *  legacy path keeps zero virtual dispatch per cycle). One
-     *  accounted channel cycle must add exactly one cycle to exactly
-     *  one state counter of every bank on the channel. */
+     *  legacy path keeps zero virtual dispatch per cycle). Each cycle
+     *  of [@p from, @p from + @p cycles) adds exactly one cycle to
+     *  exactly one state counter of every bank on the channel: the
+     *  bank's state at that cycle. The per-cycle path passes one
+     *  cycle; the stall fast-forward passes a window in which tick()
+     *  records no new command, though banks may be mid-ACT, PRE or
+     *  refresh across it. */
     virtual void
-    accountBankCycle(unsigned channel, Tick now)
+    accountBankCycles(unsigned channel, Tick from, uint64_t cycles)
     {
-        (void)channel; (void)now;
-    }
-
-    /** Batched form of accountBankCycle for windows in which no bank
-     *  can change state (quiet fast path / stall fast-forward, both
-     *  of which only occur with the backend fully drained): @p cycles
-     *  cycles attribute to each bank's resting state. */
-    virtual void
-    accountBankCycles(unsigned channel, uint64_t cycles)
-    {
-        (void)channel; (void)cycles;
+        (void)channel; (void)from; (void)cycles;
     }
 
     DramConfig config_;
@@ -335,7 +334,7 @@ class DramBackend
     size_t pendingWork_ = 0;
     /** Set by queued subclasses (see queued()). */
     bool queued_ = false;
-    /** Enables the accountBankCycle(s) hooks. */
+    /** Enables the accountBankCycles hook. */
     bool bankAccounting_ = false;
 
     /** Cached per-channel cycle counters (demand, prefetch,

@@ -7,6 +7,20 @@
 namespace grp
 {
 
+namespace
+{
+
+/** Ticks of [@p lo, @p hi) that fall inside [@p start, @p end). */
+uint64_t
+overlap(Tick lo, Tick hi, Tick start, Tick end)
+{
+    lo = std::max(lo, start);
+    hi = std::min(hi, end);
+    return hi > lo ? hi - lo : 0;
+}
+
+} // namespace
+
 TimingDramSystem::TimingDramSystem(const DramConfig &config,
                                    const DramTimingParams &params,
                                    std::string preset_name,
@@ -15,8 +29,12 @@ TimingDramSystem::TimingDramSystem(const DramConfig &config,
       params_(params),
       presetName_(std::move(preset_name))
 {
+    // A zero tCAS would let a row hit on a free bus start its data
+    // burst on the tick that scheduled it, before tick() can commit
+    // it; nextTransitionTick relies on every burst starting later.
     fatal_if(params_.tBURST == 0 || params_.tRCD == 0 ||
-             params_.tRP == 0 || params_.queueDepth == 0,
+             params_.tCAS == 0 || params_.tRP == 0 ||
+             params_.queueDepth == 0,
              "timing preset %s has zero constraints",
              presetName_.c_str());
     queued_ = true;
@@ -42,12 +60,22 @@ TimingDramSystem::TimingDramSystem(const DramConfig &config,
             const std::string prefix = "ch" + std::to_string(ch) +
                                        "bank" + std::to_string(b);
             for (unsigned s = 0; s < 5; ++s) {
-                bankCounters_[ch][b][s] =
+                bankCounters_[ch][b].state[s] =
                     &stats_.counter(prefix + kStates[s] + "Cycles");
             }
+            setOpenRow(ch, b, -1);
         }
     }
     refreshCounter_ = &stats_.counter("refreshes");
+}
+
+void
+TimingDramSystem::setOpenRow(unsigned channel, unsigned bank, int64_t row)
+{
+    channels_[channel].banks[bank].openRow = row;
+    BankCounters &c = bankCounters_[channel][bank];
+    c.resting = c.state[static_cast<unsigned>(
+        row >= 0 ? BankState::Open : BankState::Idle)];
 }
 
 void
@@ -101,9 +129,10 @@ TimingDramSystem::catchUpRefresh(unsigned channel, Tick now)
     const Tick ref_start = std::max(now, ct.busFreeAt);
     const Tick ref_end = ref_start + Tick{owed} * params_.tRFC;
     for (unsigned b = 0; b < config_.banksPerChannel; ++b) {
-        channels_[channel].banks[b].openRow = -1;
+        setOpenRow(channel, b, -1);
         ct.banks[b].refUntil = std::max(ct.banks[b].refUntil, ref_end);
     }
+    ct.windowsEnd = std::max(ct.windowsEnd, ref_end);
     for (unsigned i = 0; i < owed; ++i) {
         logCmd(Cmd::Ref, ref_start + Tick{i} * params_.tRFC, channel, 0,
                -1);
@@ -158,7 +187,7 @@ TimingDramSystem::scheduleOne(unsigned channel, Tick now)
     const Addr addr = chosen.req.blockAddr;
     const unsigned b = bankOf(addr);
     BankTiming &bt = ct.banks[b];
-    Bank &bank = channels_[channel].banks[b];
+    const Bank &bank = channels_[channel].banks[b];
     const int64_t row = static_cast<int64_t>(rowOf(addr));
 
     Tick rd_at;
@@ -195,8 +224,8 @@ TimingDramSystem::scheduleOne(unsigned channel, Tick now)
         bt.actStart = act_at;
         bt.actEnd = act_at + params_.tRCD;
         bt.rasUntil = act_at + params_.tRAS;
-        bt.everActivated = true;
-        bank.openRow = row;
+        ct.windowsEnd = std::max(ct.windowsEnd, bt.actEnd);
+        setOpenRow(channel, b, row);
         logCmd(Cmd::Act, act_at, channel, b, row);
         rd_at = bt.actEnd;
         ++*rowConflictCounter_;
@@ -223,9 +252,9 @@ TimingDramSystem::tick(Tick now)
     for (unsigned ch = 0; ch < config_.channels; ++ch) {
         ChannelTiming &ct = chTiming_[ch];
 
-        // Retire finished transfers. tick() runs every cycle while
-        // any command is pending (nextTransitionTick pins the stall
-        // fast-forward), so completed_ stays in true
+        // Retire finished transfers. tick() runs at every front
+        // transfer's dataEnd (a nextTransitionTick the stall
+        // fast-forward stops at), so completed_ stays in true
         // (dataEnd, channel) order.
         while (!ct.inFlight.empty() &&
                ct.inFlight.front().dataEnd <= now) {
@@ -254,6 +283,35 @@ TimingDramSystem::tick(Tick now)
     }
 }
 
+Tick
+TimingDramSystem::nextTransitionTick(Tick now) const
+{
+    if (pendingWork_ == 0)
+        return kMaxTick;
+    // tick() changes state only when it commits the front transfer as
+    // the bus occupant (at its dataStart), retires it (at its
+    // dataEnd) or schedules a queued request (once the bus is within
+    // the two-burst lookahead of free). A transfer starts strictly
+    // after the tick that scheduled it (tCAS > 0), so a front that
+    // started by @p now was committed then and next changes at its
+    // dataEnd.
+    const Tick lookahead = Tick{2} * params_.tBURST;
+    Tick next = kMaxTick;
+    for (const ChannelTiming &ct : chTiming_) {
+        if (!ct.inFlight.empty()) {
+            const InFlight &front = ct.inFlight.front();
+            next = std::min(next, front.dataStart > now ? front.dataStart
+                                                        : front.dataEnd);
+        }
+        if (!ct.queue.empty()) {
+            next = std::min(next, ct.busFreeAt > now + 1 + lookahead
+                                      ? ct.busFreeAt - lookahead
+                                      : now + 1);
+        }
+    }
+    return next;
+}
+
 std::optional<MemRequest>
 TimingDramSystem::popCompleted(Tick now)
 {
@@ -275,7 +333,7 @@ TimingDramSystem::bankState(unsigned channel, unsigned bank,
         return BankState::Refreshing;
     if (bt.preStart <= now && now < bt.preEnd)
         return BankState::Precharging;
-    if (bt.everActivated && bt.actStart <= now && now < bt.actEnd)
+    if (bt.actStart <= now && now < bt.actEnd)
         return BankState::Activating;
     return channels_[channel].banks[bank].openRow >= 0
                ? BankState::Open
@@ -303,28 +361,44 @@ TimingDramSystem::activeBanks(Tick now) const
 }
 
 void
-TimingDramSystem::accountBankCycle(unsigned channel, Tick now)
+TimingDramSystem::accountBankCycles(unsigned channel, Tick from,
+                                    uint64_t cycles)
 {
     auto &counters = bankCounters_[channel];
-    for (unsigned b = 0; b < config_.banksPerChannel; ++b) {
-        const unsigned s =
-            static_cast<unsigned>(bankState(channel, b, now));
-        ++*counters[b][s];
+    const ChannelTiming &ct = chTiming_[channel];
+    // Resting fast path: every recorded window has ended, so each
+    // bank holds its resting state across the whole window.
+    if (from >= ct.windowsEnd) {
+        for (BankCounters &c : counters)
+            *c.resting += cycles;
+        return;
     }
-}
 
-void
-TimingDramSystem::accountBankCycles(unsigned channel, uint64_t cycles)
-{
-    // Batched windows only occur with the backend fully drained (see
-    // nextTransitionTick), where every bank rests Open or Idle.
-    auto &counters = bankCounters_[channel];
-    const auto &banks = channels_[channel].banks;
+    // Split [from, to) by bankState's priority: refresh covers every
+    // tick before refUntil, then precharge and activate their
+    // windows, and the remainder rests. A bank's PRE window always
+    // ends before its ACT window starts, so those two never overlap.
+    const Tick to = from + cycles;
     for (unsigned b = 0; b < config_.banksPerChannel; ++b) {
-        const unsigned s = banks[b].openRow >= 0
-                               ? static_cast<unsigned>(BankState::Open)
-                               : static_cast<unsigned>(BankState::Idle);
-        *counters[b][s] += cycles;
+        const BankTiming &bt = ct.banks[b];
+        BankCounters &c = counters[b];
+        if (from >= std::max({bt.refUntil, bt.preEnd, bt.actEnd})) {
+            *c.resting += cycles;
+            continue;
+        }
+        const Tick awake = std::clamp(bt.refUntil, from, to);
+        const uint64_t refreshing = awake - from;
+        const uint64_t precharging =
+            overlap(awake, to, bt.preStart, bt.preEnd);
+        const uint64_t activating =
+            overlap(awake, to, bt.actStart, bt.actEnd);
+        *c.state[static_cast<unsigned>(BankState::Refreshing)] +=
+            refreshing;
+        *c.state[static_cast<unsigned>(BankState::Precharging)] +=
+            precharging;
+        *c.state[static_cast<unsigned>(BankState::Activating)] +=
+            activating;
+        *c.resting += cycles - refreshing - precharging - activating;
     }
 }
 
@@ -342,8 +416,13 @@ TimingDramSystem::reset()
         ct.actIdx = 0;
         ct.actSeen = 0;
         ct.refreshDue = params_.tREFI;
+        ct.windowsEnd = 0;
         for (BankTiming &bt : ct.banks)
             bt = BankTiming{};
+    }
+    for (unsigned ch = 0; ch < config_.channels; ++ch) {
+        for (unsigned b = 0; b < config_.banksPerChannel; ++b)
+            setOpenRow(ch, b, -1);
     }
     completed_.clear();
     nextSeq_ = 0;

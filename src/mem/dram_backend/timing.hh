@@ -79,11 +79,7 @@ class TimingDramSystem final : public DramBackend
         return chTiming_[channel].queue.size() < params_.queueDepth;
     }
 
-    Tick
-    nextTransitionTick(Tick now) const override
-    {
-        return pendingWork_ ? now + 1 : kMaxTick;
-    }
+    Tick nextTransitionTick(Tick now) const override;
 
     const char *name() const override { return presetName_.c_str(); }
 
@@ -131,7 +127,6 @@ class TimingDramSystem final : public DramBackend
         Tick actEnd = 0;   ///< actStart + tRCD.
         Tick rasUntil = 0; ///< Earliest next PRE (actStart + tRAS).
         Tick refUntil = 0; ///< All-bank refresh in progress until.
-        bool everActivated = false;
     };
 
     struct QueuedReq
@@ -167,11 +162,16 @@ class TimingDramSystem final : public DramBackend
         unsigned actIdx = 0;
         unsigned actSeen = 0;
         Tick refreshDue = 0;
+        /** Every bank's recorded ACT/PRE/refresh windows end by this
+         *  tick; from here on each bank rests Open or Idle. */
+        Tick windowsEnd = 0;
         std::vector<BankTiming> banks;
     };
 
     void logCmd(Cmd cmd, Tick tick, unsigned channel, unsigned bank,
                 int64_t row);
+    /** Set @p bank's open row (-1 closes it) and its resting counter. */
+    void setOpenRow(unsigned channel, unsigned bank, int64_t row);
     /** Charge owed refresh intervals before scheduling (see file
      *  comment). */
     void catchUpRefresh(unsigned channel, Tick now);
@@ -180,8 +180,8 @@ class TimingDramSystem final : public DramBackend
     /** Schedule at most one queued request's command timeline. */
     void scheduleOne(unsigned channel, Tick now);
 
-    void accountBankCycle(unsigned channel, Tick now) override;
-    void accountBankCycles(unsigned channel, uint64_t cycles) override;
+    void accountBankCycles(unsigned channel, Tick from,
+                           uint64_t cycles) override;
 
     DramTimingParams params_;
     std::string presetName_;
@@ -192,9 +192,16 @@ class TimingDramSystem final : public DramBackend
     uint64_t nextSeq_ = 0;
     std::vector<CommandRecord> *log_ = nullptr;
 
-    /** Per-bank per-state cycle counters, cached; indexed
-     *  [channel][bank][BankState]. */
-    std::vector<std::vector<std::array<Counter *, 5>>> bankCounters_;
+    /** One bank's state-cycle counters, cached. */
+    struct BankCounters
+    {
+        std::array<Counter *, 5> state{}; ///< Indexed by BankState.
+        /** state[Open] or state[Idle], following the bank's openRow
+         *  (kept by setOpenRow). */
+        Counter *resting = nullptr;
+    };
+    /** Indexed [channel][bank]. */
+    std::vector<std::vector<BankCounters>> bankCounters_;
     Counter *refreshCounter_ = nullptr;
 };
 

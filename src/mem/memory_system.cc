@@ -448,7 +448,7 @@ MemorySystem::tick()
     if (queuedDemand_ == 0 && queuedWriteback_ == 0 &&
         dram_->allIdle(now) &&
         (!engine_ || (!prefetchStall() && engine_->queueDepth() == 0))) {
-        dram_->noteAllIdleCycle();
+        dram_->noteAllIdleCycle(now);
         return;
     }
 
@@ -494,17 +494,22 @@ MemorySystem::nextWorkTick(Tick now) const
     const bool gates_open =
         engine_ && engine_->queueDepth() > 0 && !prefetchStall();
 
-    Tick next = kMaxTick;
-    // A queued backend transitions on its own every cycle while any
-    // command is pending; no window may skip over that.
-    if (timingMode_)
-        next = dram_->nextTransitionTick(now);
+    // A queued backend retires, commits and schedules transfers on
+    // its own; no window may skip over its next transition.
+    Tick next = timingMode_ ? dram_->nextTransitionTick(now) : kMaxTick;
     for (unsigned ch = 0; ch < config_.dram.channels; ++ch) {
-        // A channel does new work at its first idle cycle, when it
-        // either starts a queued access or (gates open, candidates
-        // pending) may draw a prefetch.
+        // A channel does new work once it can issue, when it either
+        // starts a queued access or (gates open, candidates pending)
+        // may draw a prefetch.
         if (demandQueues_[ch].empty() && writebackQueues_[ch].empty() &&
             !gates_open) {
+            continue;
+        }
+        if (timingMode_) {
+            // A full command queue frees a slot only at a backend
+            // transition, which already bounds next.
+            if (dram_->canAccept(ch, now + 1))
+                return now + 1;
             continue;
         }
         const Tick first_idle =
@@ -521,10 +526,12 @@ MemorySystem::fastForwardTicks(Tick from, Tick to)
         return;
     const uint64_t span = to - from;
 
-    // The stall an idle channel's tryIssuePrefetch would fold each
-    // cycle. With the gates open the runner only skips cycles while
-    // the engine's queue is empty, where the draw loop touches no
-    // counter.
+    // The stall tryIssuePrefetch would fold each cycle the channel
+    // can issue: every bus-idle cycle on the legacy backend, every
+    // cycle with command-queue space on a queued one (the queue
+    // cannot change inside the window). With the gates open the
+    // runner only skips cycles while the engine's queue is empty,
+    // where the draw loop touches no counter.
     const std::optional<obs::StallReason> stall =
         engine_ ? prefetchStall() : std::nullopt;
 
@@ -535,12 +542,18 @@ MemorySystem::fastForwardTicks(Tick from, Tick to)
                 ? 0
                 : std::min<uint64_t>(busy_until - from, span);
         const uint64_t idle = span - busy;
-        dram_->noteChannelCycles(ch, busy, idle);
-        if (idle && stall) {
-            lifecycle_.note({obs::TraceEvent::Stall, 0,
-                             obs::HintClass::None, static_cast<int>(ch),
-                             static_cast<int64_t>(*stall)},
-                            idle);
+        dram_->noteChannelCycles(ch, from, busy, idle);
+        if (stall) {
+            const uint64_t stalled =
+                timingMode_ ? (dram_->canAccept(ch, from) ? span : 0)
+                            : idle;
+            if (stalled) {
+                lifecycle_.note({obs::TraceEvent::Stall, 0,
+                                 obs::HintClass::None,
+                                 static_cast<int>(ch),
+                                 static_cast<int64_t>(*stall)},
+                                stalled);
+            }
         }
         if (busy)
             chargeContention(ch, busy);

@@ -114,9 +114,12 @@ class MemorySystem
     /**
      * First tick after @p now at which tick() could do more than
      * repeat this cycle's accounting: start a queued demand/writeback
-     * access, or draw a prefetch candidate (kMaxTick when nothing is
-     * queued anywhere). Until then every cycle's work is a fixed
-     * increment, which fastForwardTicks() applies in one batch.
+     * access, draw a prefetch candidate, or (queued backends) reach
+     * the backend's next transition (kMaxTick when nothing is queued
+     * anywhere). On a queued backend a channel can issue only while
+     * its command queue has space. Until then every cycle's work is
+     * a fixed increment, which fastForwardTicks() applies in one
+     * batch.
      */
     Tick nextWorkTick(Tick now) const;
 

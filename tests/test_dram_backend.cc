@@ -1,6 +1,7 @@
 /** @file Tests for the pluggable DRAM backend layer: factory/env
  *  resolution, timing-model protocol invariants checked against the
  *  recorded command stream, FR-FCFS demand priority, refresh cadence,
+ *  skipping to nextTransitionTick against per-cycle ticking,
  *  stat-schema parity with the legacy model, and the per-bank
  *  state-cycle accounting identity. */
 
@@ -9,6 +10,9 @@
 #include <algorithm>
 #include <cstdlib>
 #include <map>
+#include <stdexcept>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "harness/provenance.hh"
@@ -47,6 +51,18 @@ makeAddr(const DramConfig &cfg, unsigned channel, unsigned bank,
     return static_cast<Addr>(block_number) << kBlockShift;
 }
 
+/** A DramConfig naming @p preset, with its geometry. */
+DramConfig
+presetConfig(const DramPreset &preset)
+{
+    DramConfig cfg;
+    cfg.backend = preset.name;
+    cfg.channels = preset.channels;
+    cfg.banksPerChannel = preset.banksPerChannel;
+    cfg.rowBytes = preset.rowBytes;
+    return cfg;
+}
+
 class DramBackendTest : public ::testing::Test
 {
   protected:
@@ -62,13 +78,8 @@ class DramBackendTest : public ::testing::Test
     {
         const DramPreset *preset = findDramPreset(preset_name);
         EXPECT_NE(preset, nullptr);
-        DramConfig cfg;
-        cfg.backend = preset_name;
-        cfg.channels = preset->channels;
-        cfg.banksPerChannel = preset->banksPerChannel;
-        cfg.rowBytes = preset->rowBytes;
-        return std::make_unique<TimingDramSystem>(cfg, preset->timing,
-                                                  preset_name);
+        return std::make_unique<TimingDramSystem>(
+            presetConfig(*preset), preset->timing, preset_name);
     }
 
     /** Tick @p dram from @p from to @p to inclusive, draining
@@ -125,6 +136,19 @@ TEST_F(DramBackendTest, PresetGeometryAppliedOnResolve)
     EXPECT_TRUE(dram->queued());
     EXPECT_STREQ(dram->name(), "hbm2");
     EXPECT_EQ(dram->config().channels, preset->channels);
+}
+
+TEST_F(DramBackendTest, ZeroCasLatencyIsRejected)
+{
+    // The transition rule needs every burst to start after the tick
+    // that scheduled it; a zero tCAS breaks that for row hits.
+    const DramPreset *preset = findDramPreset("ddr4-2400");
+    ASSERT_NE(preset, nullptr);
+    DramTimingParams timing = preset->timing;
+    timing.tCAS = 0;
+    EXPECT_THROW(TimingDramSystem(presetConfig(*preset), timing,
+                                  "zero-cas"),
+                 std::runtime_error);
 }
 
 TEST_F(DramBackendTest, EveryPresetConstructs)
@@ -398,6 +422,317 @@ TEST_F(DramBackendTest, ProtocolInvariantsUnderRandomTraffic)
     }
 }
 
+// ---------------------------------------------------------------------
+// Skipping to nextTransitionTick, the stall fast-forward's contract.
+// ---------------------------------------------------------------------
+
+/** One request of the test traffic, offered at @c tick. */
+struct Arrival
+{
+    Tick tick;
+    Addr addr;
+    ReqClass cls;
+};
+
+/** Bursts of mixed-class LCG traffic separated by quiet stretches of
+ *  up to 3,000 cycles, over [0, @p horizon]. Bursts offer up to
+ *  three requests per tick, enough to fill command queues. */
+std::vector<Arrival>
+lcgTraffic(const DramConfig &cfg, Tick horizon)
+{
+    std::vector<Arrival> arrivals;
+    uint64_t lcg = 0x9E3779B97F4A7C15ull;
+    const auto draw = [&lcg] {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        return lcg >> 16;
+    };
+    Tick now = 0;
+    while (now <= horizon) {
+        const Tick burst_end = now + 50 + draw() % 400;
+        for (; now < burst_end && now <= horizon; ++now) {
+            const uint64_t r = draw();
+            if (r % 4 != 0)
+                continue;
+            for (unsigned n = 1 + (r >> 2) % 3; n > 0; --n) {
+                const uint64_t x = draw();
+                const unsigned ch = x % cfg.channels;
+                const unsigned bank = (x >> 8) % cfg.banksPerChannel;
+                const uint64_t row = (x >> 16) % 6;
+                const unsigned block = (x >> 24) % 4;
+                const unsigned c = (x >> 32) % 8;
+                const ReqClass cls = c < 3   ? ReqClass::Demand
+                                     : c < 7 ? ReqClass::Prefetch
+                                             : ReqClass::Writeback;
+                arrivals.push_back(
+                    {now, makeAddr(cfg, ch, bank, row, block), cls});
+            }
+        }
+        now += draw() % 3000;
+    }
+    return arrivals;
+}
+
+/** Per-bank state counter suffixes, in BankState order. */
+const char *const kBankStates[5] = {
+    "Idle", "Open", "Activating", "Precharging", "Refreshing",
+};
+
+/** What one drive of a backend produced. */
+struct BackendRun
+{
+    std::vector<std::tuple<Tick, Cmd, unsigned, unsigned, int64_t>> log;
+    /** (block address, tick popped) per delivered fill. */
+    std::vector<std::pair<Addr, Tick>> fills;
+    std::map<std::string, uint64_t> counters;
+    /** Per-cycle mode only: bankState() tallied at every noted
+     *  cycle, keyed like the per-bank state counters. */
+    std::map<std::string, uint64_t> bankStates;
+    uint64_t steps = 0; ///< Ticks on which tick() ran.
+};
+
+/**
+ * Drive @p dram through @p arrivals up to @p horizon the way
+ * MemorySystem::tick does on each stepped tick: tick(), drain
+ * completions, serve the tick's arrivals that fit, note every
+ * channel's cycle. Per-cycle mode steps every tick. Skip mode steps
+ * only at arrival ticks and nextTransitionTick, and books each gap
+ * with one noteChannelCycles per channel, splitting busy from idle
+ * at channelBusyUntil as MemorySystem::fastForwardTicks does.
+ */
+BackendRun
+drive(TimingDramSystem &dram, const std::vector<Arrival> &arrivals,
+      Tick horizon, bool skip)
+{
+    BackendRun out;
+    std::vector<CommandRecord> log;
+    dram.setCommandLog(&log);
+    const unsigned channels = dram.config().channels;
+    const unsigned banks = dram.config().banksPerChannel;
+    std::vector<uint64_t> states(size_t{channels} * banks * 5);
+    const auto book = [&](Tick from, Tick to) {
+        const uint64_t span = to - from;
+        for (unsigned ch = 0; ch < channels; ++ch) {
+            const Tick busy_until = dram.channelBusyUntil(ch);
+            const uint64_t busy =
+                busy_until <= from
+                    ? 0
+                    : std::min<uint64_t>(busy_until - from, span);
+            dram.noteChannelCycles(ch, from, busy, span - busy);
+        }
+    };
+
+    size_t next_arrival = 0;
+    Tick booked = 0; // Every channel cycle before this is noted.
+    for (Tick now = 0; now <= horizon;) {
+        if (now > booked)
+            book(booked, now);
+        dram.tick(now);
+        while (auto req = dram.popCompleted(now))
+            out.fills.emplace_back(req->blockAddr, now);
+        for (; next_arrival < arrivals.size() &&
+               arrivals[next_arrival].tick == now;
+             ++next_arrival) {
+            const Arrival &a = arrivals[next_arrival];
+            if (dram.canAccept(dram.channelOf(a.addr), now))
+                dram.serve(a.addr, now, a.cls);
+        }
+        for (unsigned ch = 0; ch < channels; ++ch) {
+            dram.noteChannelCycle(ch, now);
+            for (unsigned b = 0; !skip && b < banks; ++b) {
+                const auto state = dram.bankState(ch, b, now);
+                ++states[(ch * banks + b) * 5 +
+                         static_cast<unsigned>(state)];
+            }
+        }
+        booked = now + 1;
+        ++out.steps;
+
+        const Tick transition = dram.nextTransitionTick(now);
+        EXPECT_GT(transition, now);
+        // Drained (nothing queued, in flight or undelivered) exactly
+        // when the backend has no transition of its own ahead.
+        EXPECT_EQ(transition == kMaxTick, dram.allIdle(now))
+            << "tick " << now;
+        Tick next = now + 1;
+        if (skip) {
+            next = std::min(transition, horizon + 1);
+            if (next_arrival < arrivals.size())
+                next = std::min(next, arrivals[next_arrival].tick);
+        }
+        now = next;
+    }
+    if (horizon + 1 > booked)
+        book(booked, horizon + 1);
+    dram.setCommandLog(nullptr);
+
+    for (const CommandRecord &c : log)
+        out.log.emplace_back(c.tick, c.cmd, c.channel, c.bank, c.row);
+    for (const auto &[name, counter] : dram.stats().counters())
+        out.counters.emplace(name, counter.value());
+    for (unsigned ch = 0; !skip && ch < channels; ++ch) {
+        for (unsigned b = 0; b < banks; ++b) {
+            for (unsigned s = 0; s < 5; ++s) {
+                out.bankStates.emplace(
+                    "ch" + std::to_string(ch) + "bank" +
+                        std::to_string(b) + kBankStates[s] + "Cycles",
+                    states[(ch * banks + b) * 5 + s]);
+            }
+        }
+    }
+    return out;
+}
+
+TEST_F(DramBackendTest, SkippingToTransitionsMatchesPerCycleTicking)
+{
+    // The presets, plus ddr4-2400 with tCAS below tBURST and a short
+    // tREFI: refresh is then charged while an ACT scheduled earlier
+    // is still under way, so bankState's refresh-first priority
+    // decides that window's cycles.
+    const std::string kShortCas = "ddr4-2400, tCAS 1, tBURST 16";
+    for (const std::string name :
+         {"ddr4-2400", "hbm2", "lpddr4", kShortCas.c_str()}) {
+        SCOPED_TRACE(name);
+        const auto make = [&] {
+            if (name != kShortCas)
+                return makeTiming(name);
+            const DramPreset *preset = findDramPreset("ddr4-2400");
+            DramTimingParams timing = preset->timing;
+            timing.tCAS = 1;
+            timing.tBURST = 16;
+            timing.tREFI = 1500;
+            return std::make_unique<TimingDramSystem>(
+                presetConfig(*preset), timing, name);
+        };
+        auto step_dram = make();
+        auto skip_dram = make();
+        // Past two refresh intervals, so owed refresh is charged at
+        // the first scheduling decision after a skipped stretch.
+        const Tick horizon = Tick{2} * step_dram->timing().tREFI + 4000;
+        const std::vector<Arrival> arrivals =
+            lcgTraffic(step_dram->config(), horizon);
+
+        const BackendRun step =
+            drive(*step_dram, arrivals, horizon, false);
+        const BackendRun skip = drive(*skip_dram, arrivals, horizon, true);
+
+        EXPECT_EQ(step.steps, horizon + 1);
+        EXPECT_LT(skip.steps, step.steps / 2);
+        EXPECT_GT(step.fills.size(), 100u);
+        EXPECT_GE(step.counters.at("refreshes"),
+                  2u * step_dram->config().channels);
+        EXPECT_EQ(skip.log, step.log);
+        EXPECT_EQ(skip.fills, step.fills);
+        EXPECT_EQ(skip.counters, step.counters);
+        // The accounting hook reproduces bankState cycle by cycle,
+        // and the traffic takes banks through ACT, PRE and refresh.
+        for (const auto &[name, cycles] : step.bankStates)
+            EXPECT_EQ(step.counters.at(name), cycles) << name;
+        for (const char *state : {"Activating", "Precharging",
+                                  "Refreshing"}) {
+            EXPECT_GT(skip.counters.at(std::string("ch0bank0") + state +
+                                       "Cycles"),
+                      0u)
+                << state;
+        }
+    }
+}
+
+/** What one drive of a memory system produced. */
+struct MemoryRun
+{
+    /** (token, tick) per completed load. */
+    std::vector<std::pair<uint64_t, Tick>> loads;
+    std::map<std::string, uint64_t> counters; ///< mem.* and dram.*.
+    uint64_t steps = 0; ///< Ticks on which MemorySystem::tick ran.
+};
+
+/**
+ * Drive a ddr4-2400 MemorySystem through @p arrivals (loads) up to
+ * @p horizon as the runner does around a stalled CPU. Per-cycle mode
+ * ticks every cycle. Skip mode steps only at arrival ticks, event
+ * ticks and nextWorkTick, and books each gap with fastForwardTicks.
+ */
+MemoryRun
+driveMemory(const std::vector<Arrival> &arrivals, Tick horizon,
+            bool skip)
+{
+    MemoryRun out;
+    SimConfig config;
+    config.dram.backend = "ddr4-2400";
+    EventQueue events;
+    MemorySystem mem(config, events);
+    mem.setLoadCallback([&](uint64_t token) {
+        out.loads.emplace_back(token, events.curTick());
+    });
+
+    size_t next_arrival = 0;
+    uint64_t token = 0;
+    for (Tick now = 0; now <= horizon;) {
+        events.advanceTo(now);
+        for (; next_arrival < arrivals.size() &&
+               arrivals[next_arrival].tick == now;
+             ++next_arrival) {
+            mem.load(arrivals[next_arrival].addr, 0, {}, token++);
+        }
+        mem.tick();
+        ++out.steps;
+
+        const Tick work = mem.nextWorkTick(now);
+        EXPECT_GT(work, now);
+        Tick next = now + 1;
+        if (skip) {
+            next = std::min({work, events.nextEventTick(), horizon + 1});
+            if (next_arrival < arrivals.size())
+                next = std::min(next, arrivals[next_arrival].tick);
+            mem.fastForwardTicks(now + 1, next);
+        }
+        now = next;
+    }
+
+    for (const StatGroup *group : {&mem.stats(), &mem.dram().stats()}) {
+        for (const auto &[name, counter] : group->counters())
+            out.counters.emplace(group->name() + "." + name,
+                                 counter.value());
+    }
+    return out;
+}
+
+TEST_F(DramBackendTest, SkippingToNextWorkTickMatchesPerCycleTicking)
+{
+    // Loads arrive in same-tick bursts on one channel, so demand
+    // waits in the memory system while the command queue has space
+    // and the bus is busy: a skip past the next cycle would delay its
+    // entry into the queue and change FR-FCFS's choice.
+    const DramPreset *preset = findDramPreset("ddr4-2400");
+    ASSERT_NE(preset, nullptr);
+    const DramConfig cfg = presetConfig(*preset);
+    std::vector<Arrival> arrivals;
+    uint64_t lcg = 0x2545F4914F6CDD1Dull;
+    const auto draw = [&lcg] {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        return lcg >> 16;
+    };
+    const Tick horizon = 30'000;
+    for (Tick now = 0; now < horizon - 2'000; now += 50 + draw() % 600) {
+        const unsigned ch = draw() % cfg.channels;
+        for (unsigned n = 2 + draw() % 4; n > 0; --n) {
+            const uint64_t x = draw();
+            arrivals.push_back({now,
+                                makeAddr(cfg, ch, x % 2, (x >> 8) % 3,
+                                         (x >> 16) % 32),
+                                ReqClass::Demand});
+        }
+    }
+
+    const MemoryRun step = driveMemory(arrivals, horizon, false);
+    const MemoryRun skip = driveMemory(arrivals, horizon, true);
+    EXPECT_EQ(step.steps, horizon + 1);
+    EXPECT_LT(skip.steps, step.steps / 2);
+    EXPECT_GT(step.loads.size(), arrivals.size() / 2);
+    EXPECT_EQ(skip.loads, step.loads);
+    EXPECT_EQ(skip.counters, step.counters);
+}
+
 TEST_F(DramBackendTest, DemandOvertakesQueuedPrefetches)
 {
     auto dram = makeTiming("ddr4-2400");
@@ -514,16 +849,13 @@ TEST_F(DramBackendTest, PerBankStateCyclesSumToChannelCycles)
 
     const StatGroup &stats = mem.dram().stats();
     const DramConfig &cfg = mem.dram().config();
-    static const char *kStates[5] = {
-        "Idle", "Open", "Activating", "Precharging", "Refreshing",
-    };
     for (unsigned ch = 0; ch < cfg.channels; ++ch) {
         const uint64_t total =
             stats.value("ch" + std::to_string(ch) + "Cycles");
         EXPECT_GT(total, 0u);
         for (unsigned b = 0; b < cfg.banksPerChannel; ++b) {
             uint64_t sum = 0;
-            for (const char *state : kStates) {
+            for (const char *state : kBankStates) {
                 sum += stats.value("ch" + std::to_string(ch) + "bank" +
                                    std::to_string(b) + state + "Cycles");
             }

@@ -4,10 +4,11 @@
  * on (the default) the runner batch-applies skipped stall cycles, and
  * every exported statistic must come out exactly as if each cycle had
  * been ticked individually. These tests run the same configurations
- * with the fast-forward enabled and disabled and require the full
- * counter snapshots and the time-series exports to be equal, and
- * check that the deadlock watchdog still fires from a fast-forwarded
- * stall.
+ * with the fast-forward enabled and disabled, on the legacy DRAM
+ * model and every timing preset, and require the full counter
+ * snapshots and the time-series exports to be equal. They also check
+ * the per-bank accounting identity on the timing presets, and that
+ * the deadlock watchdog still fires from a fast-forwarded stall.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
 
 #include "cpu/cpu.hh"
 #include "harness/suite.hh"
@@ -39,6 +41,35 @@ simCounters(const RunResult &result)
             out.emplace(name, value);
     }
     return out;
+}
+
+/** On timing backends, each bank's five state counters sum to its
+ *  channel's accounted cycles. */
+void
+expectBankCyclesSumToChannelCycles(
+    const std::map<std::string, uint64_t> &counters)
+{
+    static const char *kStates[5] = {
+        "Idle", "Open", "Activating", "Precharging", "Refreshing",
+    };
+    unsigned banks = 0;
+    for (unsigned ch = 0;; ++ch) {
+        const std::string channel = "dram.ch" + std::to_string(ch);
+        const auto total = counters.find(channel + "Cycles");
+        if (total == counters.end())
+            break;
+        for (unsigned b = 0;; ++b) {
+            const std::string bank = channel + "bank" + std::to_string(b);
+            if (!counters.count(bank + "IdleCycles"))
+                break;
+            uint64_t sum = 0;
+            for (const char *state : kStates)
+                sum += counters.at(bank + state + "Cycles");
+            EXPECT_EQ(sum, total->second) << bank;
+            ++banks;
+        }
+    }
+    EXPECT_GT(banks, 0u);
 }
 
 std::string
@@ -66,13 +97,29 @@ const Window kWindows[] = {
     {"apsi", 33'331, ~0ull},
 };
 
+/** A scheme and the DRAM backend (GRP_DRAM) it runs on. */
+using SchemeOnDram = std::tuple<PrefetchScheme, const char *>;
+
 class FastForwardEquivalence
-    : public ::testing::TestWithParam<PrefetchScheme>
+    : public ::testing::TestWithParam<SchemeOnDram>
 {
   protected:
-    void SetUp() override { setQuiet(true); }
+    void
+    SetUp() override
+    {
+        setQuiet(true);
+        setenv("GRP_DRAM", dram(), 1);
+    }
 
-    void TearDown() override { unsetenv("GRP_FAST_FORWARD"); }
+    void
+    TearDown() override
+    {
+        unsetenv("GRP_FAST_FORWARD");
+        unsetenv("GRP_DRAM");
+    }
+
+    const char *dram() const { return std::get<1>(GetParam()); }
+    bool timing() const { return std::string(dram()) != "legacy"; }
 
     RunResult
     runWith(const Window &window, const char *fast_forward)
@@ -80,7 +127,7 @@ class FastForwardEquivalence
         setenv("GRP_FAST_FORWARD", fast_forward, 1);
         opts.maxInstructions = window.instructions;
         opts.warmupInstructions = window.warmup;
-        return runScheme(window.workload, GetParam(), opts);
+        return runScheme(window.workload, std::get<0>(GetParam()), opts);
     }
 
     RunOptions opts;
@@ -96,6 +143,10 @@ TEST_P(FastForwardEquivalence, StatsAreIdenticalToPerCycleStepping)
         EXPECT_EQ(ff.cycles, step.cycles) << workload;
         EXPECT_EQ(ff.trafficBytes, step.trafficBytes) << workload;
         EXPECT_EQ(simCounters(ff), simCounters(step)) << workload;
+        if (timing()) {
+            SCOPED_TRACE(workload);
+            expectBankCyclesSumToChannelCycles(simCounters(ff));
+        }
     }
 }
 
@@ -121,11 +172,14 @@ TEST_P(FastForwardEquivalence, TimeSeriesIsIdenticalToPerCycleStepping)
 
 INSTANTIATE_TEST_SUITE_P(
     Schemes, FastForwardEquivalence,
-    ::testing::Values(PrefetchScheme::None, PrefetchScheme::Srp,
-                      PrefetchScheme::GrpVar,
-                      PrefetchScheme::GrpAdaptive),
-    [](const ::testing::TestParamInfo<PrefetchScheme> &info) {
-        std::string name = toString(info.param);
+    ::testing::Combine(
+        ::testing::Values(PrefetchScheme::None, PrefetchScheme::Srp,
+                          PrefetchScheme::GrpVar,
+                          PrefetchScheme::GrpAdaptive),
+        ::testing::Values("legacy", "ddr4-2400", "hbm2", "lpddr4")),
+    [](const ::testing::TestParamInfo<SchemeOnDram> &info) {
+        std::string name = std::string(toString(std::get<0>(info.param))) +
+                           "_" + std::get<1>(info.param);
         for (char &c : name)
             if (c == '-')
                 c = '_';
