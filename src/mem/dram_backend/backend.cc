@@ -65,6 +65,15 @@ DramBackend::busyChannels(Tick now) const
 }
 
 void
+DramBackend::extendAccounted(unsigned channel, Tick from, uint64_t cycles)
+{
+    Channel &ch = channels_[channel];
+    if (from != ch.accountedTo) [[unlikely]]
+        accountingGap(channel, from);
+    ch.accountedTo = from + cycles;
+}
+
+void
 DramBackend::noteChannelCycle(unsigned channel, Tick now)
 {
     const Channel &ch = channels_[channel];
@@ -80,8 +89,7 @@ DramBackend::noteChannelCycle(unsigned channel, Tick now)
     ++*counters.slots[slot];
     ++*counters.slots[4]; // Accounted cycles for this channel.
     ++*contentionCounters_[slot];
-    if (bankAccounting_)
-        accountBankCycles(channel, now, 1);
+    extendAccounted(channel, now, 1);
 }
 
 void
@@ -105,22 +113,19 @@ DramBackend::noteChannelCycles(unsigned channel, Tick from,
         *contentionCounters_[3] += idle_cycles;
     }
     *counters.slots[4] += busy_cycles + idle_cycles;
-    if (bankAccounting_)
-        accountBankCycles(channel, from, busy_cycles + idle_cycles);
+    extendAccounted(channel, from, busy_cycles + idle_cycles);
 }
 
 void
 DramBackend::noteAllIdleCycle(Tick now)
 {
-    for (ChannelCycleCounters &counters : cycleCounters_) {
+    for (unsigned ch = 0; ch < config_.channels; ++ch) {
+        ChannelCycleCounters &counters = cycleCounters_[ch];
         ++*counters.slots[3]; // Idle.
         ++*counters.slots[4]; // Accounted cycles for this channel.
+        extendAccounted(ch, now, 1);
     }
     *contentionCounters_[3] += channels_.size();
-    if (bankAccounting_) {
-        for (unsigned ch = 0; ch < config_.channels; ++ch)
-            accountBankCycles(ch, now, 1);
-    }
 }
 
 void
@@ -146,6 +151,7 @@ DramBackend::reset()
 {
     for (Channel &channel : channels_) {
         channel.busyUntil = 0;
+        channel.accountedTo = 0;
         channel.occupantCls = ReqClass::Demand;
         channel.occupantRef = kInvalidRefId;
         channel.occupantHint = obs::HintClass::None;

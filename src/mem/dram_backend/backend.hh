@@ -201,7 +201,9 @@ class DramBackend
      * (chNDemandCycles/chNPrefetchCycles/chNWritebackCycles/
      * chNIdleCycles/chNCycles and contention*Cycles), so
      * demand + prefetch + writeback + idle sums to the channel's
-     * accounted cycles by construction.
+     * accounted cycles by construction. The cycle also extends the
+     * channel's accounted range (Channel::accountedTo), from which a
+     * queued backend books its per-bank state cycles lazily.
      */
     void noteChannelCycle(unsigned channel, Tick now);
 
@@ -211,7 +213,8 @@ class DramBackend
      * tick() changes nothing, the first @p busy_cycles cycles
      * attribute to the current occupant's class and the rest to idle
      * — byte-identical to calling noteChannelCycle once per cycle
-     * across the window.
+     * across the window. The accounted range moves to the window's
+     * end in one store.
      */
     void noteChannelCycles(unsigned channel, Tick from,
                            uint64_t busy_cycles, uint64_t idle_cycles);
@@ -279,6 +282,9 @@ class DramBackend
     struct Channel
     {
         Tick busyUntil = 0;
+        /** Every cycle before this tick has been noted: the note
+         *  functions end their window here. */
+        Tick accountedTo = 0;
         std::vector<Bank> banks;
         /** What the in-flight transfer is (contention attribution). */
         ReqClass occupantCls = ReqClass::Demand;
@@ -301,19 +307,15 @@ class DramBackend
         ch.occupantHint = hint;
     }
 
-    /** Per-bank state-cycle accounting hook, invoked from the note*
-     *  functions only when the subclass set bankAccounting_ (the
-     *  legacy path keeps zero virtual dispatch per cycle). Each cycle
-     *  of [@p from, @p from + @p cycles) adds exactly one cycle to
-     *  exactly one state counter of every bank on the channel: the
-     *  bank's state at that cycle. The per-cycle path passes one
-     *  cycle; the stall fast-forward passes a window in which tick()
-     *  records no new command, though banks may be mid-ACT, PRE or
-     *  refresh across it. */
+    /** A note window on @p channel starts at @p from, not at its
+     *  accountedTo: cycles were skipped or are noted again. Called
+     *  before accountedTo moves; the runner never does this, tests
+     *  may. A backend that books from the accounted range settles
+     *  what is pending and restarts its booking at @p from. */
     virtual void
-    accountBankCycles(unsigned channel, Tick from, uint64_t cycles)
+    accountingGap(unsigned channel, Tick from)
     {
-        (void)channel; (void)from; (void)cycles;
+        (void)channel; (void)from;
     }
 
     DramConfig config_;
@@ -334,8 +336,6 @@ class DramBackend
     size_t pendingWork_ = 0;
     /** Set by queued subclasses (see queued()). */
     bool queued_ = false;
-    /** Enables the accountBankCycles hook. */
-    bool bankAccounting_ = false;
 
     /** Cached per-channel cycle counters (demand, prefetch,
      *  writeback, idle, total) so per-cycle accounting skips the
@@ -357,6 +357,12 @@ class DramBackend
     uint64_t transfers_ = 0;
     StatGroup stats_;
     obs::ScopedStatRegistration statReg_;
+
+  private:
+    /** End @p channel's accounted range at @p from + @p cycles, after
+     *  reporting an accountingGap when the window does not start at
+     *  its accountedTo. */
+    void extendAccounted(unsigned channel, Tick from, uint64_t cycles);
 };
 
 } // namespace grp

@@ -38,7 +38,6 @@ TimingDramSystem::TimingDramSystem(const DramConfig &config,
              "timing preset %s has zero constraints",
              presetName_.c_str());
     queued_ = true;
-    bankAccounting_ = true;
 
     chTiming_.resize(config_.channels);
     for (ChannelTiming &ct : chTiming_) {
@@ -49,7 +48,9 @@ TimingDramSystem::TimingDramSystem(const DramConfig &config,
     // Per-bank state-cycle counters: one accounted channel cycle adds
     // exactly one cycle to exactly one state of every bank, so each
     // bank's five states sum to chNCycles by construction (the cost
-    // reports and the backend bench rely on the exact identity).
+    // reports and the backend bench rely on the exact identity). They
+    // are booked lazily; every read or reset of the group first
+    // settles what is pending.
     static const char *kStates[5] = {
         "Idle", "Open", "Activating", "Precharging", "Refreshing",
     };
@@ -60,22 +61,16 @@ TimingDramSystem::TimingDramSystem(const DramConfig &config,
             const std::string prefix = "ch" + std::to_string(ch) +
                                        "bank" + std::to_string(b);
             for (unsigned s = 0; s < 5; ++s) {
-                bankCounters_[ch][b].state[s] =
+                bankCounters_[ch][b][s] =
                     &stats_.counter(prefix + kStates[s] + "Cycles");
             }
-            setOpenRow(ch, b, -1);
         }
     }
     refreshCounter_ = &stats_.counter("refreshes");
-}
-
-void
-TimingDramSystem::setOpenRow(unsigned channel, unsigned bank, int64_t row)
-{
-    channels_[channel].banks[bank].openRow = row;
-    BankCounters &c = bankCounters_[channel][bank];
-    c.resting = c.state[static_cast<unsigned>(
-        row >= 0 ? BankState::Open : BankState::Idle)];
+    stats_.setSync([this] {
+        for (unsigned ch = 0; ch < config_.channels; ++ch)
+            settleChannel(ch);
+    });
 }
 
 void
@@ -95,14 +90,13 @@ TimingDramSystem::serve(Addr addr, Tick now, ReqClass cls, RefId ref,
     panic_if(ct.queue.size() >= params_.queueDepth,
              "serve() on a full command queue (channel %u)", channel);
 
-    QueuedReq qr;
-    qr.req.blockAddr = addr;
-    qr.req.cls = cls;
-    qr.req.refId = ref;
-    qr.req.hintClass = hint;
-    qr.req.enqueued = now;
-    qr.seq = nextSeq_++;
-    ct.queue.push_back(qr);
+    MemRequest req;
+    req.blockAddr = addr;
+    req.cls = cls;
+    req.refId = ref;
+    req.hintClass = hint;
+    req.enqueued = now;
+    ct.queue.push_back(req);
     ++pendingWork_;
     return kTickPending;
 }
@@ -128,11 +122,11 @@ TimingDramSystem::catchUpRefresh(unsigned channel, Tick now)
 
     const Tick ref_start = std::max(now, ct.busFreeAt);
     const Tick ref_end = ref_start + Tick{owed} * params_.tRFC;
+    settleChannel(channel);
     for (unsigned b = 0; b < config_.banksPerChannel; ++b) {
-        setOpenRow(channel, b, -1);
+        channels_[channel].banks[b].openRow = -1;
         ct.banks[b].refUntil = std::max(ct.banks[b].refUntil, ref_end);
     }
-    ct.windowsEnd = std::max(ct.windowsEnd, ref_end);
     for (unsigned i = 0; i < owed; ++i) {
         logCmd(Cmd::Ref, ref_start + Tick{i} * params_.tRFC, channel, 0,
                -1);
@@ -150,7 +144,7 @@ TimingDramSystem::pickNext(const ChannelTiming &ct) const
     size_t best = 0;
     int best_rank = 4;
     for (size_t i = 0; i < ct.queue.size(); ++i) {
-        const MemRequest &req = ct.queue[i].req;
+        const MemRequest &req = ct.queue[i];
         const bool demand = req.cls == ReqClass::Demand;
         const bool hit = rowOpen(req.blockAddr);
         const int rank = demand ? (hit ? 0 : 1) : (hit ? 2 : 3);
@@ -180,14 +174,14 @@ TimingDramSystem::scheduleOne(unsigned channel, Tick now)
     catchUpRefresh(channel, now);
 
     const size_t idx = pickNext(ct);
-    const QueuedReq chosen = ct.queue[idx];
+    const MemRequest chosen = ct.queue[idx];
     ct.queue.erase(ct.queue.begin() +
                    static_cast<std::ptrdiff_t>(idx));
 
-    const Addr addr = chosen.req.blockAddr;
+    const Addr addr = chosen.blockAddr;
     const unsigned b = bankOf(addr);
     BankTiming &bt = ct.banks[b];
-    const Bank &bank = channels_[channel].banks[b];
+    Bank &bank = channels_[channel].banks[b];
     const int64_t row = static_cast<int64_t>(rowOf(addr));
 
     Tick rd_at;
@@ -197,6 +191,9 @@ TimingDramSystem::scheduleOne(unsigned channel, Tick now)
         rd_at = std::max({now, bt.actEnd, bt.refUntil});
         ++*rowHitCounter_;
     } else {
+        // Book the pending cycles under the old windows and open row;
+        // the ones set below apply from here on.
+        settleBank(channel, b);
         Tick act_earliest = std::max(now, bt.refUntil);
         if (bank.openRow >= 0) {
             // Close the open row first; the precharge may not start
@@ -224,8 +221,7 @@ TimingDramSystem::scheduleOne(unsigned channel, Tick now)
         bt.actStart = act_at;
         bt.actEnd = act_at + params_.tRCD;
         bt.rasUntil = act_at + params_.tRAS;
-        ct.windowsEnd = std::max(ct.windowsEnd, bt.actEnd);
-        setOpenRow(channel, b, row);
+        bank.openRow = row;
         logCmd(Cmd::Act, act_at, channel, b, row);
         rd_at = bt.actEnd;
         ++*rowConflictCounter_;
@@ -240,7 +236,7 @@ TimingDramSystem::scheduleOne(unsigned channel, Tick now)
     ++*transferCounter_;
 
     InFlight inf;
-    inf.req = chosen.req;
+    inf.req = chosen;
     inf.dataStart = data_start;
     inf.dataEnd = data_end;
     ct.inFlight.push_back(inf); // dataStart is monotonic per channel.
@@ -361,45 +357,48 @@ TimingDramSystem::activeBanks(Tick now) const
 }
 
 void
-TimingDramSystem::accountBankCycles(unsigned channel, Tick from,
-                                    uint64_t cycles)
+TimingDramSystem::settleBank(unsigned channel, unsigned bank)
 {
-    auto &counters = bankCounters_[channel];
-    const ChannelTiming &ct = chTiming_[channel];
-    // Resting fast path: every recorded window has ended, so each
-    // bank holds its resting state across the whole window.
-    if (from >= ct.windowsEnd) {
-        for (BankCounters &c : counters)
-            *c.resting += cycles;
+    BankTiming &bt = chTiming_[channel].banks[bank];
+    const Tick from = bt.bookedTo;
+    const Tick to = channels_[channel].accountedTo;
+    if (from >= to)
         return;
-    }
+    bt.bookedTo = to;
 
     // Split [from, to) by bankState's priority: refresh covers every
     // tick before refUntil, then precharge and activate their
-    // windows, and the remainder rests. A bank's PRE window always
-    // ends before its ACT window starts, so those two never overlap.
-    const Tick to = from + cycles;
-    for (unsigned b = 0; b < config_.banksPerChannel; ++b) {
-        const BankTiming &bt = ct.banks[b];
-        BankCounters &c = counters[b];
-        if (from >= std::max({bt.refUntil, bt.preEnd, bt.actEnd})) {
-            *c.resting += cycles;
-            continue;
-        }
-        const Tick awake = std::clamp(bt.refUntil, from, to);
-        const uint64_t refreshing = awake - from;
-        const uint64_t precharging =
-            overlap(awake, to, bt.preStart, bt.preEnd);
-        const uint64_t activating =
-            overlap(awake, to, bt.actStart, bt.actEnd);
-        *c.state[static_cast<unsigned>(BankState::Refreshing)] +=
-            refreshing;
-        *c.state[static_cast<unsigned>(BankState::Precharging)] +=
-            precharging;
-        *c.state[static_cast<unsigned>(BankState::Activating)] +=
-            activating;
-        *c.resting += cycles - refreshing - precharging - activating;
-    }
+    // windows, and the remainder rests Open or Idle with the open
+    // row. A bank's PRE window always ends before its ACT window
+    // starts, so those two never overlap.
+    const Tick awake = std::clamp(bt.refUntil, from, to);
+    const uint64_t refreshing = awake - from;
+    const uint64_t precharging = overlap(awake, to, bt.preStart, bt.preEnd);
+    const uint64_t activating = overlap(awake, to, bt.actStart, bt.actEnd);
+    const BankState resting = channels_[channel].banks[bank].openRow >= 0
+                                  ? BankState::Open
+                                  : BankState::Idle;
+    auto &state = bankCounters_[channel][bank];
+    *state[static_cast<unsigned>(BankState::Refreshing)] += refreshing;
+    *state[static_cast<unsigned>(BankState::Precharging)] += precharging;
+    *state[static_cast<unsigned>(BankState::Activating)] += activating;
+    *state[static_cast<unsigned>(resting)] +=
+        (to - from) - refreshing - precharging - activating;
+}
+
+void
+TimingDramSystem::settleChannel(unsigned channel)
+{
+    for (unsigned b = 0; b < config_.banksPerChannel; ++b)
+        settleBank(channel, b);
+}
+
+void
+TimingDramSystem::accountingGap(unsigned channel, Tick from)
+{
+    settleChannel(channel);
+    for (BankTiming &bt : chTiming_[channel].banks)
+        bt.bookedTo = from;
 }
 
 void
@@ -416,16 +415,10 @@ TimingDramSystem::reset()
         ct.actIdx = 0;
         ct.actSeen = 0;
         ct.refreshDue = params_.tREFI;
-        ct.windowsEnd = 0;
         for (BankTiming &bt : ct.banks)
             bt = BankTiming{};
     }
-    for (unsigned ch = 0; ch < config_.channels; ++ch) {
-        for (unsigned b = 0; b < config_.banksPerChannel; ++b)
-            setOpenRow(ch, b, -1);
-    }
     completed_.clear();
-    nextSeq_ = 0;
 }
 
 } // namespace grp

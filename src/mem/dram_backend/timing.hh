@@ -38,6 +38,12 @@
  * prep shows as channel idle but is visible in the per-bank state
  * counters (chNbankBIdle/Open/Activating/Precharging/Refreshing
  * Cycles), which sum exactly to the channel's accounted cycles.
+ *
+ * The per-bank counters are booked lazily. Noting a cycle only moves
+ * the channel's accountedTo; a bank's cycles from its bookedTo up to
+ * there are split by bankState's priority when it settles, just
+ * before a row miss or a refresh rewrites its windows or open row,
+ * and before any read or reset of the "dram" stat group (its sync).
  */
 
 #ifndef GRP_MEM_DRAM_BACKEND_TIMING_HH
@@ -127,12 +133,9 @@ class TimingDramSystem final : public DramBackend
         Tick actEnd = 0;   ///< actStart + tRCD.
         Tick rasUntil = 0; ///< Earliest next PRE (actStart + tRAS).
         Tick refUntil = 0; ///< All-bank refresh in progress until.
-    };
-
-    struct QueuedReq
-    {
-        MemRequest req;
-        uint64_t seq = 0;
+        /** State counters hold every cycle before this tick; the
+         *  cycles up to the channel's accountedTo are pending. */
+        Tick bookedTo = 0;
     };
 
     /** A scheduled transfer waiting for / occupying the data bus. */
@@ -151,7 +154,7 @@ class TimingDramSystem final : public DramBackend
 
     struct ChannelTiming
     {
-        std::deque<QueuedReq> queue;
+        std::deque<MemRequest> queue;
         /** Sorted by dataStart (bus serialization keeps it so). */
         std::deque<InFlight> inFlight;
         Tick busFreeAt = 0;
@@ -162,16 +165,16 @@ class TimingDramSystem final : public DramBackend
         unsigned actIdx = 0;
         unsigned actSeen = 0;
         Tick refreshDue = 0;
-        /** Every bank's recorded ACT/PRE/refresh windows end by this
-         *  tick; from here on each bank rests Open or Idle. */
-        Tick windowsEnd = 0;
         std::vector<BankTiming> banks;
     };
 
     void logCmd(Cmd cmd, Tick tick, unsigned channel, unsigned bank,
                 int64_t row);
-    /** Set @p bank's open row (-1 closes it) and its resting counter. */
-    void setOpenRow(unsigned channel, unsigned bank, int64_t row);
+    /** Book @p bank's pending cycles, [bookedTo, accountedTo), into
+     *  its state counters under its current windows and open row. */
+    void settleBank(unsigned channel, unsigned bank);
+    /** settleBank on every bank of @p channel. */
+    void settleChannel(unsigned channel);
     /** Charge owed refresh intervals before scheduling (see file
      *  comment). */
     void catchUpRefresh(unsigned channel, Tick now);
@@ -180,8 +183,7 @@ class TimingDramSystem final : public DramBackend
     /** Schedule at most one queued request's command timeline. */
     void scheduleOne(unsigned channel, Tick now);
 
-    void accountBankCycles(unsigned channel, Tick from,
-                           uint64_t cycles) override;
+    void accountingGap(unsigned channel, Tick from) override;
 
     DramTimingParams params_;
     std::string presetName_;
@@ -189,19 +191,11 @@ class TimingDramSystem final : public DramBackend
     /** Retired fills awaiting popCompleted, in (dataEnd, channel)
      *  order — the deterministic delivery order. */
     std::deque<CompletedReq> completed_;
-    uint64_t nextSeq_ = 0;
     std::vector<CommandRecord> *log_ = nullptr;
 
-    /** One bank's state-cycle counters, cached. */
-    struct BankCounters
-    {
-        std::array<Counter *, 5> state{}; ///< Indexed by BankState.
-        /** state[Open] or state[Idle], following the bank's openRow
-         *  (kept by setOpenRow). */
-        Counter *resting = nullptr;
-    };
-    /** Indexed [channel][bank]. */
-    std::vector<std::vector<BankCounters>> bankCounters_;
+    /** Each bank's state-cycle counters, indexed [channel][bank] and
+     *  then by BankState. */
+    std::vector<std::vector<std::array<Counter *, 5>>> bankCounters_;
     Counter *refreshCounter_ = nullptr;
 };
 

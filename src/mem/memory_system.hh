@@ -181,12 +181,6 @@ class MemorySystem
     const obs::VictimTable &victimTable() const { return victims_; }
 
   private:
-    /** A demand/writeback request waiting for its channel. */
-    struct PendingReq
-    {
-        MemRequest req;
-    };
-
     bool handleL1Miss(Addr addr, RefId ref, const LoadHints &hints,
                       uint64_t token, bool is_write);
     /** First CPU reference to a prefetched block: attribute it to its

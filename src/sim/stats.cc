@@ -30,8 +30,16 @@ Distribution::percentile(double p) const
 }
 
 void
+StatGroup::sync() const
+{
+    if (sync_)
+        sync_();
+}
+
+void
 StatGroup::dump(std::ostream &os) const
 {
+    sync();
     for (const auto &[stat, counter] : counters_)
         os << name_ << '.' << stat << ' ' << counter.value() << '\n';
     for (const auto &[stat, dist] : distributions_) {
@@ -43,6 +51,7 @@ StatGroup::dump(std::ostream &os) const
 void
 StatGroup::reset()
 {
+    sync();
     for (auto &[stat, counter] : counters_)
         counter.reset();
     for (auto &[stat, dist] : distributions_)

@@ -8,6 +8,7 @@
 #define GRP_SIM_STATS_HH
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <ostream>
 #include <string>
@@ -99,6 +100,12 @@ class Distribution
 /**
  * A named group of statistics. Components register their counters at
  * construction; dump() prints "group.name value" lines.
+ *
+ * A component that books some counters lazily installs a sync with
+ * setSync(); every read (value(), counters(), dump()) and reset()
+ * runs it first, so readers see the values eager booking would have
+ * held. A cached Counter * to a lazily booked counter bypasses the
+ * sync and reads a stale value.
  */
 class StatGroup
 {
@@ -123,6 +130,7 @@ class StatGroup
     uint64_t
     value(const std::string &stat_name) const
     {
+        sync();
         auto it = counters_.find(stat_name);
         return it == counters_.end() ? 0 : it->second.value();
     }
@@ -132,6 +140,7 @@ class StatGroup
     /** All counters, keyed by stat name (exporters iterate these). */
     const std::map<std::string, Counter> &counters() const
     {
+        sync();
         return counters_;
     }
 
@@ -147,10 +156,17 @@ class StatGroup
     /** Reset every stat in the group to zero. */
     void reset();
 
+    /** Run @p sync before every read or reset of the group (see the
+     *  class comment); an empty function removes it. */
+    void setSync(std::function<void()> sync) { sync_ = std::move(sync); }
+
   private:
+    void sync() const;
+
     std::string name_;
     std::map<std::string, Counter> counters_;
     std::map<std::string, Distribution> distributions_;
+    std::function<void()> sync_;
 };
 
 /** Geometric mean of a vector of positive values (1.0 when empty). */

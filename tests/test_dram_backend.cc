@@ -637,6 +637,185 @@ TEST_F(DramBackendTest, SkippingToTransitionsMatchesPerCycleTicking)
     }
 }
 
+/** What one drive of driveWithGaps produced. */
+struct GapRun
+{
+    std::map<std::string, uint64_t> counters; ///< Final dram group.
+    uint64_t gaps = 0;  ///< Unaccounted stretches started.
+    uint64_t reads = 0; ///< Mid-run reads of the group.
+};
+
+/**
+ * Drive @p dram through @p arrivals up to @p horizon, noting cycles
+ * the three ways the memory system does — noteChannelCycle per
+ * channel, noteAllIdleCycle on quiet cycles, and noteChannelCycles
+ * over a window skipped to nextTransitionTick — while leaving random
+ * stretches of each channel's ticks unaccounted, so notes restart
+ * away from the channel's accountedTo. The group is reset once, at
+ * the first stepped tick from @p reset_at. With @p reads it is also
+ * read at random ticks through value() and counters(). Every read,
+ * and the final one, must match bankState tallied over exactly the
+ * accounted ticks since the reset.
+ */
+GapRun
+driveWithGaps(TimingDramSystem &dram, const std::vector<Arrival> &arrivals,
+              Tick horizon, Tick reset_at, bool reads)
+{
+    GapRun out;
+    const unsigned channels = dram.config().channels;
+    const unsigned banks = dram.config().banksPerChannel;
+    std::vector<uint64_t> tally(size_t{channels} * banks * 5);
+    const auto stat_name = [banks](size_t i) {
+        return "ch" + std::to_string(i / (banks * 5)) + "bank" +
+               std::to_string(i / 5 % banks) + kBankStates[i % 5] +
+               "Cycles";
+    };
+    const auto tally_tick = [&](unsigned ch, Tick t) {
+        for (unsigned b = 0; b < banks; ++b) {
+            ++tally[(ch * banks + b) * 5 +
+                    static_cast<unsigned>(dram.bankState(ch, b, t))];
+        }
+    };
+    const auto check_all = [&](Tick now) {
+        const auto &counters = dram.stats().counters();
+        for (size_t i = 0; i < tally.size(); ++i) {
+            EXPECT_EQ(counters.at(stat_name(i)).value(), tally[i])
+                << stat_name(i) << " at tick " << now;
+        }
+    };
+
+    uint64_t lcg = 0x853C49E6748FEA9Bull;
+    const auto draw = [&lcg] {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        return lcg >> 16;
+    };
+    // A channel's ticks before gap_until[ch] go unaccounted.
+    std::vector<Tick> gap_until(channels, 0);
+    bool reset_done = false;
+    size_t next_arrival = 0;
+    for (Tick now = 0; now <= horizon;) {
+        if (!reset_done && now >= reset_at) {
+            dram.stats().reset();
+            std::fill(tally.begin(), tally.end(), 0);
+            reset_done = true;
+        }
+        dram.tick(now);
+        while (dram.popCompleted(now)) {
+        }
+        for (; next_arrival < arrivals.size() &&
+               arrivals[next_arrival].tick <= now;
+             ++next_arrival) {
+            const Arrival &a = arrivals[next_arrival];
+            if (dram.canAccept(dram.channelOf(a.addr), now))
+                dram.serve(a.addr, now, a.cls);
+        }
+
+        bool all_noted = true;
+        for (unsigned ch = 0; ch < channels; ++ch) {
+            if (gap_until[ch] <= now && draw() % 150 == 0) {
+                gap_until[ch] = now + 1 + draw() % 500;
+                ++out.gaps;
+            }
+            all_noted = all_noted && gap_until[ch] <= now;
+        }
+        const bool quiet = all_noted && dram.allIdle(now);
+        if (quiet)
+            dram.noteAllIdleCycle(now);
+        for (unsigned ch = 0; ch < channels; ++ch) {
+            if (gap_until[ch] > now)
+                continue;
+            if (!quiet)
+                dram.noteChannelCycle(ch, now);
+            tally_tick(ch, now);
+        }
+
+        // One draw either way, so both kinds of run take the same
+        // gaps and skips.
+        const uint64_t r = draw();
+        if (reads && r % 20 == 0) {
+            ++out.reads;
+            if ((r >> 8) % 2) {
+                check_all(now);
+            } else {
+                const size_t i = (r >> 9) % tally.size();
+                EXPECT_EQ(dram.stats().value(stat_name(i)), tally[i])
+                    << stat_name(i) << " at tick " << now;
+            }
+        }
+
+        // Now and then skip to the next transition, booking the
+        // window with one noteChannelCycles per noted channel.
+        Tick next = now + 1;
+        if (draw() % 3 == 0) {
+            next = std::min(dram.nextTransitionTick(now), horizon + 1);
+            if (next_arrival < arrivals.size())
+                next = std::min(next, arrivals[next_arrival].tick);
+        }
+        const Tick from = now + 1;
+        for (unsigned ch = 0; from < next && ch < channels; ++ch) {
+            if (gap_until[ch] > from) {
+                gap_until[ch] = std::max(gap_until[ch], next);
+                continue;
+            }
+            const uint64_t span = next - from;
+            const Tick busy_until = dram.channelBusyUntil(ch);
+            const uint64_t busy =
+                busy_until <= from
+                    ? 0
+                    : std::min<uint64_t>(busy_until - from, span);
+            dram.noteChannelCycles(ch, from, busy, span - busy);
+            for (Tick t = from; t < next; ++t)
+                tally_tick(ch, t);
+        }
+        now = next;
+    }
+
+    check_all(horizon);
+    for (const auto &[name, counter] : dram.stats().counters())
+        out.counters.emplace(name, counter.value());
+    return out;
+}
+
+TEST_F(DramBackendTest, BankBookingMatchesBankStateUnderGapsReadsAndResets)
+{
+    for (const std::string name : {"ddr4-2400", "hbm2", "lpddr4"}) {
+        SCOPED_TRACE(name);
+        auto read_dram = makeTiming(name);
+        auto twin = makeTiming(name);
+        // Past two refresh intervals, reset inside the first.
+        const Tick horizon = Tick{2} * read_dram->timing().tREFI + 4000;
+        const std::vector<Arrival> arrivals =
+            lcgTraffic(read_dram->config(), horizon);
+
+        const GapRun read =
+            driveWithGaps(*read_dram, arrivals, horizon, horizon / 3, true);
+        const GapRun end =
+            driveWithGaps(*twin, arrivals, horizon, horizon / 3, false);
+
+        EXPECT_GT(read.gaps, 10u);
+        EXPECT_GT(read.reads, 100u);
+        EXPECT_EQ(end.counters, read.counters);
+        // After the reset the traffic still takes banks through ACT,
+        // PRE and refresh.
+        EXPECT_GT(read.counters.at("transfers"), 100u);
+        const DramConfig &cfg = read_dram->config();
+        for (const auto state : {TimingDramSystem::BankState::Activating,
+                                 TimingDramSystem::BankState::Precharging,
+                                 TimingDramSystem::BankState::Refreshing}) {
+            const char *suffix = kBankStates[static_cast<unsigned>(state)];
+            uint64_t cycles = 0;
+            for (unsigned ch = 0; ch < cfg.channels; ++ch) {
+                for (unsigned b = 0; b < cfg.banksPerChannel; ++b) {
+                    cycles += read.counters.at(
+                        "ch" + std::to_string(ch) + "bank" +
+                        std::to_string(b) + suffix + "Cycles");
+                }
+            }
+            EXPECT_GT(cycles, 0u) << suffix;
+        }
+    }
+}
+
 /** What one drive of a memory system produced. */
 struct MemoryRun
 {

@@ -173,9 +173,10 @@ TEST_P(HintEncodingProperty, RegionBlocksIsBoundedPowerOfTwo)
     const uint64_t span_bytes =
         static_cast<uint64_t>(GetParam().bound)
         << GetParam().coeff;
-    if (blocks < kBlocksPerRegion)
+    if (blocks < kBlocksPerRegion) {
         EXPECT_GE(static_cast<uint64_t>(blocks) * kBlockBytes,
                   span_bytes);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -166,6 +166,80 @@ TEST(StatRegistry, ResetAll)
     EXPECT_EQ(group.distribution("d").samples(), 0u);
 }
 
+TEST(StatRegistry, SyncRunsBeforeEveryReadAndReset)
+{
+    // The sync books what is pending, as a lazily booked component
+    // would; every read must show it.
+    obs::StatRegistry registry;
+    StatGroup lazy("lazy");
+    Counter &booked = lazy.counter("booked");
+    uint64_t pending = 0;
+    lazy.setSync([&booked, &pending] {
+        booked += pending;
+        pending = 0;
+    });
+    StatGroup plain("plain");
+    plain.counter("hits") += 5;
+    obs::ScopedStatRegistration r1(lazy, registry);
+    obs::ScopedStatRegistration r2(plain, registry);
+
+    pending = 1;
+    EXPECT_EQ(lazy.value("booked"), 1u);
+    pending = 1;
+    EXPECT_EQ(lazy.counters().at("booked").value(), 2u);
+    pending = 1;
+    std::ostringstream dump;
+    lazy.dump(dump);
+    EXPECT_EQ(dump.str(), "lazy.booked 3\n");
+
+    pending = 1;
+    EXPECT_EQ(registry.value("lazy.booked"), 4u);
+    pending = 1;
+    EXPECT_EQ(registry.snapshot().value("lazy.booked"), 5u);
+    pending = 1;
+    std::ostringstream json;
+    registry.exportJson(json);
+    std::string error;
+    auto doc = obs::parseJson(json.str(), &error);
+    ASSERT_TRUE(doc) << error;
+    EXPECT_EQ(doc->findPath("groups.lazy.counters.booked")->asNumber(),
+              6.0);
+    pending = 1;
+    std::ostringstream csv;
+    registry.exportCsv(csv);
+    EXPECT_NE(csv.str().find("lazy,booked,7\n"), std::string::npos);
+    pending = 1;
+    std::ostringstream text;
+    registry.dumpText(text);
+    EXPECT_NE(text.str().find("lazy.booked 8\n"), std::string::npos);
+
+    // A group without a sync reads and exports as before.
+    EXPECT_EQ(plain.value("hits"), 5u);
+    EXPECT_EQ(doc->findPath("groups.plain.counters.hits")->asNumber(),
+              5.0);
+    EXPECT_NE(csv.str().find("plain,hits,5\n"), std::string::npos);
+    EXPECT_NE(text.str().find("plain.hits 5\n"), std::string::npos);
+
+    // reset() and resetAll() book the pending value before zeroing,
+    // so none of it survives into the next read.
+    pending = 3;
+    lazy.reset();
+    EXPECT_EQ(pending, 0u);
+    EXPECT_EQ(lazy.value("booked"), 0u);
+    pending = 3;
+    registry.resetAll();
+    EXPECT_EQ(pending, 0u);
+    EXPECT_EQ(lazy.value("booked"), 0u);
+    EXPECT_EQ(plain.value("hits"), 0u);
+
+    // An empty function removes the sync.
+    lazy.setSync({});
+    pending = 4;
+    EXPECT_EQ(lazy.value("booked"), 0u);
+    lazy.reset();
+    EXPECT_EQ(pending, 4u);
+}
+
 TEST(StatRegistry, GlobalSeesEveryMemoryComponent)
 {
     const size_t before = obs::StatRegistry::current().size();

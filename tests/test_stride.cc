@@ -170,8 +170,9 @@ TEST_F(StrideTest, CandidatesMatchRequestedChannel)
     train(pf, 1, 0x60000, 64, 5);
     for (unsigned ch = 0; ch < 4; ++ch) {
         auto cand = pf.dequeuePrefetch(dram, ch);
-        if (cand)
+        if (cand) {
             EXPECT_EQ(dram.channelOf(cand->blockAddr), ch);
+        }
     }
 }
 

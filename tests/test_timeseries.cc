@@ -120,10 +120,11 @@ TEST(TimeSeries, HarnessSamplesOnTheBucketCadence)
             const auto tick =
                 static_cast<uint64_t>(ticks[i].asNumber());
             EXPECT_EQ(tick % 256, 0u) << name;
-            if (i > 0)
+            if (i > 0) {
                 EXPECT_GT(tick, static_cast<uint64_t>(
                                     ticks[i - 1].asNumber()))
                     << name;
+            }
         }
     }
     // Expected sample count: one per bucket boundary reached.

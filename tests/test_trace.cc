@@ -88,8 +88,9 @@ TEST(Trace, LifecycleOrderingPerBlock)
     for (const auto &[addr, fill_tick] : first_fill) {
         auto issue = first_issue.find(addr);
         // Stream-buffer fills have no issue record; DRAM fills do.
-        if (issue != first_issue.end())
+        if (issue != first_issue.end()) {
             EXPECT_LE(issue->second, fill_tick) << std::hex << addr;
+        }
         auto use = first_use.find(addr);
         if (use != first_use.end() && use->second >= fill_tick)
             ++chained;
