@@ -593,9 +593,10 @@ runWorkload(Workload &workload, SimConfig config,
             // The iteration for tick now-1 just completed. Every
             // skipped tick must be one where (a) the CPU can only
             // repeat its stall accounting, (b) no event fires, (c)
-            // the memory system only repeats its per-cycle
-            // accounting, and (d) neither a periodic observer nor the
-            // deadlock watchdog would trigger.
+            // the memory system only repeats its prefetch stall
+            // notes (the DRAM backend books channel cycles itself),
+            // and (d) neither a periodic observer nor the deadlock
+            // watchdog would trigger.
             const Cpu::StallState st = cpu.stallState(now - 1);
             if (!st.stalled)
                 continue;

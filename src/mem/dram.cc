@@ -17,7 +17,8 @@ DramSystem::serve(Addr addr, Tick now, ReqClass cls, RefId ref,
                   obs::HintClass hint)
 {
     GRP_HOST_SCOPE(2, DramServe);
-    Channel &channel = channels_[channelOf(addr)];
+    const unsigned ch = channelOf(addr);
+    Channel &channel = channels_[ch];
     panic_if(channel.busyUntil > now,
              "serving on a busy channel (busy until %llu, now %llu)",
              (unsigned long long)channel.busyUntil,
@@ -40,12 +41,7 @@ DramSystem::serve(Addr addr, Tick now, ReqClass cls, RefId ref,
     // transfer, so back-to-back row hits stream at full channel
     // bandwidth.
     const Tick done = now + access + config_.transferCycles;
-    channel.busyUntil = now + config_.transferCycles;
-    if (channel.busyUntil > maxBusyUntil_)
-        maxBusyUntil_ = channel.busyUntil;
-    channel.occupantCls = cls;
-    channel.occupantRef = ref;
-    channel.occupantHint = hint;
+    setChannelBusy(ch, now, now + config_.transferCycles, cls, ref, hint);
     ++transfers_;
     ++*transferCounter_;
     return done;

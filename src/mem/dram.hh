@@ -33,11 +33,11 @@ class DramSystem final : public DramBackend
 
     /**
      * Issue the access for @p addr's block at @p now on its (idle)
-     * channel. Occupies the channel for the access + transfer time
-     * and leaves the row open. The request class (and, for
-     * prefetches, the responsible site) is remembered as the
-     * channel's occupant so per-cycle contention accounting can
-     * attribute the busy time.
+     * channel. Occupies the channel for the transfer time and leaves
+     * the row open. The channel's cycles before @p now are booked
+     * under the previous occupant, and the request class (and, for
+     * prefetches, the responsible site) becomes the occupant that
+     * the busy cycles from @p now on are attributed to.
      *
      * @return Tick at which the block's data is fully returned.
      */

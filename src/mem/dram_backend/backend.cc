@@ -1,5 +1,8 @@
 #include "mem/dram_backend/backend.hh"
 
+#include <algorithm>
+
+#include "obs/site_profile.hh"
 #include "sim/logging.hh"
 
 namespace grp
@@ -28,8 +31,8 @@ DramBackend::DramBackend(const DramConfig &config,
         channel.banks.resize(config.banksPerChannel);
 
     // Registered up front (and cached as references: Counter storage
-    // is stable across reset()) so the per-cycle accounting costs a
-    // pointer increment, and healthy runs export explicit zeros.
+    // is stable across reset()) so booking costs a pointer add, and
+    // healthy runs export explicit zeros.
     // Every backend shares this schema; subclasses may register more
     // (the legacy set stays a subset of every backend's export).
     contentionCounters_ = {
@@ -53,6 +56,7 @@ DramBackend::DramBackend(const DramConfig &config,
             &stats_.counter(prefix + "Cycles"),
         };
     }
+    stats_.setSync([this] { settle(); });
 }
 
 unsigned
@@ -65,73 +69,46 @@ DramBackend::busyChannels(Tick now) const
 }
 
 void
-DramBackend::extendAccounted(unsigned channel, Tick from, uint64_t cycles)
+DramBackend::bookChannel(unsigned channel, Tick to)
 {
     Channel &ch = channels_[channel];
-    if (from != ch.accountedTo) [[unlikely]]
-        accountingGap(channel, from);
-    ch.accountedTo = from + cycles;
-}
-
-void
-DramBackend::noteChannelCycle(unsigned channel, Tick now)
-{
-    const Channel &ch = channels_[channel];
+    const Tick from = ch.bookedTo;
+    if (to <= from)
+        return;
+    ch.bookedTo = to;
+    const uint64_t busy = std::clamp(ch.busyUntil, from, to) - from;
+    const uint64_t idle = (to - from) - busy;
     ChannelCycleCounters &counters = cycleCounters_[channel];
-    unsigned slot = 3; // Idle.
-    if (ch.busyUntil > now) {
-        switch (ch.occupantCls) {
-          case ReqClass::Demand:    slot = 0; break;
-          case ReqClass::Prefetch:  slot = 1; break;
-          case ReqClass::Writeback: slot = 2; break;
-        }
-    }
-    ++*counters.slots[slot];
-    ++*counters.slots[4]; // Accounted cycles for this channel.
-    ++*contentionCounters_[slot];
-    extendAccounted(channel, now, 1);
-}
+    const unsigned cls = static_cast<unsigned>(ch.occupantCls);
+    *counters.slots[cls] += busy;
+    *contentionCounters_[cls] += busy;
+    *counters.slots[3] += idle; // Idle.
+    *contentionCounters_[3] += idle;
+    *counters.slots[4] += to - from; // Accounted cycles.
 
-void
-DramBackend::noteChannelCycles(unsigned channel, Tick from,
-                               uint64_t busy_cycles, uint64_t idle_cycles)
-{
-    const Channel &ch = channels_[channel];
-    ChannelCycleCounters &counters = cycleCounters_[channel];
-    if (busy_cycles) {
-        unsigned slot = 0;
-        switch (ch.occupantCls) {
-          case ReqClass::Demand:    slot = 0; break;
-          case ReqClass::Prefetch:  slot = 1; break;
-          case ReqClass::Writeback: slot = 2; break;
-        }
-        *counters.slots[slot] += busy_cycles;
-        *contentionCounters_[slot] += busy_cycles;
+    if (busy == 0 || ch.occupantCls != ReqClass::Prefetch ||
+        ch.waitingDemands == 0) {
+        return;
     }
-    if (idle_cycles) {
-        *counters.slots[3] += idle_cycles;
-        *contentionCounters_[3] += idle_cycles;
-    }
-    *counters.slots[4] += busy_cycles + idle_cycles;
-    extendAccounted(channel, from, busy_cycles + idle_cycles);
-}
-
-void
-DramBackend::noteAllIdleCycle(Tick now)
-{
-    for (unsigned ch = 0; ch < config_.channels; ++ch) {
-        ChannelCycleCounters &counters = cycleCounters_[ch];
-        ++*counters.slots[3]; // Idle.
-        ++*counters.slots[4]; // Accounted cycles for this channel.
-        extendAccounted(ch, now, 1);
-    }
-    *contentionCounters_[3] += channels_.size();
-}
-
-void
-DramBackend::noteDemandStall(uint64_t waiting)
-{
+    const uint64_t waiting = ch.waitingDemands * busy;
     *demandStallCounter_ += waiting;
+    obs::SiteProfiler &profiler = obs::SiteProfiler::instance();
+    if (profiler.enabled())
+        profiler.noteContention(ch.occupantRef, ch.occupantHint, waiting);
+}
+
+void
+DramBackend::setWaitingDemands(unsigned channel, size_t waiting, Tick now)
+{
+    bookChannel(channel, now);
+    channels_[channel].waitingDemands = waiting;
+}
+
+void
+DramBackend::settle()
+{
+    for (unsigned ch = 0; ch < config_.channels; ++ch)
+        bookChannel(ch, accountedTo_);
 }
 
 DramBackend::ChannelCycles
@@ -151,13 +128,15 @@ DramBackend::reset()
 {
     for (Channel &channel : channels_) {
         channel.busyUntil = 0;
-        channel.accountedTo = 0;
+        channel.bookedTo = 0;
+        channel.waitingDemands = 0;
         channel.occupantCls = ReqClass::Demand;
         channel.occupantRef = kInvalidRefId;
         channel.occupantHint = obs::HintClass::None;
         for (Bank &bank : channel.banks)
             bank.openRow = -1;
     }
+    accountedTo_ = 0;
     maxBusyUntil_ = 0;
     pendingWork_ = 0;
     transfers_ = 0;

@@ -192,58 +192,20 @@ class DramBackend
         return kMaxTick;
     }
 
-    /**
-     * Per-cycle contention accounting, driven once per channel per
-     * simulated cycle by the memory system's tick: attributes the
-     * cycle to the occupant's request class when the channel is busy
-     * at @p now, to idle otherwise. The per-channel and aggregate
-     * breakdowns live in the "dram" stat group
-     * (chNDemandCycles/chNPrefetchCycles/chNWritebackCycles/
-     * chNIdleCycles/chNCycles and contention*Cycles), so
-     * demand + prefetch + writeback + idle sums to the channel's
-     * accounted cycles by construction. The cycle also extends the
-     * channel's accounted range (Channel::accountedTo), from which a
-     * queued backend books its per-bank state cycles lazily.
-     */
-    void noteChannelCycle(unsigned channel, Tick now);
+    /** Every cycle before @p tick has been simulated: the memory
+     *  system calls this after each stepped tick and for each skipped
+     *  window. The "dram" group's channel (chN*Cycles), contention
+     *  and bank-state counters are booked lazily up to here (see
+     *  bookChannel()), so any read of the group covers exactly these
+     *  cycles. Runs that never call it (perfect L1/L2) keep them at
+     *  zero. */
+    void accountTo(Tick tick) { accountedTo_ = tick; }
 
-    /**
-     * Batched form of noteChannelCycle for the stall fast-forward:
-     * over the window [@p from, @p from + busy + idle), in which
-     * tick() changes nothing, the first @p busy_cycles cycles
-     * attribute to the current occupant's class and the rest to idle
-     * — byte-identical to calling noteChannelCycle once per cycle
-     * across the window. The accounted range moves to the window's
-     * end in one store.
-     */
-    void noteChannelCycles(unsigned channel, Tick from,
-                           uint64_t busy_cycles, uint64_t idle_cycles);
-
-    /** One all-channels-idle cycle at @p now: equivalent to
-     *  noteChannelCycle on every (idle) channel, minus the
-     *  per-channel dispatch — the accounting arm of the memory
-     *  system's quiet-cycle fast path. */
-    void noteAllIdleCycle(Tick now);
-
-    /** Demand requests spent @p waiting request-cycles stalled behind
-     *  an in-flight prefetch transfer the prioritizer could not
-     *  preempt (dram.contentionDemandStallCycles). */
-    void noteDemandStall(uint64_t waiting);
-
-    /** Request class occupying @p channel (meaningful while busy). */
-    ReqClass occupantClass(unsigned channel) const
-    {
-        return channels_[channel].occupantCls;
-    }
-    /** Site / hint class of the occupying prefetch (attribution). */
-    RefId occupantRef(unsigned channel) const
-    {
-        return channels_[channel].occupantRef;
-    }
-    obs::HintClass occupantHint(unsigned channel) const
-    {
-        return channels_[channel].occupantHint;
-    }
+    /** @p waiting demand requests wait for @p channel from @p now on:
+     *  while a prefetch occupies the channel, each of them adds one
+     *  contentionDemandStallCycles count per cycle. The memory system
+     *  reports its queue depth after every push and pop. */
+    void setWaitingDemands(unsigned channel, size_t waiting, Tick now);
 
     /** One channel's accounted-cycle breakdown (cost reports). */
     struct ChannelCycles
@@ -282,9 +244,11 @@ class DramBackend
     struct Channel
     {
         Tick busyUntil = 0;
-        /** Every cycle before this tick has been noted: the note
-         *  functions end their window here. */
-        Tick accountedTo = 0;
+        /** The channel's cycle counters hold every cycle before this
+         *  tick; the cycles up to accountedTo_ are pending. */
+        Tick bookedTo = 0;
+        /** Demand requests waiting for this channel. */
+        size_t waitingDemands = 0;
         std::vector<Bank> banks;
         /** What the in-flight transfer is (contention attribution). */
         ReqClass occupantCls = ReqClass::Demand;
@@ -292,12 +256,15 @@ class DramBackend
         obs::HintClass occupantHint = obs::HintClass::None;
     };
 
-    /** Mark @p channel's data bus busy until @p until on behalf of
-     *  one transfer (occupant attribution + allIdle high-water). */
+    /** From @p now on, @p channel's data bus is busy until @p until
+     *  on behalf of one transfer (occupant attribution + allIdle
+     *  high-water). The cycles before @p now are booked first, under
+     *  the old occupant. */
     void
-    setChannelBusy(unsigned channel, Tick until, ReqClass cls,
+    setChannelBusy(unsigned channel, Tick now, Tick until, ReqClass cls,
                    RefId ref, obs::HintClass hint)
     {
+        bookChannel(channel, now);
         Channel &ch = channels_[channel];
         ch.busyUntil = until;
         if (until > maxBusyUntil_)
@@ -307,16 +274,10 @@ class DramBackend
         ch.occupantHint = hint;
     }
 
-    /** A note window on @p channel starts at @p from, not at its
-     *  accountedTo: cycles were skipped or are noted again. Called
-     *  before accountedTo moves; the runner never does this, tests
-     *  may. A backend that books from the accounted range settles
-     *  what is pending and restarts its booking at @p from. */
-    virtual void
-    accountingGap(unsigned channel, Tick from)
-    {
-        (void)channel; (void)from;
-    }
+    /** Book every channel up to accountedTo_: the "dram" group's
+     *  sync, run before any read or reset of the group. A backend
+     *  with more lazily booked counters settles them here too. */
+    virtual void settle();
 
     DramConfig config_;
     unsigned channelShift_;    ///< log2(channels).
@@ -329,6 +290,8 @@ class DramBackend
     uint64_t rowSpanBlocks_ = 0;
 
     std::vector<Channel> channels_;
+    /** Every cycle before this tick has been simulated (accountTo()). */
+    Tick accountedTo_ = 0;
     /** High-water mark of every channel's busyUntil (allIdle()). */
     Tick maxBusyUntil_ = 0;
     /** Queued-backend commands not yet delivered (allIdle()); always
@@ -338,9 +301,9 @@ class DramBackend
     bool queued_ = false;
 
     /** Cached per-channel cycle counters (demand, prefetch,
-     *  writeback, idle, total) so per-cycle accounting skips the
-     *  stat-name lookup; Counter references are stable across
-     *  StatGroup::reset(). */
+     *  writeback, idle, total; the first three in ReqClass order) so
+     *  booking skips the stat-name lookup; Counter references are
+     *  stable across StatGroup::reset(). */
     struct ChannelCycleCounters
     {
         std::array<Counter *, 5> slots{};
@@ -359,10 +322,17 @@ class DramBackend
     obs::ScopedStatRegistration statReg_;
 
   private:
-    /** End @p channel's accounted range at @p from + @p cycles, after
-     *  reporting an accountingGap when the window does not start at
-     *  its accountedTo. */
-    void extendAccounted(unsigned channel, Tick from, uint64_t cycles);
+    /**
+     * Book @p channel's cycles [bookedTo, @p to): those before
+     * busyUntil to the occupant's class, the rest to idle. While a
+     * prefetch occupies the channel, each busy cycle also charges
+     * waitingDemands to contentionDemandStallCycles and, with the
+     * site profiler on, to the prefetch's site. The split depends only
+     * on busyUntil, the occupant and waitingDemands, so it runs just
+     * before one of them changes (setChannelBusy, setWaitingDemands)
+     * and in settle().
+     */
+    void bookChannel(unsigned channel, Tick to);
 };
 
 } // namespace grp

@@ -50,7 +50,7 @@ TimingDramSystem::TimingDramSystem(const DramConfig &config,
     // bank's five states sum to chNCycles by construction (the cost
     // reports and the backend bench rely on the exact identity). They
     // are booked lazily; every read or reset of the group first
-    // settles what is pending.
+    // settles what is pending (settle()).
     static const char *kStates[5] = {
         "Idle", "Open", "Activating", "Precharging", "Refreshing",
     };
@@ -67,10 +67,6 @@ TimingDramSystem::TimingDramSystem(const DramConfig &config,
         }
     }
     refreshCounter_ = &stats_.counter("refreshes");
-    stats_.setSync([this] {
-        for (unsigned ch = 0; ch < config_.channels; ++ch)
-            settleChannel(ch);
-    });
 }
 
 void
@@ -267,12 +263,14 @@ TimingDramSystem::tick(Tick now)
         }
 
         // Commit the transfer occupying the data bus this cycle as
-        // the channel occupant (contention attribution + busyUntil).
+        // the channel occupant (contention attribution + busyUntil),
+        // once per transfer: dataEnd grows with every burst.
         if (!ct.inFlight.empty() &&
-            ct.inFlight.front().dataStart <= now) {
+            ct.inFlight.front().dataStart <= now &&
+            ct.inFlight.front().dataEnd != channels_[ch].busyUntil) {
             const InFlight &cur = ct.inFlight.front();
-            setChannelBusy(ch, cur.dataEnd, cur.req.cls, cur.req.refId,
-                           cur.req.hintClass);
+            setChannelBusy(ch, now, cur.dataEnd, cur.req.cls,
+                           cur.req.refId, cur.req.hintClass);
         }
 
         scheduleOne(ch, now);
@@ -361,7 +359,7 @@ TimingDramSystem::settleBank(unsigned channel, unsigned bank)
 {
     BankTiming &bt = chTiming_[channel].banks[bank];
     const Tick from = bt.bookedTo;
-    const Tick to = channels_[channel].accountedTo;
+    const Tick to = accountedTo_;
     if (from >= to)
         return;
     bt.bookedTo = to;
@@ -394,11 +392,11 @@ TimingDramSystem::settleChannel(unsigned channel)
 }
 
 void
-TimingDramSystem::accountingGap(unsigned channel, Tick from)
+TimingDramSystem::settle()
 {
-    settleChannel(channel);
-    for (BankTiming &bt : chTiming_[channel].banks)
-        bt.bookedTo = from;
+    DramBackend::settle();
+    for (unsigned ch = 0; ch < config_.channels; ++ch)
+        settleChannel(ch);
 }
 
 void

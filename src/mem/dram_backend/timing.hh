@@ -39,11 +39,12 @@
  * counters (chNbankBIdle/Open/Activating/Precharging/Refreshing
  * Cycles), which sum exactly to the channel's accounted cycles.
  *
- * The per-bank counters are booked lazily. Noting a cycle only moves
- * the channel's accountedTo; a bank's cycles from its bookedTo up to
- * there are split by bankState's priority when it settles, just
- * before a row miss or a refresh rewrites its windows or open row,
- * and before any read or reset of the "dram" stat group (its sync).
+ * The per-bank counters are booked lazily, like the channel cycles.
+ * The memory system only moves the backend's accounted tick
+ * (accountTo()); a bank's cycles from its bookedTo up to there are
+ * split by bankState's priority when it settles, just before a row
+ * miss or a refresh rewrites its windows or open row, and before any
+ * read or reset of the "dram" stat group (settle(), its sync).
  */
 
 #ifndef GRP_MEM_DRAM_BACKEND_TIMING_HH
@@ -134,7 +135,7 @@ class TimingDramSystem final : public DramBackend
         Tick rasUntil = 0; ///< Earliest next PRE (actStart + tRAS).
         Tick refUntil = 0; ///< All-bank refresh in progress until.
         /** State counters hold every cycle before this tick; the
-         *  cycles up to the channel's accountedTo are pending. */
+         *  cycles up to the backend's accounted tick are pending. */
         Tick bookedTo = 0;
     };
 
@@ -170,7 +171,7 @@ class TimingDramSystem final : public DramBackend
 
     void logCmd(Cmd cmd, Tick tick, unsigned channel, unsigned bank,
                 int64_t row);
-    /** Book @p bank's pending cycles, [bookedTo, accountedTo), into
+    /** Book @p bank's pending cycles, [bookedTo, accountedTo_), into
      *  its state counters under its current windows and open row. */
     void settleBank(unsigned channel, unsigned bank);
     /** settleBank on every bank of @p channel. */
@@ -183,7 +184,8 @@ class TimingDramSystem final : public DramBackend
     /** Schedule at most one queued request's command timeline. */
     void scheduleOne(unsigned channel, Tick now);
 
-    void accountingGap(unsigned channel, Tick from) override;
+    /** The channels' booking plus every bank's settleBank. */
+    void settle() override;
 
     DramTimingParams params_;
     std::string presetName_;

@@ -5,7 +5,6 @@
 #include "mem/dram_backend/factory.hh"
 
 #include "obs/host_prof.hh"
-#include "obs/site_profile.hh"
 #include "sim/logging.hh"
 
 namespace grp
@@ -247,8 +246,11 @@ MemorySystem::handleL1Miss(Addr addr, RefId ref, const LoadHints &hints,
     req.hints = hints;
     req.ptrDepth = depth;
     req.enqueued = events_.curTick();
-    demandQueues_[dram_->channelOf(block)].push_back(req);
+    const unsigned channel = dram_->channelOf(block);
+    demandQueues_[channel].push_back(req);
     ++queuedDemand_;
+    dram_->setWaitingDemands(channel, demandQueues_[channel].size(),
+                             events_.curTick());
 
     if (engine_)
         engine_->onL2DemandMiss(block, ref, hints);
@@ -440,46 +442,43 @@ MemorySystem::tick()
     // Quiet-cycle fast path: nothing queued, every channel idle, and
     // tryIssuePrefetch provably touches no counter — either there is
     // no engine, or the issue gates are open with an empty engine
-    // queue, where the draw loop returns without side effects. All
-    // the per-channel walk would do is attribute one idle cycle per
-    // channel, so do exactly that in one batched call. Any throttled
-    // idle state (a closed gate bumps prefetch*Throttled every idle
-    // cycle) must take the slow path to keep stats byte-identical.
-    if (queuedDemand_ == 0 && queuedWriteback_ == 0 &&
+    // queue, where the draw loop returns without side effects. The
+    // per-channel arbitration walk would do nothing, so skip it. Any
+    // throttled idle state (a closed gate bumps prefetch*Throttled
+    // every idle cycle) must take the walk to keep stats
+    // byte-identical.
+    const bool quiet =
+        queuedDemand_ == 0 && queuedWriteback_ == 0 &&
         dram_->allIdle(now) &&
-        (!engine_ || (!prefetchStall() && engine_->queueDepth() == 0))) {
-        dram_->noteAllIdleCycle(now);
-        return;
-    }
+        (!engine_ || (!prefetchStall() && engine_->queueDepth() == 0));
 
-    for (unsigned ch = 0; ch < config_.dram.channels; ++ch) {
+    for (unsigned ch = 0; !quiet && ch < config_.dram.channels; ++ch) {
         const bool can_issue = timingMode_ ? dram_->canAccept(ch, now)
                                            : dram_->channelIdle(ch, now);
-        if (can_issue) {
-            auto &demand = demandQueues_[ch];
-            auto &wb = writebackQueues_[ch];
-            if (wb.size() > kWritebackHighWater) {
-                startDramAccess(ch, wb.front());
-                wb.pop_front();
-                --queuedWriteback_;
-            } else if (!demand.empty()) {
-                startDramAccess(ch, demand.front());
-                demand.pop_front();
-                --queuedDemand_;
-            } else if (!wb.empty()) {
-                startDramAccess(ch, wb.front());
-                wb.pop_front();
-                --queuedWriteback_;
-            } else {
-                tryIssuePrefetch(ch);
-            }
+        if (!can_issue)
+            continue;
+        auto &demand = demandQueues_[ch];
+        auto &wb = writebackQueues_[ch];
+        if (wb.size() > kWritebackHighWater) {
+            startDramAccess(ch, wb.front());
+            wb.pop_front();
+            --queuedWriteback_;
+        } else if (!demand.empty()) {
+            startDramAccess(ch, demand.front());
+            demand.pop_front();
+            --queuedDemand_;
+            dram_->setWaitingDemands(ch, demand.size(), now);
+        } else if (!wb.empty()) {
+            startDramAccess(ch, wb.front());
+            wb.pop_front();
+            --queuedWriteback_;
+        } else {
+            tryIssuePrefetch(ch);
         }
-        // Contention accounting: attribute this cycle to whatever now
-        // occupies the channel (including an access started above).
-        dram_->noteChannelCycle(ch, now);
-        if (!dram_->channelIdle(ch, now))
-            chargeContention(ch, 1);
     }
+    // The backend books channel and contention cycles when what they
+    // depend on changes; this cycle is now simulated.
+    dram_->accountTo(now + 1);
 }
 
 Tick
@@ -524,7 +523,8 @@ MemorySystem::fastForwardTicks(Tick from, Tick to)
 {
     if (config_.perfection != Perfection::None || to <= from)
         return;
-    const uint64_t span = to - from;
+    // Nothing the backend books from changes inside the window.
+    dram_->accountTo(to);
 
     // The stall tryIssuePrefetch would fold each cycle the channel
     // can issue: every bus-idle cycle on the legacy backend, every
@@ -534,29 +534,19 @@ MemorySystem::fastForwardTicks(Tick from, Tick to)
     // where the draw loop touches no counter.
     const std::optional<obs::StallReason> stall =
         engine_ ? prefetchStall() : std::nullopt;
-
+    if (!stall)
+        return;
     for (unsigned ch = 0; ch < config_.dram.channels; ++ch) {
-        const Tick busy_until = dram_->channelBusyUntil(ch);
-        const uint64_t busy =
-            busy_until <= from
-                ? 0
-                : std::min<uint64_t>(busy_until - from, span);
-        const uint64_t idle = span - busy;
-        dram_->noteChannelCycles(ch, from, busy, idle);
-        if (stall) {
-            const uint64_t stalled =
-                timingMode_ ? (dram_->canAccept(ch, from) ? span : 0)
-                            : idle;
-            if (stalled) {
-                lifecycle_.note({obs::TraceEvent::Stall, 0,
-                                 obs::HintClass::None,
-                                 static_cast<int>(ch),
-                                 static_cast<int64_t>(*stall)},
-                                stalled);
-            }
+        const uint64_t stalled =
+            timingMode_
+                ? (dram_->canAccept(ch, from) ? to - from : 0)
+                : to - std::clamp(dram_->channelBusyUntil(ch), from, to);
+        if (stalled) {
+            lifecycle_.note({obs::TraceEvent::Stall, 0,
+                             obs::HintClass::None, static_cast<int>(ch),
+                             static_cast<int64_t>(*stall)},
+                            stalled);
         }
-        if (busy)
-            chargeContention(ch, busy);
     }
 }
 
@@ -680,31 +670,16 @@ MemorySystem::prefetchStall() const
     // there are no outstanding demand misses from the L2 (§3.1):
     // prefetches thus contend with demands only when the demand
     // arrived after the prefetch had already been issued to DRAM.
+    // A queued demand always holds a demand L2 MSHR (handleL1Miss
+    // allocates it before the push and the fill frees it), so the
+    // first test covers the demand queue too.
     if (l2Mshrs_->demandInFlight() > 0)
         return obs::StallReason::DemandInFlight;
-    if (queuedDemand_ != 0)
-        return obs::StallReason::DemandQueued;
     if (l2Mshrs_->capacity() - l2Mshrs_->inFlight() <=
         kDemandReservedMshrs) {
         return obs::StallReason::MshrReserve;
     }
     return std::nullopt;
-}
-
-void
-MemorySystem::chargeContention(unsigned channel, uint64_t cycles)
-{
-    if (dram_->occupantClass(channel) != ReqClass::Prefetch ||
-        demandQueues_[channel].empty()) {
-        return;
-    }
-    const uint64_t waiting = demandQueues_[channel].size() * cycles;
-    dram_->noteDemandStall(waiting);
-    obs::SiteProfiler &profiler = obs::SiteProfiler::instance();
-    if (profiler.enabled()) {
-        profiler.noteContention(dram_->occupantRef(channel),
-                                dram_->occupantHint(channel), waiting);
-    }
 }
 
 bool

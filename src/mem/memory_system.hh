@@ -108,28 +108,29 @@ class MemorySystem
                           Addr index_addr, RefId ref);
 
     /** Per-cycle channel arbitration; call once per CPU cycle after
-     *  the CPU has issued. */
+     *  the CPU has issued. Ends by marking the cycle accounted in the
+     *  DRAM backend, which books channel and contention cycles. */
     void tick();
 
     /**
      * First tick after @p now at which tick() could do more than
-     * repeat this cycle's accounting: start a queued demand/writeback
-     * access, draw a prefetch candidate, or (queued backends) reach
-     * the backend's next transition (kMaxTick when nothing is queued
-     * anywhere). On a queued backend a channel can issue only while
-     * its command queue has space. Until then every cycle's work is
-     * a fixed increment, which fastForwardTicks() applies in one
-     * batch.
+     * repeat this cycle's prefetch stall notes: start a queued
+     * demand/writeback access, draw a prefetch candidate, or (queued
+     * backends) reach the backend's next transition (kMaxTick when
+     * nothing is queued anywhere). On a queued backend a channel can
+     * issue only while its command queue has space. Until then every
+     * cycle's work is a fixed increment, which fastForwardTicks()
+     * applies in one batch.
      */
     Tick nextWorkTick(Tick now) const;
 
     /**
-     * Replicate tick()'s per-cycle accounting for the skipped cycles
-     * [@p from, @p to): channel busy/idle attribution, prefetch
-     * throttle counters and demand-behind-prefetch contention, each
-     * scaled by the cycle count — byte-identical to ticking the
-     * window cycle by cycle (the runner guarantees no queue, MSHR or
-     * event state can change inside the window).
+     * Account the skipped cycles [@p from, @p to): move the DRAM
+     * backend's accounted tick to @p to, and fold the prefetch
+     * throttle counters tick() would have bumped, scaled by the cycle
+     * count — byte-identical to ticking the window cycle by cycle
+     * (the runner guarantees no queue, MSHR or event state can change
+     * inside the window).
      */
     void fastForwardTicks(Tick from, Tick to);
 
@@ -201,9 +202,6 @@ class MemorySystem
     bool tryIssuePrefetch(unsigned channel);
     /** Why the prioritizer refuses prefetches (nullopt: gates open). */
     std::optional<obs::StallReason> prefetchStall() const;
-    /** Charge @p cycles of demand queueing behind @p channel's
-     *  in-flight prefetch, if any, to DRAM and the prefetch's site. */
-    void chargeContention(unsigned channel, uint64_t cycles);
     uint8_t demandPtrDepth(const LoadHints &hints) const;
 
     SimConfig config_;
@@ -226,6 +224,8 @@ class MemorySystem
     /** The one writer of the lifecycle counters and classCounts_. */
     obs::LifecycleFold lifecycle_;
 
+    /** Every push to or pop from a channel's demand queue reports
+     *  the new depth to the DRAM backend (contention booking). */
     std::vector<std::deque<MemRequest>> demandQueues_;
     std::vector<std::deque<MemRequest>> writebackQueues_;
     /** Cached sums of the per-channel queue sizes, maintained at every

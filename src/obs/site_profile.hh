@@ -149,8 +149,12 @@ class SiteProfiler
      *  column counts (stalls, victim evictions, unattributed
      *  pollution misses, controller moves) are ignored. */
     void note(const TraceRecord &rec);
-    /** @p waiting demand requests spent a cycle queued behind the
-     *  site's in-flight prefetch transfer. */
+    /** Demand requests spent @p waiting request-cycles queued behind
+     *  the site's in-flight prefetch transfers. The DRAM backend
+     *  books these lazily, so the column is current only once the
+     *  "dram" stat group has synced: the runner reads "dram" first
+     *  (it registers before "siteProfile"), and the warm-up boundary
+     *  resets the memory system's stats before clear(). */
     void noteContention(RefId ref, HintClass hint, uint64_t waiting);
 
     /** Cycles one avoided (or suffered) miss is worth in the

@@ -127,8 +127,10 @@ traceLevelOf(TraceEvent event)
  *  reports a larger value as corrupt instead of sampling it. */
 constexpr uint64_t kFillToUseCap = 65535;
 
-/** A Stall record's extra: why the prioritizer refused prefetches. */
-enum class StallReason : uint8_t { DemandInFlight, DemandQueued, MshrReserve };
+/** A Stall record's extra: why the prioritizer refused prefetches.
+ *  Value 1 (a queued demand without a demand MSHR) cannot occur and
+ *  is retired; the others keep their values in existing traces. */
+enum class StallReason : uint8_t { DemandInFlight = 0, MshrReserve = 2 };
 
 /** One trace emission. Fields with default values are omitted from
  *  the output line. */

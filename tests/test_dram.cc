@@ -114,21 +114,6 @@ TEST_F(DramTest, TransferCounting)
     EXPECT_FALSE(dram.rowOpen(0x0));
 }
 
-TEST_F(DramTest, ServeRemembersOccupantForAttribution)
-{
-    DramSystem dram(config);
-    dram.serve(0x40, 0, ReqClass::Prefetch, 7,
-               obs::HintClass::Spatial);
-    EXPECT_EQ(dram.occupantClass(1), ReqClass::Prefetch);
-    EXPECT_EQ(dram.occupantRef(1), 7u);
-    EXPECT_EQ(dram.occupantHint(1), obs::HintClass::Spatial);
-    // The demand overload resets the attribution fields.
-    dram.serve(0x0, 0);
-    EXPECT_EQ(dram.occupantClass(0), ReqClass::Demand);
-    EXPECT_EQ(dram.occupantRef(0), kInvalidRefId);
-    EXPECT_EQ(dram.occupantHint(0), obs::HintClass::None);
-}
-
 /** Satellite: mixed demand/prefetch/writeback load — every accounted
  *  cycle lands in exactly one class bucket, so the per-channel
  *  breakdown sums to the channel's total by construction. */
@@ -136,57 +121,79 @@ TEST_F(DramTest, ChannelCycleBreakdownSumsToTotal)
 {
     DramSystem dram(config);
     // Channel 0: demand; channel 1: prefetch; channel 2: writeback;
-    // channel 3 stays idle. Account 10 cycles of transfer plus 5
-    // cycles after every transfer has drained.
+    // channel 3 stays idle.
     dram.serve(0x0, 0, ReqClass::Demand);
     dram.serve(0x40, 0, ReqClass::Prefetch, 3,
                obs::HintClass::Stride);
     dram.serve(0x80, 0, ReqClass::Writeback);
-    for (Tick t = 0; t < 10; ++t)
-        for (unsigned ch = 0; ch < config.channels; ++ch)
-            dram.noteChannelCycle(ch, t);
-    const Tick drained = config.rowConflictCycles +
-                         config.transferCycles + 100;
-    for (Tick t = drained; t < drained + 5; ++t)
-        for (unsigned ch = 0; ch < config.channels; ++ch)
-            dram.noteChannelCycle(ch, t);
 
+    // Mid-transfer: every accounted cycle so far is busy.
+    dram.accountTo(10);
+    EXPECT_EQ(dram.channelCycles(0).demand, 10u);
+    EXPECT_EQ(dram.channelCycles(1).prefetch, 10u);
+    EXPECT_EQ(dram.channelCycles(2).writeback, 10u);
+    EXPECT_EQ(dram.channelCycles(3).idle, 10u);
+    EXPECT_EQ(dram.channelCycles(0).idle, 0u);
+
+    // Five cycles after the bus drains.
+    const Tick busy = config.transferCycles;
+    const Tick end = busy + 5;
+    dram.accountTo(end);
     const DramSystem::ChannelCycles c0 = dram.channelCycles(0);
     const DramSystem::ChannelCycles c1 = dram.channelCycles(1);
     const DramSystem::ChannelCycles c2 = dram.channelCycles(2);
     const DramSystem::ChannelCycles c3 = dram.channelCycles(3);
-    EXPECT_EQ(c0.demand, 10u);
-    EXPECT_EQ(c1.prefetch, 10u);
-    EXPECT_EQ(c2.writeback, 10u);
-    EXPECT_EQ(c3.idle, 15u);
+    EXPECT_EQ(c0.demand, busy);
+    EXPECT_EQ(c1.prefetch, busy);
+    EXPECT_EQ(c2.writeback, busy);
+    EXPECT_EQ(c3.idle, end);
     EXPECT_EQ(c0.idle, 5u);
     for (unsigned ch = 0; ch < config.channels; ++ch) {
         const DramSystem::ChannelCycles c = dram.channelCycles(ch);
-        EXPECT_EQ(c.total(), 15u) << "channel " << ch;
+        EXPECT_EQ(c.total(), end) << "channel " << ch;
         EXPECT_EQ(c.total(),
                   dram.stats().value("ch" + std::to_string(ch) +
                                      "Cycles"))
             << "channel " << ch;
     }
     // Aggregates mirror the per-channel sums.
-    EXPECT_EQ(dram.stats().value("contentionDemandCycles"), 10u);
-    EXPECT_EQ(dram.stats().value("contentionPrefetchCycles"), 10u);
-    EXPECT_EQ(dram.stats().value("contentionWritebackCycles"), 10u);
-    EXPECT_EQ(dram.stats().value("contentionIdleCycles"), 30u);
+    EXPECT_EQ(dram.stats().value("contentionDemandCycles"), busy);
+    EXPECT_EQ(dram.stats().value("contentionPrefetchCycles"), busy);
+    EXPECT_EQ(dram.stats().value("contentionWritebackCycles"), busy);
+    EXPECT_EQ(dram.stats().value("contentionIdleCycles"),
+              end + 3 * 5);
 }
 
 TEST_F(DramTest, DemandStallAccumulatesWaitingRequests)
 {
     DramSystem dram(config);
-    EXPECT_EQ(dram.stats().value("contentionDemandStallCycles"), 0u);
-    dram.noteDemandStall(2);
-    dram.noteDemandStall(3);
-    EXPECT_EQ(dram.stats().value("contentionDemandStallCycles"), 5u);
+    const auto stall = [&dram] {
+        return dram.stats().value("contentionDemandStallCycles");
+    };
+    // Two demands wait for channel 1 from tick 0; a prefetch occupies
+    // it from tick 2.
+    dram.setWaitingDemands(1, 2, 0);
+    dram.serve(0x40, 2, ReqClass::Prefetch, 7, obs::HintClass::Spatial);
+    dram.accountTo(5);
+    EXPECT_EQ(stall(), 2u * 3);
+    // A third demand arrives at tick 5.
+    dram.setWaitingDemands(1, 3, 5);
+    dram.accountTo(7);
+    EXPECT_EQ(stall(), 2u * 3 + 3 * 2);
     dram.stats().reset();
-    EXPECT_EQ(dram.stats().value("contentionDemandStallCycles"), 0u);
-    // The cached counter survives the reset.
-    dram.noteDemandStall(1);
-    EXPECT_EQ(dram.stats().value("contentionDemandStallCycles"), 1u);
+    EXPECT_EQ(stall(), 0u);
+    // Booking carries on from the reset, and stops with the transfer.
+    dram.accountTo(8);
+    EXPECT_EQ(stall(), 3u);
+    const Tick end = 2 + config.transferCycles;
+    dram.accountTo(end + 10);
+    EXPECT_EQ(stall(), 3u * (end - 7));
+    // Demands waiting behind a demand transfer are not contention.
+    dram.serve(0x0, end + 10, ReqClass::Demand);
+    dram.setWaitingDemands(0, 4, end + 10);
+    dram.accountTo(end + 20);
+    EXPECT_EQ(stall(), 3u * (end - 7));
+    EXPECT_EQ(dram.channelCycles(0).demand, 10u);
 }
 
 /** Region streaming property: the 64 blocks of a region land evenly

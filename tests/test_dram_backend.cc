@@ -2,12 +2,14 @@
  *  resolution, timing-model protocol invariants checked against the
  *  recorded command stream, FR-FCFS demand priority, refresh cadence,
  *  skipping to nextTransitionTick against per-cycle ticking,
- *  stat-schema parity with the legacy model, and the per-bank
- *  state-cycle accounting identity. */
+ *  stat-schema parity with the legacy model, the per-bank
+ *  state-cycle accounting identity, and the lazy channel and
+ *  contention booking against a per-cycle tally. */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <map>
 #include <stdexcept>
@@ -20,6 +22,7 @@
 #include "mem/dram_backend/factory.hh"
 #include "mem/dram_backend/timing.hh"
 #include "mem/memory_system.hh"
+#include "obs/site_profile.hh"
 #include "sim/logging.hh"
 
 namespace grp
@@ -493,11 +496,11 @@ struct BackendRun
 /**
  * Drive @p dram through @p arrivals up to @p horizon the way
  * MemorySystem::tick does on each stepped tick: tick(), drain
- * completions, serve the tick's arrivals that fit, note every
- * channel's cycle. Per-cycle mode steps every tick. Skip mode steps
- * only at arrival ticks and nextTransitionTick, and books each gap
- * with one noteChannelCycles per channel, splitting busy from idle
- * at channelBusyUntil as MemorySystem::fastForwardTicks does.
+ * completions, serve the tick's arrivals that fit. Per-cycle mode
+ * steps every tick. Skip mode steps only at arrival ticks and
+ * nextTransitionTick. Either way each step accounts the ticks up to
+ * the next one with accountTo, as MemorySystem::tick and
+ * fastForwardTicks do.
  */
 BackendRun
 drive(TimingDramSystem &dram, const std::vector<Arrival> &arrivals,
@@ -509,23 +512,9 @@ drive(TimingDramSystem &dram, const std::vector<Arrival> &arrivals,
     const unsigned channels = dram.config().channels;
     const unsigned banks = dram.config().banksPerChannel;
     std::vector<uint64_t> states(size_t{channels} * banks * 5);
-    const auto book = [&](Tick from, Tick to) {
-        const uint64_t span = to - from;
-        for (unsigned ch = 0; ch < channels; ++ch) {
-            const Tick busy_until = dram.channelBusyUntil(ch);
-            const uint64_t busy =
-                busy_until <= from
-                    ? 0
-                    : std::min<uint64_t>(busy_until - from, span);
-            dram.noteChannelCycles(ch, from, busy, span - busy);
-        }
-    };
 
     size_t next_arrival = 0;
-    Tick booked = 0; // Every channel cycle before this is noted.
     for (Tick now = 0; now <= horizon;) {
-        if (now > booked)
-            book(booked, now);
         dram.tick(now);
         while (auto req = dram.popCompleted(now))
             out.fills.emplace_back(req->blockAddr, now);
@@ -536,15 +525,13 @@ drive(TimingDramSystem &dram, const std::vector<Arrival> &arrivals,
             if (dram.canAccept(dram.channelOf(a.addr), now))
                 dram.serve(a.addr, now, a.cls);
         }
-        for (unsigned ch = 0; ch < channels; ++ch) {
-            dram.noteChannelCycle(ch, now);
-            for (unsigned b = 0; !skip && b < banks; ++b) {
+        for (unsigned ch = 0; !skip && ch < channels; ++ch) {
+            for (unsigned b = 0; b < banks; ++b) {
                 const auto state = dram.bankState(ch, b, now);
                 ++states[(ch * banks + b) * 5 +
                          static_cast<unsigned>(state)];
             }
         }
-        booked = now + 1;
         ++out.steps;
 
         const Tick transition = dram.nextTransitionTick(now);
@@ -559,10 +546,9 @@ drive(TimingDramSystem &dram, const std::vector<Arrival> &arrivals,
             if (next_arrival < arrivals.size())
                 next = std::min(next, arrivals[next_arrival].tick);
         }
+        dram.accountTo(next);
         now = next;
     }
-    if (horizon + 1 > booked)
-        book(booked, horizon + 1);
     dram.setCommandLog(nullptr);
 
     for (const CommandRecord &c : log)
@@ -637,31 +623,27 @@ TEST_F(DramBackendTest, SkippingToTransitionsMatchesPerCycleTicking)
     }
 }
 
-/** What one drive of driveWithGaps produced. */
-struct GapRun
+/** What one drive of driveWithReads produced. */
+struct ReadRun
 {
     std::map<std::string, uint64_t> counters; ///< Final dram group.
-    uint64_t gaps = 0;  ///< Unaccounted stretches started.
     uint64_t reads = 0; ///< Mid-run reads of the group.
 };
 
 /**
- * Drive @p dram through @p arrivals up to @p horizon, noting cycles
- * the three ways the memory system does — noteChannelCycle per
- * channel, noteAllIdleCycle on quiet cycles, and noteChannelCycles
- * over a window skipped to nextTransitionTick — while leaving random
- * stretches of each channel's ticks unaccounted, so notes restart
- * away from the channel's accountedTo. The group is reset once, at
- * the first stepped tick from @p reset_at. With @p reads it is also
- * read at random ticks through value() and counters(). Every read,
- * and the final one, must match bankState tallied over exactly the
- * accounted ticks since the reset.
+ * Drive @p dram through @p arrivals up to @p horizon, accounting each
+ * stepped tick, and now and then a window skipped to
+ * nextTransitionTick, with accountTo as the memory system does. The
+ * group is reset once, at the first stepped tick from @p reset_at.
+ * With @p reads it is also read at random ticks through value() and
+ * counters(). Every read, and the final one, must match bankState
+ * tallied over the accounted ticks since the reset.
  */
-GapRun
-driveWithGaps(TimingDramSystem &dram, const std::vector<Arrival> &arrivals,
-              Tick horizon, Tick reset_at, bool reads)
+ReadRun
+driveWithReads(TimingDramSystem &dram, const std::vector<Arrival> &arrivals,
+               Tick horizon, Tick reset_at, bool reads)
 {
-    GapRun out;
+    ReadRun out;
     const unsigned channels = dram.config().channels;
     const unsigned banks = dram.config().banksPerChannel;
     std::vector<uint64_t> tally(size_t{channels} * banks * 5);
@@ -670,10 +652,12 @@ driveWithGaps(TimingDramSystem &dram, const std::vector<Arrival> &arrivals,
                std::to_string(i / 5 % banks) + kBankStates[i % 5] +
                "Cycles";
     };
-    const auto tally_tick = [&](unsigned ch, Tick t) {
-        for (unsigned b = 0; b < banks; ++b) {
-            ++tally[(ch * banks + b) * 5 +
-                    static_cast<unsigned>(dram.bankState(ch, b, t))];
+    const auto tally_tick = [&](Tick t) {
+        for (unsigned ch = 0; ch < channels; ++ch) {
+            for (unsigned b = 0; b < banks; ++b) {
+                ++tally[(ch * banks + b) * 5 +
+                        static_cast<unsigned>(dram.bankState(ch, b, t))];
+            }
         }
     };
     const auto check_all = [&](Tick now) {
@@ -689,8 +673,6 @@ driveWithGaps(TimingDramSystem &dram, const std::vector<Arrival> &arrivals,
         lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
         return lcg >> 16;
     };
-    // A channel's ticks before gap_until[ch] go unaccounted.
-    std::vector<Tick> gap_until(channels, 0);
     bool reset_done = false;
     size_t next_arrival = 0;
     for (Tick now = 0; now <= horizon;) {
@@ -709,28 +691,11 @@ driveWithGaps(TimingDramSystem &dram, const std::vector<Arrival> &arrivals,
             if (dram.canAccept(dram.channelOf(a.addr), now))
                 dram.serve(a.addr, now, a.cls);
         }
-
-        bool all_noted = true;
-        for (unsigned ch = 0; ch < channels; ++ch) {
-            if (gap_until[ch] <= now && draw() % 150 == 0) {
-                gap_until[ch] = now + 1 + draw() % 500;
-                ++out.gaps;
-            }
-            all_noted = all_noted && gap_until[ch] <= now;
-        }
-        const bool quiet = all_noted && dram.allIdle(now);
-        if (quiet)
-            dram.noteAllIdleCycle(now);
-        for (unsigned ch = 0; ch < channels; ++ch) {
-            if (gap_until[ch] > now)
-                continue;
-            if (!quiet)
-                dram.noteChannelCycle(ch, now);
-            tally_tick(ch, now);
-        }
+        dram.accountTo(now + 1);
+        tally_tick(now);
 
         // One draw either way, so both kinds of run take the same
-        // gaps and skips.
+        // skips.
         const uint64_t r = draw();
         if (reads && r % 20 == 0) {
             ++out.reads;
@@ -743,30 +708,16 @@ driveWithGaps(TimingDramSystem &dram, const std::vector<Arrival> &arrivals,
             }
         }
 
-        // Now and then skip to the next transition, booking the
-        // window with one noteChannelCycles per noted channel.
+        // Now and then skip to the next transition.
         Tick next = now + 1;
         if (draw() % 3 == 0) {
             next = std::min(dram.nextTransitionTick(now), horizon + 1);
             if (next_arrival < arrivals.size())
                 next = std::min(next, arrivals[next_arrival].tick);
         }
-        const Tick from = now + 1;
-        for (unsigned ch = 0; from < next && ch < channels; ++ch) {
-            if (gap_until[ch] > from) {
-                gap_until[ch] = std::max(gap_until[ch], next);
-                continue;
-            }
-            const uint64_t span = next - from;
-            const Tick busy_until = dram.channelBusyUntil(ch);
-            const uint64_t busy =
-                busy_until <= from
-                    ? 0
-                    : std::min<uint64_t>(busy_until - from, span);
-            dram.noteChannelCycles(ch, from, busy, span - busy);
-            for (Tick t = from; t < next; ++t)
-                tally_tick(ch, t);
-        }
+        dram.accountTo(next);
+        for (Tick t = now + 1; t < next; ++t)
+            tally_tick(t);
         now = next;
     }
 
@@ -776,7 +727,7 @@ driveWithGaps(TimingDramSystem &dram, const std::vector<Arrival> &arrivals,
     return out;
 }
 
-TEST_F(DramBackendTest, BankBookingMatchesBankStateUnderGapsReadsAndResets)
+TEST_F(DramBackendTest, BankBookingMatchesBankStateUnderReadsAndResets)
 {
     for (const std::string name : {"ddr4-2400", "hbm2", "lpddr4"}) {
         SCOPED_TRACE(name);
@@ -787,12 +738,11 @@ TEST_F(DramBackendTest, BankBookingMatchesBankStateUnderGapsReadsAndResets)
         const std::vector<Arrival> arrivals =
             lcgTraffic(read_dram->config(), horizon);
 
-        const GapRun read =
-            driveWithGaps(*read_dram, arrivals, horizon, horizon / 3, true);
-        const GapRun end =
-            driveWithGaps(*twin, arrivals, horizon, horizon / 3, false);
+        const ReadRun read = driveWithReads(*read_dram, arrivals, horizon,
+                                            horizon / 3, true);
+        const ReadRun end =
+            driveWithReads(*twin, arrivals, horizon, horizon / 3, false);
 
-        EXPECT_GT(read.gaps, 10u);
         EXPECT_GT(read.reads, 100u);
         EXPECT_EQ(end.counters, read.counters);
         // After the reset the traffic still takes banks through ACT,
@@ -816,6 +766,164 @@ TEST_F(DramBackendTest, BankBookingMatchesBankStateUnderGapsReadsAndResets)
     }
 }
 
+/**
+ * The channel and contention booking against a per-cycle tally, on
+ * every backend. Channel c carries only class c % 3, so
+ * channelBusyUntil alone gives each busy cycle's class; its
+ * prefetches come from site 100 + c. Each channel's waiting-demand
+ * count changes at random stepped ticks, and some windows are
+ * skipped to the next transition or arrival. The group is read at
+ * random ticks and reset once, followed by SiteProfiler::clear() as
+ * the runner does at the warm-up boundary. Every read of the
+ * channel, contention and site-profile counters must equal the
+ * tally over the accounted ticks since the reset.
+ */
+TEST_F(DramBackendTest, ChannelBookingMatchesPerCycleTally)
+{
+    static const char *const kSlots[5] = {
+        "DemandCycles", "PrefetchCycles", "WritebackCycles", "IdleCycles",
+        "Cycles",
+    };
+    static const char *const kAggregates[4] = {
+        "contentionDemandCycles", "contentionPrefetchCycles",
+        "contentionWritebackCycles", "contentionIdleCycles",
+    };
+    obs::SiteProfiler &profiler = obs::SiteProfiler::instance();
+    for (const std::string name : {"legacy", "ddr4-2400", "hbm2", "lpddr4"}) {
+        SCOPED_TRACE(name);
+        DramConfig cfg;
+        cfg.backend = name;
+        const std::unique_ptr<DramBackend> dram = makeDramBackend(cfg);
+        const unsigned channels = dram->config().channels;
+        const Tick horizon = 25'000;
+        std::vector<Arrival> arrivals =
+            lcgTraffic(dram->config(), horizon);
+        for (Arrival &a : arrivals)
+            a.cls = static_cast<ReqClass>(dram->channelOf(a.addr) % 3);
+
+        // Per channel: the five chN*Cycles slots, the waiting demands
+        // and the contention charged to its site.
+        std::vector<std::array<uint64_t, 5>> cycles(channels);
+        std::vector<size_t> waiting(channels);
+        std::vector<uint64_t> site(channels);
+        uint64_t stall = 0;
+        const auto tally = [&](Tick t) {
+            for (unsigned ch = 0; ch < channels; ++ch) {
+                const bool busy = t < dram->channelBusyUntil(ch);
+                ++cycles[ch][busy ? ch % 3 : 3];
+                ++cycles[ch][4];
+                if (busy && ch % 3 == 1) {
+                    stall += waiting[ch];
+                    site[ch] += waiting[ch];
+                }
+            }
+        };
+        uint64_t reads = 0;
+        const auto check = [&](Tick now) {
+            ++reads;
+            const StatGroup &stats = dram->stats();
+            std::array<uint64_t, 4> totals{};
+            for (unsigned ch = 0; ch < channels; ++ch) {
+                for (unsigned s = 0; s < 5; ++s) {
+                    const std::string stat =
+                        "ch" + std::to_string(ch) + kSlots[s];
+                    EXPECT_EQ(stats.value(stat), cycles[ch][s])
+                        << stat << " at tick " << now;
+                    if (s < 4)
+                        totals[s] += cycles[ch][s];
+                }
+            }
+            for (unsigned s = 0; s < 4; ++s) {
+                EXPECT_EQ(stats.value(kAggregates[s]), totals[s])
+                    << kAggregates[s] << " at tick " << now;
+            }
+            EXPECT_EQ(stats.value("contentionDemandStallCycles"), stall)
+                << "at tick " << now;
+            // The dram group's sync above booked the site column.
+            uint64_t site_total = 0;
+            for (unsigned ch = 1; ch < channels; ch += 3) {
+                const obs::SiteCounters *counters =
+                    profiler.find(100 + ch, obs::HintClass::Spatial);
+                EXPECT_EQ(counters ? counters->contentionCycles : 0,
+                          site[ch])
+                    << "site " << 100 + ch << " at tick " << now;
+                site_total += site[ch];
+            }
+            EXPECT_EQ(profiler.stats().value("contentionCycles"),
+                      site_total)
+                << "at tick " << now;
+        };
+
+        profiler.clear();
+        profiler.setEnabled(true);
+        uint64_t lcg = 0xDA942042E4DD58B5ull;
+        const auto draw = [&lcg] {
+            lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+            return lcg >> 16;
+        };
+        bool reset_done = false;
+        size_t next_arrival = 0;
+        for (Tick now = 0; now <= horizon;) {
+            if (!reset_done && now >= horizon / 3) {
+                dram->stats().reset();
+                profiler.clear();
+                std::fill(cycles.begin(), cycles.end(),
+                          std::array<uint64_t, 5>{});
+                std::fill(site.begin(), site.end(), 0);
+                stall = 0;
+                reset_done = true;
+            }
+            for (unsigned ch = 0; ch < channels; ++ch) {
+                if (draw() % 8 == 0) {
+                    waiting[ch] = draw() % 4;
+                    dram->setWaitingDemands(ch, waiting[ch], now);
+                }
+            }
+            dram->tick(now);
+            while (dram->popCompleted(now)) {
+            }
+            for (; next_arrival < arrivals.size() &&
+                   arrivals[next_arrival].tick <= now;
+                 ++next_arrival) {
+                const Arrival &a = arrivals[next_arrival];
+                const unsigned ch = dram->channelOf(a.addr);
+                if (!dram->canAccept(ch, now))
+                    continue;
+                if (a.cls == ReqClass::Prefetch) {
+                    dram->serve(a.addr, now, a.cls, 100 + ch,
+                                obs::HintClass::Spatial);
+                } else {
+                    dram->serve(a.addr, now, a.cls);
+                }
+            }
+            dram->accountTo(now + 1);
+            tally(now);
+            if (draw() % 8 == 0)
+                check(now);
+
+            Tick next = now + 1;
+            if (draw() % 3 == 0) {
+                next = std::min(dram->nextTransitionTick(now), horizon + 1);
+                if (next_arrival < arrivals.size())
+                    next = std::min(next, arrivals[next_arrival].tick);
+            }
+            dram->accountTo(next);
+            for (Tick t = now + 1; t < next; ++t)
+                tally(t);
+            now = next;
+        }
+        check(horizon);
+        profiler.setEnabled(false);
+        profiler.clear();
+
+        // The traffic exercised every class and the contention path.
+        EXPECT_GT(reads, 100u);
+        EXPECT_GT(stall, 0u);
+        for (unsigned s = 0; s < 3; ++s)
+            EXPECT_GT(cycles[s][s], 0u) << kSlots[s];
+    }
+}
+
 /** What one drive of a memory system produced. */
 struct MemoryRun
 {
@@ -823,6 +931,7 @@ struct MemoryRun
     std::vector<std::pair<uint64_t, Tick>> loads;
     std::map<std::string, uint64_t> counters; ///< mem.* and dram.*.
     uint64_t steps = 0; ///< Ticks on which MemorySystem::tick ran.
+    size_t peakDemandQueue = 0; ///< Most demands queued after a tick.
 };
 
 /**
@@ -855,6 +964,12 @@ driveMemory(const std::vector<Arrival> &arrivals, Tick horizon,
         }
         mem.tick();
         ++out.steps;
+        // Every queued demand holds a demand L2 MSHR, so the
+        // prioritizer's demand-in-flight gate covers the queue.
+        EXPECT_GE(mem.l2Mshrs().demandInFlight(), mem.demandQueueDepth())
+            << "tick " << now;
+        out.peakDemandQueue =
+            std::max(out.peakDemandQueue, mem.demandQueueDepth());
 
         const Tick work = mem.nextWorkTick(now);
         EXPECT_GT(work, now);
@@ -908,6 +1023,7 @@ TEST_F(DramBackendTest, SkippingToNextWorkTickMatchesPerCycleTicking)
     EXPECT_EQ(step.steps, horizon + 1);
     EXPECT_LT(skip.steps, step.steps / 2);
     EXPECT_GT(step.loads.size(), arrivals.size() / 2);
+    EXPECT_GT(step.peakDemandQueue, 1u);
     EXPECT_EQ(skip.loads, step.loads);
     EXPECT_EQ(skip.counters, step.counters);
 }

@@ -15,9 +15,11 @@ beyond its tolerance fails the gate while benign noise does not.
 The simulator is deterministic for a fixed seed and instruction
 budget, so the tolerances are deliberately tight: they exist to
 absorb intentional-but-small modelling drift, not run-to-run noise.
-Regenerate a baseline on purpose with:
+The tier-1 ctest `bench_artefacts` (tests/bench_artefacts.sh) allows
+no drift at all: it byte-compares each baselined artefact. Regenerate
+a baseline on purpose, at the budget every baseline records, with:
 
-    GRP_INSTRUCTIONS=20000 GRP_BENCH_OUT=bench/baselines \
+    GRP_INSTRUCTIONS=100000 GRP_BENCH_OUT=bench/baselines \
         build/bench/<bench_name>
 
 Exit status: 0 when everything matches, 1 with one line per failure
