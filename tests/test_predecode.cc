@@ -1,8 +1,23 @@
-/** @file Differential tests: decoded interpreter vs the tree walker. */
+/**
+ * @file
+ * Pins the decoded interpreter's op streams, and checks them against
+ * the tree walker.
+ *
+ * A pinned stream's digest is the FNV-1a hash of each op's kind,
+ * addr, refId, base and elemSize, then of the op count. Every pinned
+ * stream is read through next() and through nextBatch(), each on a
+ * fresh interpreter, and both digests must equal the committed
+ * constant; so must the tree walker's reading of the same stream.
+ */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <iterator>
+
 #include "compiler/hint_generator.hh"
+#include "fnv1a.hh"
 #include "sim/logging.hh"
 #include "workloads/interpreter.hh"
 #include "workloads/kernels.hh"
@@ -52,6 +67,254 @@ class PredecodeTest : public ::testing::Test
         ASSERT_EQ(tree.opsEmitted(), decoded.opsEmitted()) << name;
     }
 };
+
+// ---------------------------------------------------------------------------
+// Pinned stream digests.
+
+/** One reading of an op stream. */
+struct Reading
+{
+    uint64_t digest = 0;
+    uint64_t ops = 0;      ///< Ops read (fewer than asked if it ended).
+    uint64_t indirect = 0; ///< Indirect-prefetch ops among them.
+};
+
+/** Folds ops into a Reading. */
+class StreamHash
+{
+  public:
+    void
+    add(const TraceOp &op)
+    {
+        hash_.mix(static_cast<uint64_t>(op.kind));
+        hash_.mix(op.addr);
+        hash_.mix(op.refId);
+        hash_.mix(op.base);
+        hash_.mix(op.elemSize);
+        ++reading_.ops;
+        reading_.indirect += op.kind == OpKind::IndirectPrefetch;
+    }
+
+    Reading
+    finish()
+    {
+        hash_.mix(reading_.ops);
+        reading_.digest = hash_.value();
+        return reading_;
+    }
+
+    uint64_t ops() const { return reading_.ops; }
+
+  private:
+    Fnv1a hash_;
+    Reading reading_;
+};
+
+/** The first @p limit ops of @p source, one next() call each. */
+Reading
+readByOp(TraceSource &source, uint64_t limit)
+{
+    StreamHash hash;
+    TraceOp op;
+    while (hash.ops() < limit && source.next(op))
+        hash.add(op);
+    return hash.finish();
+}
+
+/** The first @p limit ops of @p source, in nextBatch() spans. */
+Reading
+readByBatch(TraceSource &source, uint64_t limit)
+{
+    StreamHash hash;
+    while (hash.ops() < limit) {
+        const TraceOp *ops = nullptr;
+        const size_t run = source.nextBatch(&ops);
+        if (run == 0)
+            break;
+        const uint64_t take =
+            std::min<uint64_t>(run, limit - hash.ops());
+        for (uint64_t i = 0; i < take; ++i)
+            hash.add(ops[i]);
+    }
+    return hash.finish();
+}
+
+/** One stream, read by three fresh interpreters. */
+struct Readings
+{
+    Reading byOp;
+    Reading byBatch;
+    Reading tree;
+};
+
+/** The first @p limit ops of kernel @p name at @p seed, as built or
+ *  after the hint generator's transform. */
+Readings
+readKernel(const std::string &name, uint64_t seed, bool transformed,
+           uint64_t limit)
+{
+    FunctionalMemory mem;
+    auto workload = makeWorkload(name);
+    Program prog = workload->build(mem, seed);
+    if (transformed)
+        HintGenerator::transform(prog);
+    const DecodedProgram decoded = DecodedProgram::lower(prog);
+    DecodedInterpreter by_op(decoded, mem, seed);
+    DecodedInterpreter by_batch(decoded, mem, seed);
+    Interpreter tree(prog, mem, seed);
+    return {readByOp(by_op, limit), readByBatch(by_batch, limit),
+            readByOp(tree, limit)};
+}
+
+/** Every reading in @p got has digest @p pinned; @p entry is the
+ *  stream's line in its table, printed on a mismatch. */
+void
+expectPinned(uint64_t pinned, const Readings &got,
+             const std::string &what, const char *entry)
+{
+    EXPECT_EQ(pinned, got.byOp.digest)
+        << what << " via next(); this stream's entry: " << entry;
+    EXPECT_EQ(pinned, got.byBatch.digest)
+        << what << " via nextBatch(); this stream's entry: " << entry;
+    EXPECT_EQ(pinned, got.tree.digest)
+        << what << " via the tree walker; this stream's entry: "
+        << entry;
+}
+
+std::string
+hex(uint64_t value)
+{
+    char text[24];
+    std::snprintf(text, sizeof text, "0x%016llxull",
+                  static_cast<unsigned long long>(value));
+    return text;
+}
+
+constexpr uint64_t kKernelOps = 150'000;
+
+struct PinnedKernel
+{
+    const char *name;
+    uint64_t built;       ///< As the workload builds it.
+    uint64_t transformed; ///< After HintGenerator::transform.
+};
+
+// Every kernel at seed 42, first kKernelOps ops. Change a constant
+// only in a commit that means to change an op stream, and say there
+// which streams changed and why.
+const PinnedKernel kPinnedKernels[] = {
+    {"gzip", 0xd1a7aca87a21a8a0ull, 0xa035df7da5ae5710ull},
+    {"wupwise", 0xaad94b44ca1f9094ull, 0xaad94b44ca1f9094ull},
+    {"swim", 0x65aadd2bc0070311ull, 0x65aadd2bc0070311ull},
+    {"mgrid", 0xf75894769f10ae87ull, 0xf75894769f10ae87ull},
+    {"applu", 0xf5acf240b57ae2aaull, 0xf5acf240b57ae2aaull},
+    {"vpr", 0xcd5532b6fabe9e70ull, 0x59c4d4dbde508b70ull},
+    {"mesa", 0x7ed2fea03a1ecffaull, 0x7ed2fea03a1ecffaull},
+    {"art", 0x663ee4bdec833fc3ull, 0x663ee4bdec833fc3ull},
+    {"mcf", 0x0518d84f0367ea06ull, 0x0518d84f0367ea06ull},
+    {"equake", 0xafb74aa9c8b33188ull, 0xbac14004b9ee2555ull},
+    {"crafty", 0x2dacaf74f3bda951ull, 0x2dacaf74f3bda951ull},
+    {"ammp", 0xf8c18161424adc82ull, 0xf8c18161424adc82ull},
+    {"parser", 0xc85117ab3e145afeull, 0xc85117ab3e145afeull},
+    {"gap", 0xbec4098fb9ec8504ull, 0xbec4098fb9ec8504ull},
+    {"bzip2", 0x40ef87e3e5589ffdull, 0x785f3d0de80fec2dull},
+    {"twolf", 0x7f09ed6853b1ec98ull, 0x7f09ed6853b1ec98ull},
+    {"apsi", 0xba28b3f21edcdb6cull, 0xba28b3f21edcdb6cull},
+    {"sphinx", 0xb43269ac2a7210e8ull, 0xb43269ac2a7210e8ull},
+};
+
+/** The pinned row for kernel @p name; null when unpinned. */
+const PinnedKernel *
+pinnedKernel(const std::string &name)
+{
+    for (const PinnedKernel &row : kPinnedKernels) {
+        if (name == row.name)
+            return &row;
+    }
+    return nullptr;
+}
+
+constexpr uint64_t kSeedOps = 20'000;
+
+struct PinnedSeed
+{
+    const char *name;
+    uint64_t seed;
+    uint64_t digest;
+};
+
+// The irregular kernels as built, first kSeedOps ops at three seeds:
+// these pin the order of the random draws (Random subscripts, tree
+// descents).
+const PinnedSeed kPinnedSeeds[] = {
+    {"twolf", 1, 0x00f8a6424ed3675bull},
+    {"twolf", 7, 0x46639a56cdcbf257ull},
+    {"twolf", 1234567, 0x0901f43af05180fdull},
+    {"mcf", 1, 0x5e8dbeda4ebeb3b0ull},
+    {"mcf", 7, 0x5e8dbeda4ebeb3b0ull},
+    {"mcf", 1234567, 0x5e8dbeda4ebeb3b0ull},
+    {"vpr", 1, 0xdeca7ddef4e0356aull},
+    {"vpr", 7, 0x97ea66ab3fe5c992ull},
+    {"vpr", 1234567, 0x65fd4d3520cc2836ull},
+    {"sphinx", 1, 0x5175a30dceaf779eull},
+    {"sphinx", 7, 0x5b20484a939c26afull},
+    {"sphinx", 1234567, 0xbd8cdc6a11cdafceull},
+    {"gap", 1, 0x60d8b2dda5153cd3ull},
+    {"gap", 7, 0x60d8b2dda5153cd3ull},
+    {"gap", 1234567, 0x60d8b2dda5153cd3ull},
+};
+
+/** The pinned digest of kernel @p name at @p seed; 0 when unpinned. */
+uint64_t
+pinnedSeed(const std::string &name, uint64_t seed)
+{
+    for (const PinnedSeed &row : kPinnedSeeds) {
+        if (name == row.name && seed == row.seed)
+            return row.digest;
+    }
+    return 0;
+}
+
+TEST_F(PredecodeTest, EveryKernelMatchesItsPinnedDigests)
+{
+    // As built, and as the runner runs it: after the transform adds
+    // its indirect-prefetch statements.
+    uint64_t indirect = 0;
+    for (const std::string &name : workloadNames()) {
+        const Readings built = readKernel(name, 42, false, kKernelOps);
+        const Readings transformed =
+            readKernel(name, 42, true, kKernelOps);
+        indirect += transformed.byOp.indirect;
+        const std::string entry = "{\"" + name + "\", " +
+                                  hex(built.byOp.digest) + ", " +
+                                  hex(transformed.byOp.digest) + "},";
+        const PinnedKernel *row = pinnedKernel(name);
+        expectPinned(row ? row->built : 0, built, name, entry.c_str());
+        expectPinned(row ? row->transformed : 0, transformed,
+                     name + "/transformed", entry.c_str());
+    }
+    EXPECT_EQ(std::size(kPinnedKernels), workloadNames().size());
+    EXPECT_GT(indirect, 0u) << "no kernel emitted an indirect prefetch";
+}
+
+TEST_F(PredecodeTest, IrregularKernelsMatchTheirPinnedDigestsAcrossSeeds)
+{
+    size_t streams = 0;
+    for (const char *name : {"twolf", "mcf", "vpr", "sphinx", "gap"}) {
+        for (const uint64_t seed : {1ull, 7ull, 1234567ull}) {
+            const Readings got = readKernel(name, seed, false, kSeedOps);
+            const std::string entry =
+                std::string("{\"") + name + "\", " +
+                std::to_string(seed) + ", " + hex(got.byOp.digest) + "},";
+            expectPinned(pinnedSeed(name, seed), got,
+                         name + std::string(" seed ") +
+                             std::to_string(seed),
+                         entry.c_str());
+            ++streams;
+        }
+    }
+    EXPECT_EQ(std::size(kPinnedSeeds), streams);
+}
 
 TEST_F(PredecodeTest, AllKernelsEmitIdenticalStreams)
 {
@@ -292,6 +555,37 @@ TEST_F(PredecodeTest, BoundedPassesFinishAtTheSameOp)
     EXPECT_FALSE(decoded.next(b));
 }
 
+// The synthetic program's whole three-pass stream.
+constexpr uint64_t kSyntheticOps = 1108;
+constexpr uint64_t kSyntheticDigest = 0x7036b61ca11de05eull;
+
+TEST_F(PredecodeTest, SyntheticProgramMatchesItsPinnedDigest)
+{
+    FunctionalMemory mem;
+    const Program prog = buildSyntheticProgram(mem);
+    DecodedInterpreter by_op(prog, mem, 42, 3);
+    DecodedInterpreter by_batch(prog, mem, 42, 3);
+    Interpreter tree(prog, mem, 42, 3);
+    const Readings got{readByOp(by_op, ~0ull),
+                       readByBatch(by_batch, ~0ull),
+                       readByOp(tree, ~0ull)};
+    const std::string entry =
+        std::to_string(got.byOp.ops) + " ops, " + hex(got.byOp.digest);
+    expectPinned(kSyntheticDigest, got, "synthetic", entry.c_str());
+    EXPECT_EQ(kSyntheticOps, got.byOp.ops);
+    EXPECT_EQ(kSyntheticOps, got.byBatch.ops);
+    EXPECT_EQ(kSyntheticOps, by_op.opsEmitted());
+    EXPECT_EQ(kSyntheticOps, by_batch.opsEmitted());
+    // An exhausted source stays exhausted, through either call.
+    for (DecodedInterpreter *interp : {&by_op, &by_batch}) {
+        TraceOp op;
+        const TraceOp *ops = nullptr;
+        EXPECT_FALSE(interp->next(op));
+        EXPECT_EQ(interp->nextBatch(&ops), 0u);
+        EXPECT_FALSE(interp->next(op));
+    }
+}
+
 TEST_F(PredecodeTest, ResetReplaysTheTreeWalkersResetStream)
 {
     // reset() must mirror the tree walker's reset exactly — including
@@ -338,21 +632,18 @@ TEST_F(PredecodeTest, SharedDecodedProgramIsReusable)
 
 TEST_F(PredecodeTest, FactoryReturnsTheDecodedInterpreter)
 {
-    FunctionalMemory m1, m2;
-    auto w1 = makeWorkload("gzip");
-    auto w2 = makeWorkload("gzip");
-    Program p1 = w1->build(m1, 42);
-    Program p2 = w2->build(m2, 42);
-    Interpreter tree(p1, m1, 42);
-    auto decoded = makeTraceSource(p2, m2, 42);
-    EXPECT_NE(dynamic_cast<DecodedInterpreter *>(decoded.get()),
-              nullptr);
-    TraceOp a, b;
-    for (int k = 0; k < 5'000; ++k) {
-        ASSERT_TRUE(tree.next(a));
-        ASSERT_TRUE(decoded->next(b));
-        expectSameOp(a, b, "gzip/factory", k);
-    }
+    // makeTraceSource is how a standalone run gets its ops: it must
+    // hand out the decoded interpreter, emitting the pinned stream.
+    FunctionalMemory mem;
+    auto workload = makeWorkload("gzip");
+    const Program prog = workload->build(mem, 42);
+    auto by_op = makeTraceSource(prog, mem, 42);
+    auto by_batch = makeTraceSource(prog, mem, 42);
+    EXPECT_NE(dynamic_cast<DecodedInterpreter *>(by_op.get()), nullptr);
+    const PinnedKernel *row = pinnedKernel("gzip");
+    ASSERT_NE(row, nullptr);
+    EXPECT_EQ(row->built, readByOp(*by_op, kKernelOps).digest);
+    EXPECT_EQ(row->built, readByBatch(*by_batch, kKernelOps).digest);
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include <iterator>
 #include <string>
 
+#include "fnv1a.hh"
 #include "harness/runner.hh"
 #include "sim/logging.hh"
 
@@ -25,34 +26,6 @@ namespace grp
 {
 namespace
 {
-
-class Fnv1a
-{
-  public:
-    void
-    mix(uint64_t value)
-    {
-        for (int i = 0; i < 8; ++i) {
-            hash_ ^= (value >> (8 * i)) & 0xff;
-            hash_ *= 0x100000001b3ull;
-        }
-    }
-
-    void
-    mix(const std::string &text)
-    {
-        for (const char c : text) {
-            hash_ ^= static_cast<unsigned char>(c);
-            hash_ *= 0x100000001b3ull;
-        }
-        mix(text.size());
-    }
-
-    uint64_t value() const { return hash_; }
-
-  private:
-    uint64_t hash_ = 0xcbf29ce484222325ull;
-};
 
 bool
 isHostProfile(const std::string &name)
