@@ -1,9 +1,10 @@
 /**
  * @file
  * google-benchmark microbenchmarks of raw interpreter throughput:
- * TraceOps generated per second by the tree-walking Interpreter vs
- * the pre-decoded DecodedInterpreter, over one kernel per dynamic
- * behavior family —
+ * TraceOps the pre-decoded DecodedInterpreter generates per second,
+ * through next() and through nextBatch() (the interface the CPU and
+ * the sweep recorder consume), over one kernel per dynamic behavior
+ * family —
  *
  *  - art:    dense affine loop nests (the decoded ArrayRef1A and
  *            ComputeRun fast paths),
@@ -11,11 +12,11 @@
  *  - mcf:    pointer-chase tree traversal (LoopHeadChase/
  *            LoopTailChase).
  *
- * This is the number the pre-decoded op stream exists to raise; the
- * equivalence of the two streams is asserted in
- * tests/test_predecode.cc, so these benches only have to be fast,
- * not self-checking. Excluded from run_all_benches (micro_* prefix):
- * wall-clock results are machine-dependent and never baselined.
+ * The kernels run unbounded passes, so a stream never ends. The
+ * streams themselves are pinned by tests/test_predecode.cc, so these
+ * benches only have to be fast, not self-checking. Excluded from
+ * run_all_benches (micro_* prefix): wall-clock results are
+ * machine-dependent and never baselined.
  */
 
 #include <benchmark/benchmark.h>
@@ -23,7 +24,6 @@
 #include <string>
 
 #include "mem/functional_memory.hh"
-#include "workloads/interpreter.hh"
 #include "workloads/predecode.hh"
 #include "workloads/workload.hh"
 
@@ -49,22 +49,6 @@ struct BuiltKernel
 };
 
 void
-runTree(benchmark::State &state, const std::string &name)
-{
-    BuiltKernel kernel(name);
-    Interpreter interp(kernel.prog, kernel.fmem, kSeed);
-    uint64_t ops = 0;
-    TraceOp op;
-    for (auto _ : state) {
-        if (!interp.next(op))
-            interp.reset();
-        benchmark::DoNotOptimize(op);
-        ++ops;
-    }
-    state.SetItemsProcessed(static_cast<int64_t>(ops));
-}
-
-void
 runDecoded(benchmark::State &state, const std::string &name)
 {
     BuiltKernel kernel(name);
@@ -72,8 +56,7 @@ runDecoded(benchmark::State &state, const std::string &name)
     uint64_t ops = 0;
     TraceOp op;
     for (auto _ : state) {
-        if (!interp.next(op))
-            interp.reset();
+        interp.next(op);
         benchmark::DoNotOptimize(op);
         ++ops;
     }
@@ -90,30 +73,22 @@ runDecodedBatch(benchmark::State &state, const std::string &name)
     uint64_t ops = 0;
     const TraceOp *batch = nullptr;
     for (auto _ : state) {
-        size_t run = interp.nextBatch(&batch);
-        if (run == 0) {
-            interp.reset();
-            run = interp.nextBatch(&batch);
-        }
+        ops += interp.nextBatch(&batch);
         benchmark::DoNotOptimize(batch);
-        ops += run;
     }
     state.SetItemsProcessed(static_cast<int64_t>(ops));
 }
 
-void BM_Tree_Affine(benchmark::State &s) { runTree(s, "art"); }
 void BM_Decoded_Affine(benchmark::State &s) { runDecoded(s, "art"); }
 void BM_DecodedBatch_Affine(benchmark::State &s)
 {
     runDecodedBatch(s, "art");
 }
-void BM_Tree_Indirect(benchmark::State &s) { runTree(s, "vpr"); }
 void BM_Decoded_Indirect(benchmark::State &s) { runDecoded(s, "vpr"); }
 void BM_DecodedBatch_Indirect(benchmark::State &s)
 {
     runDecodedBatch(s, "vpr");
 }
-void BM_Tree_PointerChase(benchmark::State &s) { runTree(s, "mcf"); }
 void BM_Decoded_PointerChase(benchmark::State &s)
 {
     runDecoded(s, "mcf");
@@ -123,13 +98,10 @@ void BM_DecodedBatch_PointerChase(benchmark::State &s)
     runDecodedBatch(s, "mcf");
 }
 
-BENCHMARK(BM_Tree_Affine);
 BENCHMARK(BM_Decoded_Affine);
 BENCHMARK(BM_DecodedBatch_Affine);
-BENCHMARK(BM_Tree_Indirect);
 BENCHMARK(BM_Decoded_Indirect);
 BENCHMARK(BM_DecodedBatch_Indirect);
-BENCHMARK(BM_Tree_PointerChase);
 BENCHMARK(BM_Decoded_PointerChase);
 BENCHMARK(BM_DecodedBatch_PointerChase);
 

@@ -91,8 +91,8 @@ class TraceSource
      * stream — sources that can expose runs cheaply (the decoded
      * interpreter's compute runs, the sweep replay buffer) override
      * this so the CPU pays one virtual call per run instead of per
-     * op. The default forwards to next(), so sources that implement
-     * only next() (the tree-walking interpreter) still work.
+     * op. The default forwards to next(), so a source that
+     * implements only next() (the tests' op vectors) still works.
      */
     virtual size_t
     nextBatch(const TraceOp **ops)

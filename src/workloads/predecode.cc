@@ -105,9 +105,8 @@ DecodedProgram::lowerStmt(const Program &prog, const Stmt &stmt)
         op.kind = DecodedOpKind::PtrArrayRef;
         op.a = static_cast<uint32_t>(stmt.ptr);
         op.p0 = static_cast<int64_t>(stmt.elemSize);
-        // The tree walker treats any non-affine subscript here as
-        // Random (PtrArrayRef never carries Indirect subscripts);
-        // mirror that binary choice exactly.
+        // PtrArrayRef never carries Indirect subscripts: any
+        // non-affine subscript here is Random.
         DecodedSub d;
         if (stmt.subs[0].kind == Subscript::Kind::AffineExpr) {
             d.kind = DecodedSub::Kind::Affine;
@@ -141,7 +140,7 @@ DecodedProgram::lowerStmt(const Program &prog, const Stmt &stmt)
         break;
       case StmtKind::Compute:
         if (stmt.count == 0)
-            return; // The tree walker emits nothing either.
+            return; // Emits nothing.
         op.kind = DecodedOpKind::ComputeRun;
         op.p0 = static_cast<int64_t>(stmt.count);
         break;
@@ -239,7 +238,6 @@ DecodedInterpreter::DecodedInterpreter(const DecodedProgram &prog,
                                        uint64_t seed, uint64_t passes)
     : prog_(prog),
       mem_(mem),
-      seed_(seed),
       maxPasses_(passes),
       rng_(seed)
 {
@@ -256,7 +254,6 @@ DecodedInterpreter::DecodedInterpreter(const Program &prog,
           DecodedProgram::lower(prog))),
       prog_(*owned_),
       mem_(mem),
-      seed_(seed),
       maxPasses_(passes),
       rng_(seed)
 {
@@ -273,21 +270,6 @@ DecodedInterpreter::startPass()
     for (size_t i = 0; i < initial.size(); ++i)
         ptrs_[i] = initial[i];
     pc_ = 0;
-}
-
-void
-DecodedInterpreter::reset()
-{
-    // Mirrors Interpreter::reset(): the RNG reseeds and pointers
-    // restart, but induction variables keep their last values.
-    rng_.reseed(seed_);
-    passesDone_ = 0;
-    ringHead_ = 0;
-    ringCount_ = 0;
-    computeRun_ = 0;
-    finished_ = false;
-    emitted_ = 0;
-    startPass();
 }
 
 int64_t

@@ -4,24 +4,24 @@
  * flat, cache-friendly array of fixed-size micro-ops, then executes
  * that array with a tight fetch-dispatch loop.
  *
- * The tree-walking Interpreter (workloads/interpreter.hh) re-derives
- * everything per dynamic statement: it chases std::vector<Node>
- * bodies through a frame stack, switches on Subscript kinds, walks
- * AffineTerm vectors, recomputes dimStrideElems() per dimension and
- * buffers results through a std::deque. DecodedProgram::lower() does
- * all of that exactly once: loop bounds become backward-branch ops,
- * affine subscripts become (coeff, stride) tables indexed by flat
- * slot, and per-dimension strides are folded to bytes. The decoded
- * executor is a program counter over one contiguous op array plus a
- * small power-of-two ring buffer in place of the deque.
+ * DecodedProgram::lower() resolves everything a dynamic statement
+ * needs exactly once: loop bounds become backward-branch ops, affine
+ * subscripts become (coeff, stride) tables indexed by flat slot, and
+ * per-dimension strides are folded to bytes. The executor is a
+ * program counter over one contiguous op array plus a small
+ * power-of-two ring buffer.
  *
- * Equivalence contract: for any (Program, FunctionalMemory, seed,
- * passes), DecodedInterpreter emits a TraceOp stream element-for-
- * element identical to Interpreter — including the order of RNG
- * draws, the per-dimension wrap-into-extent semantics, null-pointer
- * statement skips and the pass/reset lifecycle. tests/
- * test_predecode.cc asserts this across every registered kernel,
- * which is what keeps the tree walker in the tree.
+ * Stream contract: a (Program, FunctionalMemory, seed, passes)
+ * tuple fixes the TraceOp stream, including the order of RNG draws,
+ * the per-dimension wrap-into-extent semantics, null-pointer
+ * statement skips and the pass lifecycle, and next() and nextBatch()
+ * emit the same stream. tests/test_predecode.cc pins that stream as
+ * FNV-1a digests, read both ways: every kernel as built and after
+ * the hint generator's transform, the irregular kernels at three
+ * seeds, and a synthetic program with every statement and loop
+ * shape. The constants were taken from the tree-walking interpreter
+ * this one replaced, so a change to any stream shows there and must
+ * be meant.
  */
 
 #ifndef GRP_WORKLOADS_PREDECODE_HH
@@ -185,8 +185,8 @@ class DecodedProgram
     uint32_t numChaseLoops_ = 0;
 };
 
-/** Executes a DecodedProgram into TraceOps (see the equivalence
- *  contract above). */
+/** Executes a DecodedProgram into TraceOps (see the stream contract
+ *  above). */
 class DecodedInterpreter : public TraceSource
 {
   public:
@@ -204,11 +204,6 @@ class DecodedInterpreter : public TraceSource
      *  all-compute array — same stream as next(), far fewer virtual
      *  calls on compute-padded kernels. */
     size_t nextBatch(const TraceOp **ops) override;
-
-    /** Restart from the beginning (same seed). Mirrors
-     *  Interpreter::reset(), including its quirk of leaving stale
-     *  induction-variable values in place. */
-    void reset();
 
     uint64_t opsEmitted() const { return emitted_; }
 
@@ -228,7 +223,6 @@ class DecodedInterpreter : public TraceSource
     std::unique_ptr<const DecodedProgram> owned_;
     const DecodedProgram &prog_;
     FunctionalMemory &mem_;
-    uint64_t seed_;
     uint64_t maxPasses_;
     uint64_t passesDone_ = 0;
 

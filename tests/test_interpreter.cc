@@ -1,4 +1,4 @@
-/** @file Unit tests for the IR interpreter. */
+/** @file Unit tests for the IR interpreter's statement semantics. */
 
 #include <gtest/gtest.h>
 
@@ -6,7 +6,7 @@
 
 #include "compiler/builder.hh"
 #include "sim/logging.hh"
-#include "workloads/interpreter.hh"
+#include "workloads/predecode.hh"
 
 namespace grp
 {
@@ -22,7 +22,7 @@ class InterpreterTest : public ::testing::Test
     collect(const Program &prog, uint64_t passes = 1,
             size_t limit = 100'000)
     {
-        Interpreter interp(prog, mem, 42, passes);
+        DecodedInterpreter interp(prog, mem, 42, passes);
         std::vector<TraceOp> ops;
         TraceOp op;
         while (ops.size() < limit && interp.next(op))
@@ -176,7 +176,7 @@ TEST_F(InterpreterTest, RandomSubscriptIsDeterministicPerSeed)
     b.end();
     Program prog = b.build();
 
-    Interpreter x(prog, mem, 7), y(prog, mem, 7), z(prog, mem, 8);
+    DecodedInterpreter x(prog, mem, 7), y(prog, mem, 7), z(prog, mem, 8);
     TraceOp ox, oy, oz;
     bool differs = false;
     for (int k = 0; k < 64; ++k) {
@@ -244,27 +244,6 @@ TEST_F(InterpreterTest, PtrArrayRefUsesElementSize)
     ASSERT_EQ(ops.size(), 4u);
     EXPECT_EQ(ops[1].addr, row + 16);
     EXPECT_EQ(ops[3].addr, row + 48);
-}
-
-TEST_F(InterpreterTest, ResetReplaysIdentically)
-{
-    ProgramBuilder b(mem);
-    const ArrayId a = b.array("a", 8, {256});
-    const VarId i = b.forLoop(0, 16);
-    (void)i;
-    b.arrayRef(a, {Subscript::random(256)});
-    b.end();
-    Program prog = b.build();
-    Interpreter interp(prog, mem, 5, 1);
-    std::vector<Addr> first;
-    TraceOp op;
-    while (interp.next(op))
-        first.push_back(op.addr);
-    interp.reset();
-    std::vector<Addr> second;
-    while (interp.next(op))
-        second.push_back(op.addr);
-    EXPECT_EQ(first, second);
 }
 
 } // namespace

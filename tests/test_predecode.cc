@@ -1,13 +1,13 @@
 /**
  * @file
- * Pins the decoded interpreter's op streams, and checks them against
- * the tree walker.
+ * Pins the decoded interpreter's op streams.
  *
  * A pinned stream's digest is the FNV-1a hash of each op's kind,
  * addr, refId, base and elemSize, then of the op count. Every pinned
  * stream is read through next() and through nextBatch(), each on a
  * fresh interpreter, and both digests must equal the committed
- * constant; so must the tree walker's reading of the same stream.
+ * constant. The constants are the streams of the tree-walking
+ * interpreter the decoded one replaced.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include "compiler/hint_generator.hh"
 #include "fnv1a.hh"
 #include "sim/logging.hh"
-#include "workloads/interpreter.hh"
 #include "workloads/kernels.hh"
 #include "workloads/predecode.hh"
 #include "workloads/workload.hh"
@@ -45,27 +44,6 @@ class PredecodeTest : public ::testing::Test
         ASSERT_EQ(a.elemSize, b.elemSize) << name << " op " << k;
     }
 
-    /** Drive both interpreters @p count ops and assert element-for-
-     *  element stream equality (including end-of-trace position).
-     *  Adds the indirect-prefetch ops seen to @p indirect. */
-    static void
-    expectSameStream(Interpreter &tree, DecodedInterpreter &decoded,
-                     const std::string &name, uint64_t count,
-                     uint64_t *indirect = nullptr)
-    {
-        TraceOp a, b;
-        for (uint64_t k = 0; k < count; ++k) {
-            const bool more_tree = tree.next(a);
-            const bool more_decoded = decoded.next(b);
-            ASSERT_EQ(more_tree, more_decoded) << name << " op " << k;
-            if (!more_tree)
-                return;
-            expectSameOp(a, b, name, k);
-            if (indirect && a.kind == OpKind::IndirectPrefetch)
-                ++*indirect;
-        }
-        ASSERT_EQ(tree.opsEmitted(), decoded.opsEmitted()) << name;
-    }
 };
 
 // ---------------------------------------------------------------------------
@@ -139,12 +117,11 @@ readByBatch(TraceSource &source, uint64_t limit)
     return hash.finish();
 }
 
-/** One stream, read by three fresh interpreters. */
+/** One stream, read by two fresh interpreters. */
 struct Readings
 {
     Reading byOp;
     Reading byBatch;
-    Reading tree;
 };
 
 /** The first @p limit ops of kernel @p name at @p seed, as built or
@@ -161,12 +138,10 @@ readKernel(const std::string &name, uint64_t seed, bool transformed,
     const DecodedProgram decoded = DecodedProgram::lower(prog);
     DecodedInterpreter by_op(decoded, mem, seed);
     DecodedInterpreter by_batch(decoded, mem, seed);
-    Interpreter tree(prog, mem, seed);
-    return {readByOp(by_op, limit), readByBatch(by_batch, limit),
-            readByOp(tree, limit)};
+    return {readByOp(by_op, limit), readByBatch(by_batch, limit)};
 }
 
-/** Every reading in @p got has digest @p pinned; @p entry is the
+/** Both readings in @p got have digest @p pinned; @p entry is the
  *  stream's line in its table, printed on a mismatch. */
 void
 expectPinned(uint64_t pinned, const Readings &got,
@@ -176,9 +151,6 @@ expectPinned(uint64_t pinned, const Readings &got,
         << what << " via next(); this stream's entry: " << entry;
     EXPECT_EQ(pinned, got.byBatch.digest)
         << what << " via nextBatch(); this stream's entry: " << entry;
-    EXPECT_EQ(pinned, got.tree.digest)
-        << what << " via the tree walker; this stream's entry: "
-        << entry;
 }
 
 std::string
@@ -314,51 +286,6 @@ TEST_F(PredecodeTest, IrregularKernelsMatchTheirPinnedDigestsAcrossSeeds)
         }
     }
     EXPECT_EQ(std::size(kPinnedSeeds), streams);
-}
-
-TEST_F(PredecodeTest, AllKernelsEmitIdenticalStreams)
-{
-    // Each kernel as built, and as the runner runs it: after
-    // HintGenerator::transform adds its indirect-prefetch statements,
-    // over a longer stream than a 100k-instruction run consumes.
-    uint64_t indirect = 0;
-    for (const auto &name : workloadNames()) {
-        for (const bool transformed : {false, true}) {
-            FunctionalMemory m1, m2;
-            auto w1 = makeWorkload(name);
-            auto w2 = makeWorkload(name);
-            Program p1 = w1->build(m1, 42);
-            Program p2 = w2->build(m2, 42);
-            if (transformed) {
-                HintGenerator::transform(p1);
-                HintGenerator::transform(p2);
-            }
-            Interpreter tree(p1, m1, 42);
-            DecodedInterpreter decoded(p2, m2, 42);
-            expectSameStream(tree, decoded,
-                             transformed ? name + "/transformed" : name,
-                             transformed ? 150'000 : 50'000, &indirect);
-        }
-    }
-    EXPECT_GT(indirect, 0u) << "no kernel emitted an indirect prefetch";
-}
-
-TEST_F(PredecodeTest, IdenticalAcrossSeeds)
-{
-    // Seeds exercise the RNG-draw-order contract (Random subscripts,
-    // tree descents) on the irregular kernels.
-    for (const char *name : {"twolf", "mcf", "vpr", "sphinx", "gap"}) {
-        for (uint64_t seed : {1ull, 7ull, 1234567ull}) {
-            FunctionalMemory m1, m2;
-            auto w1 = makeWorkload(name);
-            auto w2 = makeWorkload(name);
-            Program p1 = w1->build(m1, seed);
-            Program p2 = w2->build(m2, seed);
-            Interpreter tree(p1, m1, seed);
-            DecodedInterpreter decoded(p2, m2, seed);
-            expectSameStream(tree, decoded, name, 20'000);
-        }
-    }
 }
 
 /** A compact synthetic program covering every statement and loop
@@ -529,32 +456,6 @@ buildSyntheticProgram(FunctionalMemory &mem)
     return prog;
 }
 
-TEST_F(PredecodeTest, BoundedPassesFinishAtTheSameOp)
-{
-    // With a finite pass budget both interpreters must exhaust at the
-    // same stream position with the same emitted-op count.
-    FunctionalMemory m1, m2;
-    Program p1 = buildSyntheticProgram(m1);
-    Program p2 = buildSyntheticProgram(m2);
-    Interpreter tree(p1, m1, 42, 3);
-    DecodedInterpreter decoded(p2, m2, 42, 3);
-    TraceOp a, b;
-    uint64_t k = 0;
-    for (;;) {
-        const bool more_tree = tree.next(a);
-        const bool more_decoded = decoded.next(b);
-        ASSERT_EQ(more_tree, more_decoded) << "op " << k;
-        if (!more_tree)
-            break;
-        expectSameOp(a, b, "synthetic", k);
-        ++k;
-    }
-    EXPECT_GT(k, 0u);
-    EXPECT_EQ(tree.opsEmitted(), decoded.opsEmitted());
-    // Exhausted sources stay exhausted.
-    EXPECT_FALSE(decoded.next(b));
-}
-
 // The synthetic program's whole three-pass stream.
 constexpr uint64_t kSyntheticOps = 1108;
 constexpr uint64_t kSyntheticDigest = 0x7036b61ca11de05eull;
@@ -565,10 +466,8 @@ TEST_F(PredecodeTest, SyntheticProgramMatchesItsPinnedDigest)
     const Program prog = buildSyntheticProgram(mem);
     DecodedInterpreter by_op(prog, mem, 42, 3);
     DecodedInterpreter by_batch(prog, mem, 42, 3);
-    Interpreter tree(prog, mem, 42, 3);
     const Readings got{readByOp(by_op, ~0ull),
-                       readByBatch(by_batch, ~0ull),
-                       readByOp(tree, ~0ull)};
+                       readByBatch(by_batch, ~0ull)};
     const std::string entry =
         std::to_string(got.byOp.ops) + " ops, " + hex(got.byOp.digest);
     expectPinned(kSyntheticDigest, got, "synthetic", entry.c_str());
@@ -584,29 +483,6 @@ TEST_F(PredecodeTest, SyntheticProgramMatchesItsPinnedDigest)
         EXPECT_EQ(interp->nextBatch(&ops), 0u);
         EXPECT_FALSE(interp->next(op));
     }
-}
-
-TEST_F(PredecodeTest, ResetReplaysTheTreeWalkersResetStream)
-{
-    // reset() must mirror the tree walker's reset exactly — including
-    // its quirk of leaving stale induction-variable values behind, so
-    // the post-reset streams must still match each other.
-    FunctionalMemory m1, m2;
-    auto w1 = makeWorkload("twolf");
-    auto w2 = makeWorkload("twolf");
-    Program p1 = w1->build(m1, 42);
-    Program p2 = w2->build(m2, 42);
-    Interpreter tree(p1, m1, 42);
-    DecodedInterpreter decoded(p2, m2, 42);
-    TraceOp a, b;
-    for (int k = 0; k < 12'345; ++k) {
-        ASSERT_TRUE(tree.next(a));
-        ASSERT_TRUE(decoded.next(b));
-    }
-    tree.reset();
-    decoded.reset();
-    EXPECT_EQ(decoded.opsEmitted(), 0u);
-    expectSameStream(tree, decoded, "twolf/reset", 20'000);
 }
 
 TEST_F(PredecodeTest, SharedDecodedProgramIsReusable)

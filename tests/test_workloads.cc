@@ -6,8 +6,8 @@
 
 #include "compiler/hint_generator.hh"
 #include "sim/logging.hh"
-#include "workloads/interpreter.hh"
 #include "workloads/kernels.hh"
+#include "workloads/predecode.hh"
 #include "workloads/workload.hh"
 
 namespace grp
@@ -67,7 +67,7 @@ TEST_F(WorkloadTest, TracesAreDeterministicPerSeed)
         auto w2 = makeWorkload(name);
         Program p1 = w1->build(m1, 7);
         Program p2 = w2->build(m2, 7);
-        Interpreter i1(p1, m1, 7), i2(p2, m2, 7);
+        DecodedInterpreter i1(p1, m1, 7), i2(p2, m2, 7);
         TraceOp a, b;
         for (int k = 0; k < 3000; ++k) {
             ASSERT_TRUE(i1.next(a));
@@ -126,7 +126,7 @@ TEST_F(WorkloadTest, EveryWorkloadProducesMemoryTraffic)
         FunctionalMemory mem;
         auto workload = makeWorkload(name);
         Program prog = workload->build(mem, 42);
-        Interpreter interp(prog, mem, 42);
+        DecodedInterpreter interp(prog, mem, 42);
         unsigned memory_ops = 0;
         TraceOp op;
         for (int k = 0; k < 20'000 && interp.next(op); ++k) {
@@ -164,7 +164,7 @@ TEST_F(WorkloadTest, DistinctSeedsChangeIrregularTraces)
     auto w2 = makeWorkload("twolf");
     Program p1 = w1->build(m1, 1);
     Program p2 = w2->build(m2, 2);
-    Interpreter i1(p1, m1, 1), i2(p2, m2, 2);
+    DecodedInterpreter i1(p1, m1, 1), i2(p2, m2, 2);
     TraceOp a, b;
     bool differs = false;
     for (int k = 0; k < 5000; ++k) {
