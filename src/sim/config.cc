@@ -60,6 +60,9 @@ validateCache(const CacheConfig &cache, const char *what)
     fatal_if(!isPowerOfTwo(sets), "%s set count must be a power of two",
              what);
     fatal_if(cache.mshrs == 0, "%s needs at least one MSHR", what);
+    fatal_if(cache.mshrTargets == 0,
+             "%s mshrTargets must be at least 1: a miss needs a target",
+             what);
 }
 
 } // namespace
@@ -93,6 +96,10 @@ SimConfig::validate() const
     fatal_if(region.queueEntries == 0, "prefetch queue must be non-empty");
     fatal_if(region.recursiveDepth > 7,
              "recursion counter is 3 bits (max 7)");
+    fatal_if(region.blocksPerPointer == 0 ||
+                 region.blocksPerPointer > kBlocksPerRegion,
+             "region.blocksPerPointer must be in [1, %u]",
+             kBlocksPerRegion);
     fatal_if(stride.tableEntries == 0 || stride.tableAssoc == 0 ||
              stride.tableEntries % stride.tableAssoc != 0,
              "stride table shape invalid");

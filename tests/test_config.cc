@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "sim/config.hh"
 #include "sim/logging.hh"
@@ -66,6 +67,47 @@ TEST_F(ConfigTest, RejectsZeroMshrs)
 {
     config.l2.mshrs = 0;
     EXPECT_THROW(config.validate(), std::runtime_error);
+}
+
+/** The message validate() throws for @p config; empty if it passes. */
+std::string
+rejection(const SimConfig &config)
+{
+    try {
+        config.validate();
+    } catch (const std::runtime_error &error) {
+        return error.what();
+    }
+    return "";
+}
+
+TEST_F(ConfigTest, RejectsZeroMshrTargets)
+{
+    // A miss whose target cannot be recorded never completes.
+    SimConfig l1 = config;
+    l1.l1d.mshrTargets = 0;
+    EXPECT_NE(rejection(l1).find("L1D mshrTargets"), std::string::npos);
+    SimConfig l2 = config;
+    l2.l2.mshrTargets = 0;
+    EXPECT_NE(rejection(l2).find("L2 mshrTargets"), std::string::npos);
+    config.l1d.mshrTargets = 1;
+    config.l2.mshrTargets = 1;
+    EXPECT_NO_THROW(config.validate());
+}
+
+TEST_F(ConfigTest, RejectsPointerWindowOutsideARegion)
+{
+    // A pointer fill prefetches 1..kBlocksPerRegion blocks.
+    for (const unsigned blocks : {0u, kBlocksPerRegion + 1, 1000u}) {
+        config.region.blocksPerPointer = blocks;
+        EXPECT_NE(rejection(config).find("region.blocksPerPointer"),
+                  std::string::npos)
+            << blocks;
+    }
+    for (const unsigned blocks : {1u, 3u, kBlocksPerRegion}) {
+        config.region.blocksPerPointer = blocks;
+        EXPECT_NO_THROW(config.validate()) << blocks;
+    }
 }
 
 TEST_F(ConfigTest, RejectsBadChannelCount)

@@ -1,16 +1,21 @@
 /**
  * @file
  * Parameterized property suites: invariants swept over workloads,
- * window sizes, hint encodings and address ranges.
+ * window sizes, hint encodings, address ranges and random
+ * configurations.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "core/hints.hh"
 #include "harness/suite.hh"
 #include "mem/dram.hh"
+#include "mem/dram_backend/factory.hh"
 #include "prefetch/region_queue.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -216,6 +221,148 @@ TEST_P(DramMappingProperty, MappingIsStableAndSplitsTraffic)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DramMappingProperty,
                          ::testing::Values(1ull, 2ull, 3ull));
+
+// ---------------------------------------------------------------
+// Random configurations: refused up front or run to the end.
+// ---------------------------------------------------------------
+
+/** One of @p values, uniformly. */
+template <typename T, size_t N>
+T
+pick(Rng &rng, const T (&values)[N])
+{
+    return values[rng.below(N)];
+}
+
+/** 2^k for k uniform in [lo, hi]. */
+unsigned
+powerOfTwo(Rng &rng, unsigned lo, unsigned hi)
+{
+    return 1u << rng.range(lo, hi + 1);
+}
+
+/**
+ * A random configuration over every scheme and DRAM backend, with
+ * random MSHR, queue, DRAM and core sizes, region fields and
+ * latencies (from 0). MSHR counts and targets, queue entries and the
+ * pointer window start at 0 too, so some draws are ones validate()
+ * must refuse.
+ */
+SimConfig
+randomConfig(Rng &rng)
+{
+    static const PrefetchScheme kSchemes[] = {
+        PrefetchScheme::None,         PrefetchScheme::Stride,
+        PrefetchScheme::Srp,          PrefetchScheme::GrpFix,
+        PrefetchScheme::GrpVar,       PrefetchScheme::PointerHw,
+        PrefetchScheme::PointerHwRec, PrefetchScheme::SrpPlusPointer,
+        PrefetchScheme::SrpThrottled, PrefetchScheme::GrpAdaptive,
+    };
+    static const char *const kBackends[] = {"legacy", "ddr4-2400",
+                                            "hbm2", "lpddr4"};
+    SimConfig c;
+    c.scheme = pick(rng, kSchemes);
+    c.dram.backend = pick(rng, kBackends);
+    for (CacheConfig *cache : {&c.l1d, &c.l2}) {
+        cache->mshrs = static_cast<unsigned>(rng.range(0, 17));
+        cache->mshrTargets = static_cast<unsigned>(rng.range(0, 9));
+    }
+    c.l1d.latency = static_cast<unsigned>(rng.range(0, 9));
+    c.l2.latency = static_cast<unsigned>(rng.range(0, 41));
+    c.dram.channels = powerOfTwo(rng, 0, 4);
+    c.dram.banksPerChannel = powerOfTwo(rng, 0, 5);
+    c.dram.rowBytes = powerOfTwo(rng, 6, 13);
+    c.dram.rowHitCycles = static_cast<unsigned>(rng.range(0, 101));
+    c.dram.rowConflictCycles =
+        c.dram.rowHitCycles + static_cast<unsigned>(rng.range(0, 201));
+    c.dram.transferCycles = static_cast<unsigned>(rng.range(0, 65));
+    c.cpu.robEntries = static_cast<unsigned>(rng.range(1, 129));
+    c.cpu.issueWidth = static_cast<unsigned>(rng.range(1, 9));
+    c.cpu.retireWidth = static_cast<unsigned>(rng.range(1, 9));
+    c.cpu.computeLatency = static_cast<unsigned>(rng.range(0, 5));
+    c.region.queueEntries = static_cast<unsigned>(rng.range(0, 65));
+    c.region.lifo = rng.chance(0.5);
+    c.region.lruInsertion = rng.chance(0.5);
+    c.region.bankAware = rng.chance(0.5);
+    c.region.recursiveDepth = static_cast<unsigned>(rng.range(0, 8));
+    c.region.blocksPerPointer =
+        static_cast<unsigned>(rng.range(0, kBlocksPerRegion + 9));
+    c.region.indirectFanout = static_cast<unsigned>(rng.range(0, 33));
+    return c;
+}
+
+/** Every drawn field of @p c, for a failure message. */
+std::string
+describe(const SimConfig &c)
+{
+    std::ostringstream out;
+    out << toString(c.scheme) << ", dram " << c.dram.backend << " "
+        << c.dram.channels << "ch x " << c.dram.banksPerChannel
+        << " banks x " << c.dram.rowBytes << " B rows, legacy timing "
+        << c.dram.rowHitCycles << "/" << c.dram.rowConflictCycles
+        << "/" << c.dram.transferCycles << "; L1D " << c.l1d.latency
+        << " cy, " << c.l1d.mshrs << " MSHRs x " << c.l1d.mshrTargets
+        << "; L2 " << c.l2.latency << " cy, " << c.l2.mshrs
+        << " MSHRs x " << c.l2.mshrTargets << "; ROB "
+        << c.cpu.robEntries << ", issue " << c.cpu.issueWidth
+        << ", retire " << c.cpu.retireWidth << ", compute "
+        << c.cpu.computeLatency << "; queue " << c.region.queueEntries
+        << (c.region.lifo ? " lifo" : " fifo")
+        << (c.region.lruInsertion ? " lru" : " mru")
+        << (c.region.bankAware ? " bank-aware" : "") << ", depth "
+        << c.region.recursiveDepth << ", blocks/pointer "
+        << c.region.blocksPerPointer << ", fanout "
+        << c.region.indirectFanout;
+    return out.str();
+}
+
+TEST(RandomConfigs, EachIsRefusedOrFinishes)
+{
+    // Either validate() refuses the configuration with a diagnosis,
+    // or the run retires its whole window without a panic (the
+    // deadlock watchdog is the hang detector), without stopping
+    // early and without breaking the accuracy invariant.
+    setQuiet(true);
+    static const char *const kWorkloads[] = {"mcf",  "art",    "bzip2",
+                                             "swim", "equake", "vpr"};
+    RunOptions opts;
+    opts.maxInstructions = 20'000;
+    opts.warmupInstructions = 5'000;
+    Rng rng(20'030'609);
+    unsigned ran = 0;
+    for (int i = 0; i < 100; ++i) {
+        const SimConfig config = randomConfig(rng);
+        const char *workload = pick(rng, kWorkloads);
+        SimConfig resolved = config;
+        resolveDramBackend(resolved.dram);
+        try {
+            resolved.validate();
+        } catch (const std::runtime_error &) {
+            continue;
+        }
+        const std::string label = "config " + std::to_string(i) + ", " +
+                                  workload + ": " + describe(resolved);
+        RunResult run;
+        try {
+            run = runWorkload(workload, config, opts);
+        } catch (const std::exception &error) {
+            ADD_FAILURE() << label << ": " << error.what();
+            continue;
+        }
+        ++ran;
+        EXPECT_FALSE(run.partial) << label;
+        EXPECT_EQ(run.stats.value("mem.accuracyClampEvents"), 0u)
+            << label;
+        // The warm-up and the window each end inside a retire group.
+        const uint64_t group = config.cpu.retireWidth;
+        EXPECT_LT(run.instructions, opts.maxInstructions + group)
+            << label;
+        EXPECT_GT(run.instructions + group, opts.maxInstructions)
+            << label;
+    }
+    // Most draws are valid, so the property is not vacuous.
+    EXPECT_GE(ran, 50u);
+}
 
 } // namespace
 } // namespace grp
