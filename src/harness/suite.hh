@@ -65,8 +65,8 @@ std::string benchOutPath(const std::string &name);
  * are keyed by submission index, the bench's stdout and JSON
  * artefacts are byte-identical at every thread count; only the wall
  * clock changes. run() also writes a per-job timing sidecar to
- * $GRP_BENCH_OUT/timings/<bench>.json (ignored by bench_compare.py,
- * embedded into manifest.json by bench_manifest.py finish).
+ * $GRP_BENCH_OUT/timings/<bench>.json (never baselined; embedded
+ * into manifest.json by bench_manifest.py finish).
  *
  * Jobs queued through addScheme()/addPerfect() share one in-memory
  * sweep recording per (workload, seed) key (harness/replay.hh): the

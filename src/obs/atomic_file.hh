@@ -3,7 +3,7 @@
  * Atomic file publication for observability artefacts.
  *
  * The JSON/CSV exporters (stats, site profile, time series) are read
- * by concurrent consumers — bench_compare.py, dashboards tailing
+ * by concurrent consumers — bench_manifest.py, dashboards tailing
  * bench/out/, a second grpsim run into the same directory. Writing
  * in place exposes readers to truncated documents; instead the
  * content is written to "<path>.tmp" and published with one

@@ -11,9 +11,12 @@
 # Each bench runs on the default DRAM backend at GRP_INSTRUCTIONS=
 # 100000, the budget the baselines were generated at, with
 # GRP_BENCH_THREADS 1 and 4. Both artefacts must byte-match the
-# baseline: tools/bench_compare.py lets count-valued metrics drift
-# within tolerances, this lets nothing move, and the thread pair
-# checks the sweep's determinism invariant.
+# baseline, so no simulated number moves unnoticed, and the thread
+# pair checks the sweep's determinism invariant. Regenerate a
+# baseline on purpose, from the repository root, with:
+#
+#   GRP_INSTRUCTIONS=100000 GRP_BENCH_OUT=bench/baselines \
+#       build/bench/<bench_name>
 #
 # Runs in a fresh temporary directory that is removed on exit. Each
 # step prints its name first, so a failure names the step.

@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """The Python manifest readers' error contract.
 
-tools/perf_compare.py, tools/bench_compare.py and
-tools/bench_manifest.py read JSON files that come from outside the
-program. Each malformed input below must end the tool with exit
+tools/perf_compare.py and tools/bench_manifest.py read JSON files
+that come from outside the program. Each malformed input below must end the tool with exit
 status 1 and one line naming the file, never a Python traceback; a
 well-formed input must still pass.
 
@@ -28,7 +27,6 @@ MANIFEST = {
     "benches": {"tab": {"instructionsPerSecond": 1000.0,
                         "hostPhases": {"Cpu": {"selfNanos": 5}}}},
 }
-ARTEFACT = {"schema": "grp-bench-v1", "rows": [{"speedup": 1.25}]}
 SIDECAR = {
     "schema": "grp-bench-timing-v2",
     "bench": "tab",
@@ -122,44 +120,6 @@ class PerfCompare(ToolCase):
                                write(self.dir / "base.json", MANIFEST),
                                "--manifest", self.dir / "none.json")
         self.assert_rejected(result, self.dir / "none.json")
-
-
-class BenchCompare(ToolCase):
-    def compare(self, artefact=ARTEFACT, manifest=MANIFEST):
-        base_dir = self.dir / "base"
-        out_dir = self.dir / "out"
-        base_dir.mkdir()
-        out_dir.mkdir()
-        write(base_dir / "tab.json", ARTEFACT)
-        write(base_dir / "manifest.json", MANIFEST)
-        self.artefact = write(out_dir / "tab.json", artefact)
-        self.manifest = write(out_dir / "manifest.json", manifest)
-        return self.run_tool("bench_compare.py", "--baseline", base_dir,
-                             "--out", out_dir)
-
-    def test_well_formed_pair_passes(self):
-        result = self.compare()
-        self.assertEqual(result.returncode, 0, result.stderr)
-
-    def test_manifest_that_is_a_list(self):
-        self.assert_rejected(self.compare(manifest=[]), self.manifest)
-
-    def test_provenance_that_is_not_an_object(self):
-        result = self.compare(manifest=dict(MANIFEST, provenance=[1]))
-        self.assert_rejected(result, self.manifest)
-
-    def test_artefact_that_is_not_utf8(self):
-        self.assert_rejected(self.compare(artefact=b'{"a": "\xff"}'),
-                             self.artefact)
-
-    def test_artefact_that_is_not_json(self):
-        self.assert_rejected(self.compare(artefact=b"{"), self.artefact)
-
-    def test_mismatch_names_the_artefact(self):
-        result = self.compare(
-            artefact={"schema": "grp-bench-v1", "rows": [{"speedup": 2}]})
-        self.assert_rejected(result, self.artefact)
-        self.assertIn("rows[0].speedup", result.stderr)
 
 
 class BenchManifest(ToolCase):

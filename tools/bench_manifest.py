@@ -20,10 +20,9 @@ into aggregate throughput figures. The per-job records stay in the
 sidecars. v3 adds host provenance (CPU model, compiler, build type
 and flags, thread count) so perf_compare.py can tell a regression
 from a machine change, plus per-bench "hostPhases" sums of the
-job-level host profiles. bench_compare.py ignores the manifest
-and the sidecars (they have no baselines — timing is
-machine-dependent by nature); perf_compare.py gates on the
-manifest's inst/s figures and diffs any two manifests.
+job-level host profiles. The manifest and the sidecars have no
+baselines (timing is machine-dependent by nature); perf_compare.py
+gates on the manifest's inst/s figures and diffs any two manifests.
 
 The manifest is published atomically (tmp + rename), matching the
 simulator's own JSON exporters. A sidecar that is unreadable, not
