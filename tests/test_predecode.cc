@@ -43,7 +43,6 @@ class PredecodeTest : public ::testing::Test
         ASSERT_EQ(a.base, b.base) << name << " op " << k;
         ASSERT_EQ(a.elemSize, b.elemSize) << name << " op " << k;
     }
-
 };
 
 // ---------------------------------------------------------------------------
@@ -217,7 +216,8 @@ struct PinnedSeed
 
 // The irregular kernels as built, first kSeedOps ops at three seeds:
 // these pin the order of the random draws (Random subscripts, tree
-// descents).
+// descents). mcf's and gap's first kSeedOps ops do not depend on the
+// seed, so their three constants are equal.
 const PinnedSeed kPinnedSeeds[] = {
     {"twolf", 1, 0x00f8a6424ed3675bull},
     {"twolf", 7, 0x46639a56cdcbf257ull},
