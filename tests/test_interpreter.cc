@@ -1,4 +1,4 @@
-/** @file Unit tests for the IR interpreter's statement semantics. */
+/** @file Unit tests for the IR interpreter. */
 
 #include <gtest/gtest.h>
 

@@ -123,17 +123,12 @@ struct Readings
     Reading byBatch;
 };
 
-/** The first @p limit ops of kernel @p name at @p seed, as built or
- *  after the hint generator's transform. */
+/** The first @p limit ops of @p prog at @p seed. The interpreters
+ *  only read @p mem, so it can serve further readings. */
 Readings
-readKernel(const std::string &name, uint64_t seed, bool transformed,
-           uint64_t limit)
+readProgram(const Program &prog, FunctionalMemory &mem, uint64_t seed,
+            uint64_t limit)
 {
-    FunctionalMemory mem;
-    auto workload = makeWorkload(name);
-    Program prog = workload->build(mem, seed);
-    if (transformed)
-        HintGenerator::transform(prog);
     const DecodedProgram decoded = DecodedProgram::lower(prog);
     DecodedInterpreter by_op(decoded, mem, seed);
     DecodedInterpreter by_batch(decoded, mem, seed);
@@ -253,9 +248,13 @@ TEST_F(PredecodeTest, EveryKernelMatchesItsPinnedDigests)
     // its indirect-prefetch statements.
     uint64_t indirect = 0;
     for (const std::string &name : workloadNames()) {
-        const Readings built = readKernel(name, 42, false, kKernelOps);
+        FunctionalMemory mem;
+        auto workload = makeWorkload(name);
+        Program prog = workload->build(mem, 42);
+        const Readings built = readProgram(prog, mem, 42, kKernelOps);
+        HintGenerator::transform(prog);
         const Readings transformed =
-            readKernel(name, 42, true, kKernelOps);
+            readProgram(prog, mem, 42, kKernelOps);
         indirect += transformed.byOp.indirect;
         const std::string entry = "{\"" + name + "\", " +
                                   hex(built.byOp.digest) + ", " +
@@ -274,7 +273,10 @@ TEST_F(PredecodeTest, IrregularKernelsMatchTheirPinnedDigestsAcrossSeeds)
     size_t streams = 0;
     for (const char *name : {"twolf", "mcf", "vpr", "sphinx", "gap"}) {
         for (const uint64_t seed : {1ull, 7ull, 1234567ull}) {
-            const Readings got = readKernel(name, seed, false, kSeedOps);
+            FunctionalMemory mem;
+            auto workload = makeWorkload(name);
+            const Readings got = readProgram(workload->build(mem, seed),
+                                             mem, seed, kSeedOps);
             const std::string entry =
                 std::string("{\"") + name + "\", " +
                 std::to_string(seed) + ", " + hex(got.byOp.digest) + "},";
