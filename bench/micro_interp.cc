@@ -4,10 +4,11 @@
  * TraceOps the pre-decoded DecodedInterpreter generates per second,
  * through next() and through nextBatch() (the interface the CPU and
  * the sweep recorder consume), over one kernel per dynamic behavior
- * family —
+ * family. Both read the interpreter's 256-op block: next() one op
+ * per virtual call, nextBatch() the rest of the block —
  *
- *  - art:    dense affine loop nests (the decoded ArrayRef1A and
- *            ComputeRun fast paths),
+ *  - art:    dense affine loop nests (1-D affine references and
+ *            compute runs written straight into the block),
  *  - vpr:    clustered indirect array subscripts,
  *  - mcf:    pointer-chase tree traversal (LoopHeadChase/
  *            LoopTailChase).
@@ -63,8 +64,8 @@ runDecoded(benchmark::State &state, const std::string &name)
     state.SetItemsProcessed(static_cast<int64_t>(ops));
 }
 
-/** The batch interface the CPU actually consumes: spans per virtual
- *  call instead of one op. */
+/** The batch interface the CPU actually consumes: the rest of a
+ *  block per virtual call instead of one op. */
 void
 runDecodedBatch(benchmark::State &state, const std::string &name)
 {

@@ -14,6 +14,7 @@ Cpu::Cpu(const SimConfig &config, MemorySystem &mem, EventQueue &events,
       events_(events),
       trace_(trace),
       hints_(hints),
+      elideIndirect_(!hints || !config.usesHints()),
       stats_("cpu"),
       statReg_(stats_, registry)
 {
@@ -46,31 +47,15 @@ Cpu::loadDone(uint64_t token)
 }
 
 bool
-Cpu::fetchNext()
+Cpu::refill()
 {
-    while (!havePending_) {
-        if (batchPos_ == batchLen_) {
-            if (traceDone_)
-                return false;
-            GRP_HOST_SCOPE(2, Interp);
-            batchLen_ = trace_.nextBatch(&batch_);
-            batchPos_ = 0;
-            if (batchLen_ == 0) {
-                traceDone_ = true;
-                return false;
-            }
-        }
-        const TraceOp &op = batch_[batchPos_++];
-        // An unhinted binary contains no indirect prefetch
-        // instructions at all, so they cost nothing there.
-        if (op.kind == OpKind::IndirectPrefetch &&
-            (!hints_ || !config_.usesHints())) {
-            continue;
-        }
-        pendingOp_ = op;
-        havePending_ = true;
-    }
-    return true;
+    if (traceDone_)
+        return false;
+    GRP_HOST_SCOPE(2, Interp);
+    const size_t n = trace_.nextBatch(&batch_);
+    batchEnd_ = batch_ + n;
+    traceDone_ = n == 0;
+    return !traceDone_;
 }
 
 void
@@ -103,7 +88,8 @@ Cpu::tick()
             ++*robFullStalls_;
             break;
         }
-        if (!fetchNext())
+        const TraceOp *op = fetchNext();
+        if (!op)
             break;
 
         const size_t slot = robTail_;
@@ -116,7 +102,7 @@ Cpu::tick()
         bool waiting = false;
         Tick ready = now + config_.cpu.computeLatency;
 
-        switch (pendingOp_.kind) {
+        switch (op->kind) {
           case OpKind::Compute:
             break;
           case OpKind::Load: {
@@ -124,9 +110,8 @@ Cpu::tick()
             // completion tick); only misses round-trip through the
             // event queue and the loadDone callback.
             Tick hit_ready = kMaxTick;
-            accepted = mem_.load(pendingOp_.addr, pendingOp_.refId,
-                                 hintsFor(pendingOp_.refId), token,
-                                 &hit_ready);
+            accepted = mem_.load(op->addr, op->refId, hintsFor(op->refId),
+                                 token, &hit_ready);
             if (accepted) {
                 ++*loads_;
                 if (hit_ready != kMaxTick)
@@ -137,14 +122,13 @@ Cpu::tick()
             break;
           }
           case OpKind::Store:
-            accepted = mem_.store(pendingOp_.addr, pendingOp_.refId,
-                                  hintsFor(pendingOp_.refId));
+            accepted = mem_.store(op->addr, op->refId, hintsFor(op->refId));
             if (accepted)
                 ++*stores_;
             break;
           case OpKind::IndirectPrefetch:
-            mem_.indirectPrefetch(pendingOp_.base, pendingOp_.elemSize,
-                                  pendingOp_.addr, pendingOp_.refId);
+            mem_.indirectPrefetch(op->base, op->elemSize, op->addr,
+                                  op->refId);
             ++*indirectPrefetchOps_;
             break;
         }
@@ -161,14 +145,14 @@ Cpu::tick()
         entry.readyAt = ready;
         robTail_ = (robTail_ + 1) & robMask_;
         ++robCount_;
-        havePending_ = false;
+        pending_ = nullptr;
     }
 }
 
 bool
 Cpu::done() const
 {
-    return traceDone_ && !havePending_ && robCount_ == 0;
+    return traceDone_ && !pending_ && robCount_ == 0;
 }
 
 Cpu::StallState
@@ -184,7 +168,7 @@ Cpu::stallState(Tick now) const
         // Blocked head, full ROB: tick() only counts a robFullStalls.
         st.stalled = true;
         st.robFullPath = true;
-    } else if (traceDone_ && !havePending_) {
+    } else if (traceDone_ && !pending_) {
         // Blocked head, nothing left to issue: tick() is a pure wait.
         st.stalled = true;
     }

@@ -97,7 +97,27 @@ class Cpu
     /** Load-completion callback from the memory system. */
     void loadDone(uint64_t token);
 
-    bool fetchNext();
+    /** The op to issue next, or nullptr once the trace is done. It
+     *  points into the source's current block: refill() runs only
+     *  while no op is pending, so the block outlives the pointer. An
+     *  unhinted binary contains no indirect prefetch instructions at
+     *  all, so they are skipped here and cost nothing. */
+    const TraceOp *
+    fetchNext()
+    {
+        while (!pending_) {
+            if (batch_ == batchEnd_ && !refill())
+                return nullptr;
+            const TraceOp *op = batch_++;
+            if (op->kind != OpKind::IndirectPrefetch || !elideIndirect_)
+                pending_ = op;
+        }
+        return pending_;
+    }
+
+    /** Take the source's next block; false at the end of the trace. */
+    bool refill();
+
     bool robFull() const { return robCount_ == robCapacity_; }
 
     /** Hints for @p ref: the table's entry, or all-zero hints when
@@ -114,6 +134,8 @@ class Cpu
     EventQueue &events_;
     TraceSource &trace_;
     const HintTable *hints_;
+    /** Unhinted binary: indirect prefetch ops are not in the stream. */
+    bool elideIndirect_;
 
     // Storage is robEntries rounded up to a power of two so the ring
     // indices advance with a mask instead of a modulo; robCapacity_
@@ -125,15 +147,14 @@ class Cpu
     size_t robTail_ = 0;
     size_t robCount_ = 0;
 
-    TraceOp pendingOp_;
-    bool havePending_ = false;
+    /** Fetched but not yet issued (a memory-rejected op stays here
+     *  across cycles); nullptr when none is. */
+    const TraceOp *pending_ = nullptr;
     bool traceDone_ = false;
 
-    /** Current trace batch (fetchNext consumes it op by op; the
-     *  source keeps the storage valid until the next refill). */
+    /** Unread rest of the source's current block. */
     const TraceOp *batch_ = nullptr;
-    size_t batchPos_ = 0;
-    size_t batchLen_ = 0;
+    const TraceOp *batchEnd_ = nullptr;
 
     uint64_t retired_ = 0;
     uint64_t cycles_ = 0;

@@ -87,12 +87,15 @@ class TraceSource
      * Produce a run of consecutive ops at once: points @p ops at an
      * internal buffer that stays valid until the next nextBatch()/
      * next() call and returns the run length (0 at end of trace).
-     * The concatenation of batches is element-for-element the next()
-     * stream — sources that can expose runs cheaply (the decoded
-     * interpreter's compute runs, the sweep replay buffer) override
-     * this so the CPU pays one virtual call per run instead of per
-     * op. The default forwards to next(), so a source that
-     * implements only next() (the tests' op vectors) still works.
+     * The CPU relies on that: it issues from the buffer in place,
+     * keeps a pointer to its pending op there, and asks for the next
+     * run only once no op is pending. The concatenation of batches
+     * is element-for-element the next() stream — sources that hold
+     * ops in blocks (the decoded interpreter's 256-op block, a sweep
+     * recording's 4096-op block) override this so the CPU pays one
+     * virtual call per block instead of per op. The default forwards
+     * to next(), so a source that implements only next() (the tests'
+     * op vectors) still works.
      */
     virtual size_t
     nextBatch(const TraceOp **ops)

@@ -1,5 +1,7 @@
 #include "workloads/predecode.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace grp
@@ -66,9 +68,10 @@ DecodedProgram::lowerStmt(const Program &prog, const Stmt &stmt)
       case StmtKind::ArrayRef: {
         const ArrayDecl &array =
             prog.arrays[static_cast<size_t>(stmt.array)];
-        fatal_if(stmt.subs.size() + 1 > 8,
-                 "array reference with %zu dimensions overflows the "
-                 "decoded ring buffer", stmt.subs.size());
+        fatal_if(stmt.subs.size() + 1 > kMaxStmtOps,
+                 "array reference with %zu dimensions could emit more "
+                 "than %u ops in one statement", stmt.subs.size(),
+                 kMaxStmtOps);
         const uint32_t begin = static_cast<uint32_t>(subs_.size());
         for (size_t d = 0; d < stmt.subs.size(); ++d) {
             addSub(prog, array, stmt.subs[d], array.extents[d],
@@ -233,6 +236,25 @@ DecodedProgram::lower(const Program &prog)
 // ---------------------------------------------------------------------------
 // Execution.
 
+namespace
+{
+
+/** @p v wrapped into [0, @p m), dividing only when it is out of
+ *  range: the same value as v % m for every v. */
+inline uint64_t
+wrap(uint64_t v, uint64_t m)
+{
+    return v < m ? v : v % m;
+}
+
+inline void
+emitRef(TraceOp *&out, bool write, Addr addr, RefId ref)
+{
+    *out++ = write ? TraceOp::store(addr, ref) : TraceOp::load(addr, ref);
+}
+
+} // namespace
+
 DecodedInterpreter::DecodedInterpreter(const DecodedProgram &prog,
                                        FunctionalMemory &mem,
                                        uint64_t seed, uint64_t passes)
@@ -282,25 +304,8 @@ DecodedInterpreter::evalAffine(const DecodedAffine &expr) const
     return value;
 }
 
-void
-DecodedInterpreter::emitLoad(Addr addr, RefId ref)
-{
-    ring_[(ringHead_ + ringCount_) & kRingMask] = TraceOp::load(addr, ref);
-    ++ringCount_;
-    ++emitted_;
-}
-
-void
-DecodedInterpreter::emitStore(Addr addr, RefId ref)
-{
-    ring_[(ringHead_ + ringCount_) & kRingMask] =
-        TraceOp::store(addr, ref);
-    ++ringCount_;
-    ++emitted_;
-}
-
 uint64_t
-DecodedInterpreter::evalSub(const DecodedSub &sub)
+DecodedInterpreter::evalSub(const DecodedSub &sub, TraceOp *&out)
 {
     int64_t value = 0;
     switch (sub.kind) {
@@ -308,13 +313,11 @@ DecodedInterpreter::evalSub(const DecodedSub &sub)
         value = evalAffine(sub.expr);
         break;
       case DecodedSub::Kind::Indirect: {
-        int64_t idx = evalAffine(sub.expr);
-        idx = static_cast<int64_t>(static_cast<uint64_t>(idx) %
-                                   sub.indexElems);
-        const Addr index_addr =
-            sub.indexBase +
-            static_cast<uint64_t>(idx) * sub.indexElemSize;
-        emitLoad(index_addr, sub.indexRefId);
+        const uint64_t idx =
+            wrap(static_cast<uint64_t>(evalAffine(sub.expr)),
+                 sub.indexElems);
+        const Addr index_addr = sub.indexBase + idx * sub.indexElemSize;
+        *out++ = TraceOp::load(index_addr, sub.indexRefId);
         const uint64_t loaded = sub.indexElemSize == 4
                                     ? mem_.read32(index_addr)
                                     : mem_.read64(index_addr);
@@ -325,17 +328,35 @@ DecodedInterpreter::evalSub(const DecodedSub &sub)
         value = static_cast<int64_t>(rng_.below(sub.randomRange));
         break;
     }
-    return static_cast<uint64_t>(value) % sub.extent;
+    return wrap(static_cast<uint64_t>(value), sub.extent);
 }
 
 void
-DecodedInterpreter::execUntilEmit()
+DecodedInterpreter::emitCompute(TraceOp *&out)
 {
+    const uint64_t n = std::min<uint64_t>(
+        computeLeft_, static_cast<uint64_t>(block_ + kBlockOps - out));
+    std::fill_n(out, n, TraceOp::compute());
+    out += n;
+    computeLeft_ -= n;
+}
+
+bool
+DecodedInterpreter::fillBlock()
+{
+    pos_ = 0;
+    len_ = 0;
+    if (finished_)
+        return false;
     const DecodedOp *ops = prog_.ops_.data();
     const size_t op_count = prog_.ops_.size();
     const DecodedSub *subs = prog_.subs_.data();
+    TraceOp *out = block_;
+    // With at least kMaxStmtOps slots left, any statement fits whole.
+    TraceOp *const last = block_ + kBlockOps - DecodedProgram::kMaxStmtOps;
 
-    while (ringCount_ == 0 && computeRun_ == 0) {
+    emitCompute(out);
+    while (out <= last) {
         if (pc_ >= op_count) {
             ++passesDone_;
             if (passesDone_ < maxPasses_) {
@@ -343,20 +364,16 @@ DecodedInterpreter::execUntilEmit()
                 continue;
             }
             finished_ = true;
-            return;
+            break;
         }
         const DecodedOp &op = ops[pc_];
         switch (op.kind) {
           case DecodedOpKind::ArrayRef1A: {
             const DecodedSub &sub = subs[op.a];
-            const uint64_t idx =
-                static_cast<uint64_t>(evalAffine(sub.expr)) %
-                sub.extent;
-            const Addr addr = op.base + idx * sub.strideBytes;
-            if (op.isWrite)
-                emitStore(addr, op.refId);
-            else
-                emitLoad(addr, op.refId);
+            const uint64_t idx = wrap(
+                static_cast<uint64_t>(evalAffine(sub.expr)), sub.extent);
+            emitRef(out, op.isWrite, op.base + idx * sub.strideBytes,
+                    op.refId);
             ++pc_;
             break;
           }
@@ -364,38 +381,32 @@ DecodedInterpreter::execUntilEmit()
             Addr addr = op.base;
             for (uint16_t d = 0; d < op.n; ++d) {
                 const DecodedSub &sub = subs[op.a + d];
-                addr += evalSub(sub) * sub.strideBytes;
+                addr += evalSub(sub, out) * sub.strideBytes;
             }
-            if (op.isWrite)
-                emitStore(addr, op.refId);
-            else
-                emitLoad(addr, op.refId);
+            emitRef(out, op.isWrite, addr, op.refId);
             ++pc_;
             break;
           }
           case DecodedOpKind::PtrLoadFromArray: {
             const DecodedSub &sub = subs[op.a];
-            const Addr addr = op.base + evalSub(sub) * sub.strideBytes;
-            emitLoad(addr, op.refId);
+            const Addr addr =
+                op.base + evalSub(sub, out) * sub.strideBytes;
+            *out++ = TraceOp::load(addr, op.refId);
             ptrs_[op.b] = mem_.read64(addr);
             ++pc_;
             break;
           }
           case DecodedOpKind::PtrAddrOfArray: {
             const DecodedSub &sub = subs[op.a];
-            ptrs_[op.b] = op.base + evalSub(sub) * sub.strideBytes;
+            ptrs_[op.b] = op.base + evalSub(sub, out) * sub.strideBytes;
             ++pc_;
             break;
           }
           case DecodedOpKind::PtrRef: {
             const Addr base = ptrs_[op.a];
             if (base != 0) {
-                const Addr addr =
-                    base + static_cast<uint64_t>(op.p0);
-                if (op.isWrite)
-                    emitStore(addr, op.refId);
-                else
-                    emitLoad(addr, op.refId);
+                emitRef(out, op.isWrite,
+                        base + static_cast<uint64_t>(op.p0), op.refId);
             }
             ++pc_;
             break;
@@ -409,13 +420,10 @@ DecodedInterpreter::execUntilEmit()
                         ? evalAffine(sub.expr)
                         : static_cast<int64_t>(
                               rng_.below(sub.randomRange));
-                const Addr addr =
-                    base + static_cast<uint64_t>(idx) *
-                               static_cast<uint64_t>(op.p0);
-                if (op.isWrite)
-                    emitStore(addr, op.refId);
-                else
-                    emitLoad(addr, op.refId);
+                emitRef(out, op.isWrite,
+                        base + static_cast<uint64_t>(idx) *
+                                   static_cast<uint64_t>(op.p0),
+                        op.refId);
             }
             ++pc_;
             break;
@@ -425,7 +433,7 @@ DecodedInterpreter::execUntilEmit()
             if (base != 0) {
                 const Addr addr =
                     base + static_cast<uint64_t>(op.p0);
-                emitLoad(addr, op.refId);
+                *out++ = TraceOp::load(addr, op.refId);
                 ptrs_[op.a] = mem_.read64(addr);
             }
             ++pc_;
@@ -439,7 +447,7 @@ DecodedInterpreter::execUntilEmit()
                                    rng_.below(op.n)];
                 const Addr addr =
                     base + static_cast<uint64_t>(offset);
-                emitLoad(addr, op.refId);
+                *out++ = TraceOp::load(addr, op.refId);
                 ptrs_[op.b] = mem_.read64(addr);
             }
             ++pc_;
@@ -451,23 +459,20 @@ DecodedInterpreter::execUntilEmit()
             ++pc_;
             break;
           case DecodedOpKind::ComputeRun:
-            computeRun_ = static_cast<uint64_t>(op.p0);
-            emitted_ += computeRun_;
+            computeLeft_ = static_cast<uint64_t>(op.p0);
+            emitCompute(out);
             ++pc_;
             break;
           case DecodedOpKind::IndirectPf: {
             const DecodedIndirectPf &pf = prog_.indirects_[op.a];
             const int64_t idx = evalAffine(pf.index);
             if (idx % pf.everyN == 0) {
-                const uint64_t wrapped =
-                    static_cast<uint64_t>(idx) % pf.indexElems;
                 const Addr index_addr =
-                    pf.indexBase + wrapped * pf.indexElemSize;
-                ring_[(ringHead_ + ringCount_) & kRingMask] =
-                    TraceOp::indirect(pf.targetBase, pf.elem,
-                                      index_addr, pf.refId);
-                ++ringCount_;
-                ++emitted_;
+                    pf.indexBase +
+                    wrap(static_cast<uint64_t>(idx), pf.indexElems) *
+                        pf.indexElemSize;
+                *out++ = TraceOp::indirect(pf.targetBase, pf.elem,
+                                           index_addr, pf.refId);
             }
             ++pc_;
             break;
@@ -510,66 +515,28 @@ DecodedInterpreter::execUntilEmit()
           }
         }
     }
+    len_ = static_cast<size_t>(out - block_);
+    return len_ != 0;
 }
 
 bool
 DecodedInterpreter::next(TraceOp &op)
 {
-    for (;;) {
-        if (ringCount_ != 0) {
-            op = ring_[ringHead_ & kRingMask];
-            ++ringHead_;
-            --ringCount_;
-            return true;
-        }
-        if (computeRun_ != 0) {
-            --computeRun_;
-            op = TraceOp::compute();
-            return true;
-        }
-        if (finished_)
-            return false;
-        execUntilEmit();
-    }
+    if (pos_ == len_ && !fillBlock())
+        return false;
+    op = block_[pos_++];
+    return true;
 }
-
-namespace
-{
-
-/** Shared batch backing a run of compute ops (all default-constructed
- *  TraceOps are computes; read-only, so one array serves every
- *  interpreter on every thread). */
-constexpr size_t kComputeBatch = 256;
-const TraceOp kComputeOps[kComputeBatch] = {};
-
-} // namespace
 
 size_t
 DecodedInterpreter::nextBatch(const TraceOp **ops)
 {
-    for (;;) {
-        if (ringCount_ != 0) {
-            // Serve the ring up to its wrap point; the next call picks
-            // up the remainder, preserving next()'s order exactly.
-            const uint32_t head = ringHead_ & kRingMask;
-            const uint32_t run =
-                std::min(ringCount_, kRingSize - head);
-            *ops = &ring_[head];
-            ringHead_ += run;
-            ringCount_ -= run;
-            return run;
-        }
-        if (computeRun_ != 0) {
-            const size_t run = static_cast<size_t>(
-                std::min<uint64_t>(computeRun_, kComputeBatch));
-            computeRun_ -= run;
-            *ops = kComputeOps;
-            return run;
-        }
-        if (finished_)
-            return 0;
-        execUntilEmit();
-    }
+    if (pos_ == len_ && !fillBlock())
+        return 0;
+    *ops = block_ + pos_;
+    const size_t run = len_ - pos_;
+    pos_ = len_;
+    return run;
 }
 
 // ---------------------------------------------------------------------------

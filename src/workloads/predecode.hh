@@ -8,8 +8,12 @@
  * needs exactly once: loop bounds become backward-branch ops, affine
  * subscripts become (coeff, stride) tables indexed by flat slot, and
  * per-dimension strides are folded to bytes. The executor is a
- * program counter over one contiguous op array plus a small
- * power-of-two ring buffer.
+ * program counter over one contiguous op array that runs statements
+ * straight into a block of kBlockOps TraceOps: it stops when fewer
+ * than kMaxStmtOps slots are left (the most one statement emits) or
+ * the last pass ends, and a compute run longer than the room left
+ * continues in the next block. next() and nextBatch() both read
+ * that one block.
  *
  * Stream contract: a (Program, FunctionalMemory, seed, passes)
  * tuple fixes the TraceOp stream, including the order of RNG draws,
@@ -154,6 +158,11 @@ struct DecodedOp
 class DecodedProgram
 {
   public:
+    /** The most TraceOps one statement emits: an N-D reference with
+     *  an index load per dimension. lower() refuses a statement that
+     *  could emit more. */
+    static constexpr uint32_t kMaxStmtOps = 8;
+
     /** Lower @p prog. The result is self-contained: it copies every
      *  bound, base and stride it needs out of the IR. */
     static DecodedProgram lower(const Program &prog);
@@ -200,25 +209,20 @@ class DecodedInterpreter : public TraceSource
 
     bool next(TraceOp &op) override;
 
-    /** Ring ops in place and compute runs as spans of a shared
-     *  all-compute array — same stream as next(), far fewer virtual
-     *  calls on compute-padded kernels. */
+    /** The unread rest of the current block, filling the next one
+     *  first when it is used up: the same stream as next(). */
     size_t nextBatch(const TraceOp **ops) override;
 
-    uint64_t opsEmitted() const { return emitted_; }
-
   private:
-    /** Ring capacity; decode rejects statements that could emit more
-     *  ops than this in one dispatch (deepest kernels use 4). */
-    static constexpr uint32_t kRingSize = 8;
-    static constexpr uint32_t kRingMask = kRingSize - 1;
+    static constexpr size_t kBlockOps = 256;
 
     void startPass();
-    void execUntilEmit();
+    /** Run statements into block_ (see the file comment); false
+     *  once the last pass has ended and nothing was emitted. */
+    bool fillBlock();
+    void emitCompute(TraceOp *&out);
     int64_t evalAffine(const DecodedAffine &expr) const;
-    uint64_t evalSub(const DecodedSub &sub);
-    void emitLoad(Addr addr, RefId ref);
-    void emitStore(Addr addr, RefId ref);
+    uint64_t evalSub(const DecodedSub &sub, TraceOp *&out);
 
     std::unique_ptr<const DecodedProgram> owned_;
     const DecodedProgram &prog_;
@@ -232,13 +236,12 @@ class DecodedInterpreter : public TraceSource
     std::vector<uint64_t> chaseIters_;
     size_t pc_ = 0;
 
-    TraceOp ring_[kRingSize];
-    uint32_t ringHead_ = 0;
-    uint32_t ringCount_ = 0;
-    uint64_t computeRun_ = 0;
+    TraceOp block_[kBlockOps];
+    size_t pos_ = 0; ///< Next unread op in block_.
+    size_t len_ = 0; ///< Ops in block_.
+    uint64_t computeLeft_ = 0; ///< Rest of a run the block could not take.
 
     bool finished_ = false;
-    uint64_t emitted_ = 0;
 };
 
 /** Build the TraceSource for one run: a DecodedInterpreter. */

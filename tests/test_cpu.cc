@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
 #include <vector>
 
+#include "compiler/hint_generator.hh"
+#include "core/engine_factory.hh"
 #include "cpu/cpu.hh"
 #include "sim/logging.hh"
+#include "sim/rng.hh"
+#include "workloads/predecode.hh"
+#include "workloads/workload.hh"
 
 namespace grp
 {
@@ -33,6 +41,74 @@ class VectorTrace : public TraceSource
   private:
     std::vector<TraceOp> ops_;
     size_t pos_ = 0;
+};
+
+/**
+ * Serves a fixed op vector through nextBatch(): as one block, or in
+ * blocks of fixed-seed random length 1-kMaxRandomBlock, half of
+ * which end early on their first indirect prefetch op, if they hold
+ * one. Before it returns a block it overwrites the one it returned
+ * last with poison, stores to kPoison, so a CPU that kept a pointer
+ * into a block past its next nextBatch() call issues one of those.
+ */
+class BlockTrace : public TraceSource
+{
+  public:
+    static constexpr Addr kPoison = 0xdead000000ull;
+    static constexpr size_t kMaxRandomBlock = 300;
+
+    BlockTrace(const std::vector<TraceOp> &ops, bool random)
+        : ops_(ops), random_(random)
+    {
+        for (std::vector<TraceOp> &block : blocks_)
+            block.resize(random ? kMaxRandomBlock : ops.size());
+    }
+
+    bool
+    next(TraceOp &op) override
+    {
+        if (pos_ == ops_.size())
+            return false;
+        op = ops_[pos_++];
+        return true;
+    }
+
+    size_t
+    nextBatch(const TraceOp **ops) override
+    {
+        std::fill(blocks_[cur_].begin(), blocks_[cur_].end(),
+                  TraceOp::store(kPoison, 0));
+        cur_ ^= 1;
+        const auto begin = ops_.begin() + static_cast<std::ptrdiff_t>(pos_);
+        size_t n = ops_.size() - pos_;
+        if (random_) {
+            n = std::min<size_t>(n, 1 + rng_.below(kMaxRandomBlock));
+            const auto indirect = std::find_if(
+                begin, begin + static_cast<std::ptrdiff_t>(n),
+                [](const TraceOp &op) {
+                    return op.kind == OpKind::IndirectPrefetch;
+                });
+            if (rng_.below(2) && indirect != begin + n)
+                n = static_cast<size_t>(indirect - begin) + 1;
+        }
+        std::copy_n(begin, n, blocks_[cur_].begin());
+        pos_ += n;
+        if (n != 0 && ops_[pos_ - 1].kind == OpKind::IndirectPrefetch)
+            ++indirectAtBlockEnd;
+        *ops = blocks_[cur_].data();
+        return n;
+    }
+
+    /** Blocks whose last op is an indirect prefetch. */
+    uint64_t indirectAtBlockEnd = 0;
+
+  private:
+    const std::vector<TraceOp> &ops_;
+    const bool random_;
+    Rng rng_{7};
+    size_t pos_ = 0;
+    std::vector<TraceOp> blocks_[2];
+    unsigned cur_ = 0;
 };
 
 class CpuTest : public ::testing::Test
@@ -156,6 +232,75 @@ TEST_F(CpuTest, EmptyTraceFinishesImmediately)
     run({});
     EXPECT_EQ(cpu->retiredInstructions(), 0u);
     EXPECT_TRUE(cpu->done());
+}
+
+/** Run @p source to the end under @p config with the configured
+ *  prefetch engine; returns the cycles, the retired instructions and
+ *  every counter the run registered (cpu.*, mem.*, the caches', the
+ *  DRAM's and the engine's). */
+std::map<std::string, uint64_t>
+runToEnd(TraceSource &source, const SimConfig &config,
+         const FunctionalMemory &fmem, const HintTable *hints)
+{
+    obs::StatRegistry registry;
+    EventQueue events;
+    MemorySystem mem(config, events, registry);
+    const auto engine = makePrefetchEngine(config, fmem, mem, registry);
+    Cpu cpu(config, mem, events, source, hints, registry);
+    for (Tick cycle = 0; !cpu.done() && cycle < 10'000'000; ++cycle) {
+        events.advanceTo(cycle);
+        cpu.tick();
+        mem.tick();
+    }
+    EXPECT_TRUE(cpu.done());
+    std::map<std::string, uint64_t> out = registry.snapshot().counters;
+    out["cycles"] = cpu.cycles();
+    out["retired"] = cpu.retiredInstructions();
+    return out;
+}
+
+TEST_F(CpuTest, IssueDoesNotDependOnBlockBoundaries)
+{
+    // equake after the transform: its first 50k ops carry 59
+    // indirect prefetch ops, which a hinted binary issues and an
+    // unhinted one elides.
+    FunctionalMemory fmem;
+    Program prog = makeWorkload("equake")->build(fmem, 42);
+    const unsigned indirect = HintGenerator::transform(prog);
+    SimConfig config;
+    config.l1d.mshrs = 2; // Rejected loads stay pending across cycles.
+    HintTable table;
+    HintGenerator(config.policy, config.l2.sizeBytes)
+        .analyze(prog, table, indirect);
+
+    std::vector<TraceOp> ops(50'000);
+    DecodedInterpreter interp(prog, fmem, 42);
+    uint64_t indirect_ops = 0;
+    for (TraceOp &op : ops) {
+        ASSERT_TRUE(interp.next(op));
+        indirect_ops += op.kind == OpKind::IndirectPrefetch;
+        ASSERT_NE(op.addr / 64, BlockTrace::kPoison / 64);
+    }
+    ASSERT_GT(indirect_ops, 0u);
+
+    for (const bool hinted : {true, false}) {
+        SCOPED_TRACE(hinted ? "hinted" : "unhinted");
+        config.scheme =
+            hinted ? PrefetchScheme::GrpVar : PrefetchScheme::Srp;
+        const HintTable *hints = hinted ? &table : nullptr;
+        BlockTrace whole(ops, false);
+        VectorTrace by_op(ops);
+        BlockTrace random(ops, true);
+        const auto expected = runToEnd(whole, config, fmem, hints);
+        EXPECT_EQ(expected.at("retired"),
+                  ops.size() - (hinted ? 0 : indirect_ops));
+        EXPECT_EQ(expected.at("cpu.indirectPrefetchOps"),
+                  hinted ? indirect_ops : 0);
+        EXPECT_GT(expected.at("cpu.memStalls"), 0u);
+        EXPECT_EQ(runToEnd(by_op, config, fmem, hints), expected);
+        EXPECT_EQ(runToEnd(random, config, fmem, hints), expected);
+        EXPECT_GT(random.indirectAtBlockEnd, 0u);
+    }
 }
 
 TEST_F(CpuTest, MemStallsAreCounted)

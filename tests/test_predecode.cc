@@ -475,8 +475,6 @@ TEST_F(PredecodeTest, SyntheticProgramMatchesItsPinnedDigest)
     expectPinned(kSyntheticDigest, got, "synthetic", entry.c_str());
     EXPECT_EQ(kSyntheticOps, got.byOp.ops);
     EXPECT_EQ(kSyntheticOps, got.byBatch.ops);
-    EXPECT_EQ(kSyntheticOps, by_op.opsEmitted());
-    EXPECT_EQ(kSyntheticOps, by_batch.opsEmitted());
     // An exhausted source stays exhausted, through either call.
     for (DecodedInterpreter *interp : {&by_op, &by_batch}) {
         TraceOp op;
