@@ -477,13 +477,16 @@ runWorkload(Workload &workload, SimConfig config,
     // Stall fast-forward (see docs/PERFORMANCE.md): when the CPU is
     // provably stalled and the memory system has no per-cycle work,
     // jump time straight to the next tick at which anything can
-    // change, batch-applying the skipped cycles' accounting. Level-3
-    // tracing records a Stall event per throttled cycle, which cannot
-    // be batched, so it forces per-cycle stepping.
+    // change, batch-applying the skipped cycles' accounting. The
+    // memory system defers its idle cycles' stall notes under the
+    // same decision. Level-3 tracing records a Stall event per
+    // throttled cycle, which cannot be batched, so it forces
+    // per-cycle stepping and the full arbitration walk.
     const bool fast_forward =
         envInt("GRP_FAST_FORWARD", 1) != 0 &&
         !obs::Tracer::instance().enabled(
             obs::traceLevelOf(obs::TraceEvent::Stall));
+    mem.setDeferral(fast_forward);
 
     // The periodic observers, each with the one tick at which it is
     // next due (kMaxTick when the run has no such observer): the

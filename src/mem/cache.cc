@@ -12,6 +12,7 @@ Cache::Cache(const CacheConfig &config, const std::string &name,
     : config_(config),
       numSets_(static_cast<unsigned>(config.sizeBytes /
                                      (config.assoc * kBlockBytes))),
+      setShift_(floorLog2(numSets_)),
       assoc_(config.assoc),
       lruInsertion_(lru_insertion),
       stats_(name),
@@ -40,7 +41,7 @@ Cache::setIndex(Addr addr) const
 Addr
 Cache::tagOf(Addr addr) const
 {
-    return blockNumber(addr) / numSets_;
+    return blockNumber(addr) >> setShift_;
 }
 
 Cache::Line *
@@ -57,9 +58,7 @@ Cache::findInSet(unsigned set_idx, Addr tag)
 Cache::Line *
 Cache::findLine(Addr addr)
 {
-    const uint64_t block = blockNumber(addr);
-    return findInSet(static_cast<unsigned>(block & (numSets_ - 1)),
-                     block / numSets_);
+    return findInSet(setIndex(addr), tagOf(addr));
 }
 
 const Cache::Line *
@@ -123,10 +122,8 @@ std::optional<Eviction>
 Cache::insert(Addr addr, bool as_prefetch, bool dirty,
               std::optional<adaptive::InsertPos> pos)
 {
-    const uint64_t block = blockNumber(addr);
-    const unsigned set_idx =
-        static_cast<unsigned>(block & (numSets_ - 1));
-    const Addr tag = block / numSets_;
+    const unsigned set_idx = setIndex(addr);
+    const Addr tag = tagOf(addr);
     Line *set = &lines_[static_cast<size_t>(set_idx) * assoc_];
 
     // One pass over the set finds the re-insertion hit, the victim
@@ -168,7 +165,7 @@ Cache::insert(Addr addr, bool as_prefetch, bool dirty,
     std::optional<Eviction> evicted;
     if (victim->valid) {
         evicted = Eviction{
-            (victim->tag * numSets_ + set_idx) << kBlockShift,
+            ((victim->tag << setShift_) | set_idx) << kBlockShift,
             victim->dirty,
             victim->prefetched && !victim->referenced,
         };

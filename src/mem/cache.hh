@@ -135,6 +135,9 @@ class Cache
 
     CacheConfig config_;
     unsigned numSets_;
+    /** log2(numSets_): a block number's tag is its bits above the
+     *  set index. */
+    unsigned setShift_;
     unsigned assoc_;
     bool lruInsertion_;
     uint64_t nextStamp_ = 1;

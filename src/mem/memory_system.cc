@@ -66,6 +66,9 @@ MemorySystem::MemorySystem(const SimConfig &config, EventQueue &events,
     hot_.writebacks = &stats_.counter("writebacks");
     hot_.writebacksQueued = &stats_.counter("writebacksQueued");
     lifecycle_.bindMemory(stats_, classCounts_);
+    // Deferred ticks owe their stall notes: every read or reset of
+    // the group books them first.
+    stats_.setSync([this] { bookStalls(); });
 }
 
 uint8_t
@@ -181,6 +184,9 @@ MemorySystem::handleL1Miss(Addr addr, RefId ref, const LoadHints &hints,
     // data lands in the L1 copy (write-allocate); the L2 copy stays
     // clean until the L1 victim is written back.
     GRP_HOST_SCOPE(2, L2Access);
+    // The engine callbacks, the MSHR allocation and the demand push
+    // below can each change what the prioritizer does.
+    settle();
     ++*hot_.l2DemandAccesses;
     // Single tag walk: probe and (on a hit) touch in one pass. The
     // first-use-of-prefetch outcome is applied after the engine
@@ -355,6 +361,7 @@ MemorySystem::insertIntoL2(Addr block_addr, bool as_prefetch, bool dirty,
         wb.blockAddr = evicted->blockAddr;
         wb.cls = ReqClass::Writeback;
         wb.enqueued = events_.curTick();
+        settle();
         writebackQueues_[dram_->channelOf(wb.blockAddr)].push_back(wb);
         ++queuedWriteback_;
         ++*hot_.writebacksQueued;
@@ -418,17 +425,19 @@ void
 MemorySystem::indirectPrefetch(Addr base, unsigned elem_size,
                                Addr index_addr, RefId ref)
 {
-    if (engine_)
+    if (engine_) {
+        settle();
         engine_->indirectPrefetch(base, elem_size, index_addr, ref);
+    }
 }
 
 void
-MemorySystem::tick()
+MemorySystem::fullTick(Tick now)
 {
     if (config_.perfection != Perfection::None)
         return;
-
-    const Tick now = events_.curTick();
+    // The owed cycles saw the state this walk starts from.
+    bookStalls();
 
     // Queued backends schedule commands and retire transfers inside
     // their own tick; completed fills are drained here so they take
@@ -439,20 +448,7 @@ MemorySystem::tick()
             onDramFill(std::move(*filled));
     }
 
-    // Quiet-cycle fast path: nothing queued, every channel idle, and
-    // tryIssuePrefetch provably touches no counter — either there is
-    // no engine, or the issue gates are open with an empty engine
-    // queue, where the draw loop returns without side effects. The
-    // per-channel arbitration walk would do nothing, so skip it. Any
-    // throttled idle state (a closed gate bumps prefetch*Throttled
-    // every idle cycle) must take the walk to keep stats
-    // byte-identical.
-    const bool quiet =
-        queuedDemand_ == 0 && queuedWriteback_ == 0 &&
-        dram_->allIdle(now) &&
-        (!engine_ || (!prefetchStall() && engine_->queueDepth() == 0));
-
-    for (unsigned ch = 0; !quiet && ch < config_.dram.channels; ++ch) {
+    for (unsigned ch = 0; ch < config_.dram.channels; ++ch) {
         const bool can_issue = timingMode_ ? dram_->canAccept(ch, now)
                                            : dram_->channelIdle(ch, now);
         if (!can_issue)
@@ -479,6 +475,8 @@ MemorySystem::tick()
     // The backend books channel and contention cycles when what they
     // depend on changes; this cycle is now simulated.
     dram_->accountTo(now + 1);
+    tickedTo_ = settledTo_ = now + 1;
+    workTick_ = defer_ ? nextWorkTick(now) : 0;
 }
 
 Tick
@@ -523,15 +521,31 @@ MemorySystem::fastForwardTicks(Tick from, Tick to)
 {
     if (config_.perfection != Perfection::None || to <= from)
         return;
-    // Nothing the backend books from changes inside the window.
+    panic_if(from != tickedTo_, "fast forward from tick %llu, not %llu",
+             (unsigned long long)from, (unsigned long long)tickedTo_);
+    // Nothing the backend books from changes inside the window, and
+    // the window's stall notes are owed like a deferred tick's.
     dram_->accountTo(to);
+    tickedTo_ = to;
+}
 
-    // The stall tryIssuePrefetch would fold each cycle the channel
-    // can issue: every bus-idle cycle on the legacy backend, every
-    // cycle with command-queue space on a queued one (the queue
-    // cannot change inside the window). With the gates open the
-    // runner only skips cycles while the engine's queue is empty,
-    // where the draw loop touches no counter.
+void
+MemorySystem::bookStalls()
+{
+    if (settledTo_ == tickedTo_)
+        return;
+    const Tick from = settledTo_;
+    const Tick to = tickedTo_;
+    settledTo_ = to;
+    // The note tryIssuePrefetch would have made on each owed cycle
+    // the channel could issue: every bus-idle cycle on the legacy
+    // backend, every cycle with command-queue space on a queued one.
+    // Nothing the reason or the channels depend on changed since the
+    // last full walk (each change settles first), and an owed cycle
+    // draws no prefetch, so one reason holds for every channel. With
+    // the gates open the fold books nothing: a channel that could
+    // issue in an owed cycle would have drawn from an empty engine
+    // queue, where the draw loop touches no counter.
     const std::optional<obs::StallReason> stall =
         engine_ ? prefetchStall() : std::nullopt;
     if (!stall)
@@ -582,6 +596,7 @@ MemorySystem::startDramAccess(unsigned channel, const MemRequest &req)
 void
 MemorySystem::onDramFill(MemRequest req)
 {
+    settle();
     Mshr *mshr = l2Mshrs_->find(req.blockAddr);
     panic_if(!mshr, "DRAM fill without an L2 MSHR for block %#llx",
              (unsigned long long)req.blockAddr);
@@ -735,6 +750,7 @@ MemorySystem::resetStats()
 void
 MemorySystem::reset()
 {
+    settle();
     l1d_->reset();
     l2_->reset();
     l1Mshrs_->reset();

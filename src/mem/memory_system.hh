@@ -10,6 +10,15 @@
  * and no demand request is waiting, so useless prefetches cannot
  * delay demand traffic. A small number of L2 MSHRs is reserved for
  * demand so prefetches cannot starve misses of tracking resources.
+ *
+ * On most cycles the prioritizer's only output is a refusal, one
+ * stall note per idle channel. tick() walks the channels only from
+ * the next work tick on (nextWorkTick() of the last full walk); a
+ * cycle before it owes its stall notes, and one fold books the owed
+ * cycles before anything changes the stall reason, a queue or a
+ * channel, and before any read of the "mem" group. A deferred cycle
+ * draws no prefetch, so every channel sees the same reason; full
+ * walks keep their per-channel notes.
  */
 
 #ifndef GRP_MEM_MEMORY_SYSTEM_HH
@@ -107,10 +116,33 @@ class MemorySystem
     void indirectPrefetch(Addr base, unsigned elem_size,
                           Addr index_addr, RefId ref);
 
-    /** Per-cycle channel arbitration; call once per CPU cycle after
-     *  the CPU has issued. Ends by marking the cycle accounted in the
-     *  DRAM backend, which books channel and contention cycles. */
-    void tick();
+    /**
+     * Per-cycle channel arbitration; call once per CPU cycle after
+     * the CPU has issued. A cycle before the work tick that follows
+     * the last ticked one only marks itself accounted in the DRAM
+     * backend (which books channel and contention cycles) and owes
+     * its stall notes. Every other call runs the full walk: it books
+     * the owed notes, arbitrates each channel, and stores
+     * nextWorkTick(now) as the new work tick. A call that skips
+     * cycles owes none of the skipped ones.
+     */
+    void
+    tick()
+    {
+        const Tick now = events_.curTick();
+        if (now == tickedTo_ && now < workTick_) {
+            dram_->accountTo(++tickedTo_);
+            return;
+        }
+        fullTick(now);
+    }
+
+    /** With @p on false, every tick() runs the full walk and notes
+     *  each stall as it happens: the per-cycle reference that the
+     *  runner keeps when it does not fast-forward (GRP_FAST_FORWARD=0
+     *  or level-3 tracing, whose trace holds one stall record per
+     *  channel per cycle). On by default. */
+    void setDeferral(bool on) { defer_ = on; }
 
     /**
      * First tick after @p now at which tick() could do more than
@@ -118,19 +150,18 @@ class MemorySystem
      * demand/writeback access, draw a prefetch candidate, or (queued
      * backends) reach the backend's next transition (kMaxTick when
      * nothing is queued anywhere). On a queued backend a channel can
-     * issue only while its command queue has space. Until then every
-     * cycle's work is a fixed increment, which fastForwardTicks()
-     * applies in one batch.
+     * issue only while its command queue has space. A full tick()
+     * stores it as the work tick; the runner's stall fast-forward
+     * never skips past it.
      */
     Tick nextWorkTick(Tick now) const;
 
     /**
-     * Account the skipped cycles [@p from, @p to): move the DRAM
-     * backend's accounted tick to @p to, and fold the prefetch
-     * throttle counters tick() would have bumped, scaled by the cycle
-     * count — byte-identical to ticking the window cycle by cycle
-     * (the runner guarantees no queue, MSHR or event state can change
-     * inside the window).
+     * Account the skipped cycles [@p from, @p to), where @p from is
+     * the first cycle not yet ticked: move the DRAM backend's
+     * accounted tick to @p to, and owe the window's stall notes like
+     * those of deferred ticks (the runner guarantees no queue, MSHR
+     * or event state can change inside the window).
      */
     void fastForwardTicks(Tick from, Tick to);
 
@@ -199,6 +230,19 @@ class MemorySystem
     void classifyDemandAccess(Addr block_addr, bool real_hit);
     void startDramAccess(unsigned channel, const MemRequest &req);
     void onDramFill(MemRequest req);
+    /** tick() at or after the work tick: the per-channel walk. */
+    void fullTick(Tick now);
+    /** Book the stall notes owed for [settledTo_, tickedTo_). */
+    void bookStalls();
+    /** Book the owed stall notes and make the next tick() a full
+     *  one: runs before anything that can change the stall reason, a
+     *  queue or a channel. */
+    void
+    settle()
+    {
+        bookStalls();
+        workTick_ = 0;
+    }
     bool tryIssuePrefetch(unsigned channel);
     /** Why the prioritizer refuses prefetches (nullopt: gates open). */
     std::optional<obs::StallReason> prefetchStall() const;
@@ -229,9 +273,20 @@ class MemorySystem
     std::vector<std::deque<MemRequest>> demandQueues_;
     std::vector<std::deque<MemRequest>> writebackQueues_;
     /** Cached sums of the per-channel queue sizes, maintained at every
-     *  push/pop so tick()'s quiet-cycle fast path is two compares. */
+     *  push/pop (quiesced() and the time-series depth hooks). */
     size_t queuedDemand_ = 0;
     size_t queuedWriteback_ = 0;
+
+    /** tick() may defer cycles before the work tick (setDeferral()). */
+    bool defer_ = true;
+    /** The last full tick's nextWorkTick(); 0 makes the next tick()
+     *  a full one. */
+    Tick workTick_ = 0;
+    /** Every cycle before this tick has been ticked or skipped. */
+    Tick tickedTo_ = 0;
+    /** Every cycle before this tick has its stall notes booked; the
+     *  cycles up to tickedTo_ owe theirs. */
+    Tick settledTo_ = 0;
     /** Writeback queue depth beyond which writebacks pre-empt
      *  demand to bound queue growth. */
     static constexpr size_t kWritebackHighWater = 16;

@@ -8,7 +8,7 @@ namespace obs
 {
 
 ShadowTags::ShadowTags(unsigned sets, unsigned assoc)
-    : numSets_(sets), assoc_(assoc)
+    : numSets_(sets), setShift_(floorLog2(sets)), assoc_(assoc)
 {
     fatal_if(numSets_ == 0 || !isPowerOfTwo(numSets_) || assoc_ == 0,
              "shadow-tag geometry must match a real cache");
@@ -25,7 +25,7 @@ ShadowTags::setIndex(Addr block_addr) const
 Addr
 ShadowTags::tagOf(Addr block_addr) const
 {
-    return blockNumber(block_addr) / numSets_;
+    return blockNumber(block_addr) >> setShift_;
 }
 
 const ShadowTags::Line *

@@ -96,6 +96,8 @@ class ShadowTags
     const Line *findLine(Addr block_addr) const;
 
     unsigned numSets_;
+    /** log2(numSets_), the tag's offset in a block number. */
+    unsigned setShift_;
     unsigned assoc_;
     std::vector<Line> lines_;
     uint64_t nextStamp_ = 1;

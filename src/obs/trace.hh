@@ -289,9 +289,10 @@ class LifecycleFold
     /** Adaptive-controller knob moves, counted per knob id. */
     void bindController(StatGroup &adaptive);
 
-    /** Fold one occurrence of @p rec. Fast-forward folds @p count
-     *  identical stall cycles at once; it is off whenever stalls are
-     *  traced, so the tracer still sees every stall. */
+    /** Fold one occurrence of @p rec. The memory system folds
+     *  @p count identical owed stall cycles at once; it defers them
+     *  only while stalls are not traced, so the tracer still sees
+     *  every stall. */
     void
     note(const TraceRecord &rec, uint64_t count = 1)
     {
