@@ -289,7 +289,6 @@ BenchSweep::writeTimings() const
     json.kv("compiler", GRP_BUILD_COMPILER);
     json.kv("buildType", GRP_BUILD_TYPE);
     json.kv("cxxFlags", GRP_BUILD_FLAGS);
-    json.kv("hostProfMaxLevel", GRP_HOST_PROF_MAX_LEVEL);
     json.kv("hostProfLevel", obs::HostProfiler::envLevel());
     // Present only when GRP_TRACE_ALL forced tracing on (overhead
     // measurement runs); absent means tracing-off, so committed

@@ -137,7 +137,6 @@ DramBackend::reset()
             bank.openRow = -1;
     }
     accountedTo_ = 0;
-    maxBusyUntil_ = 0;
     pendingWork_ = 0;
     transfers_ = 0;
     stats_.reset();

@@ -106,11 +106,11 @@ class DramBackend
     }
 
     /** Every channel is idle at @p now and no queued backend work is
-     *  pending — the quiet-cycle fast path's gate (two compares). */
+     *  pending (tests, and drain loops that drive a backend alone). */
     bool
     allIdle(Tick now) const
     {
-        return maxBusyUntil_ <= now && pendingWork_ == 0;
+        return pendingWork_ == 0 && busyChannels(now) == 0;
     }
 
     /** True when @p addr's row is open in its bank (bank-aware
@@ -146,7 +146,7 @@ class DramBackend
                        RefId ref = kInvalidRefId,
                        obs::HintClass hint = obs::HintClass::None) = 0;
 
-    /** Demand-class convenience overload (tests, microbenches). */
+    /** Demand-class convenience overload, for tests only. */
     Tick serve(Addr addr, Tick now)
     {
         return serve(addr, now, ReqClass::Demand);
@@ -257,9 +257,8 @@ class DramBackend
     };
 
     /** From @p now on, @p channel's data bus is busy until @p until
-     *  on behalf of one transfer (occupant attribution + allIdle
-     *  high-water). The cycles before @p now are booked first, under
-     *  the old occupant. */
+     *  on behalf of one transfer (occupant attribution). The cycles
+     *  before @p now are booked first, under the old occupant. */
     void
     setChannelBusy(unsigned channel, Tick now, Tick until, ReqClass cls,
                    RefId ref, obs::HintClass hint)
@@ -267,8 +266,6 @@ class DramBackend
         bookChannel(channel, now);
         Channel &ch = channels_[channel];
         ch.busyUntil = until;
-        if (until > maxBusyUntil_)
-            maxBusyUntil_ = until;
         ch.occupantCls = cls;
         ch.occupantRef = ref;
         ch.occupantHint = hint;
@@ -292,8 +289,6 @@ class DramBackend
     std::vector<Channel> channels_;
     /** Every cycle before this tick has been simulated (accountTo()). */
     Tick accountedTo_ = 0;
-    /** High-water mark of every channel's busyUntil (allIdle()). */
-    Tick maxBusyUntil_ = 0;
     /** Queued-backend commands not yet delivered (allIdle()); always
      *  zero on immediate backends. */
     size_t pendingWork_ = 0;

@@ -11,7 +11,6 @@
 #ifndef GRP_MEM_PREFETCH_IFACE_HH
 #define GRP_MEM_PREFETCH_IFACE_HH
 
-#include <functional>
 #include <optional>
 
 #include "mem/request.hh"
@@ -28,10 +27,6 @@ class DramBackend;
 class PrefetchEngine
 {
   public:
-    /** Returns true when a block is already in the L2 or in flight;
-     *  engines use it to initialise region bit vectors. */
-    using PresenceTest = std::function<bool(Addr)>;
-
     virtual ~PrefetchEngine() = default;
 
     /** Every L2 demand access (training hook for stride). */

@@ -233,10 +233,7 @@ hostTicksToNanos(uint64_t ticks)
 // zero-initialised PODs — safe to touch from the very first
 // allocation, before any constructor runs — and the hooks forward
 // straight to malloc/free, which keeps them transparent to ASan/TSan
-// (the sanitizers intercept at the malloc layer). Compiled out with
-// the scope sites when GRP_HOST_PROF_MAX_LEVEL is 0.
-
-#if GRP_HOST_PROF_MAX_LEVEL > 0
+// (the sanitizers intercept at the malloc layer).
 
 namespace
 {
@@ -282,16 +279,6 @@ hostAllocCounters()
 {
     return {t_allocCount, t_allocBytes, t_freeCount};
 }
-
-#else // GRP_HOST_PROF_MAX_LEVEL == 0
-
-HostAllocCounters
-hostAllocCounters()
-{
-    return {};
-}
-
-#endif
 
 uint64_t
 hostPeakRssKb()
@@ -387,9 +374,8 @@ namespace
  *  even under GRP_HOST_PROF. */
 const int hostProfCeilingSeed = [] {
     const int level = HostProfiler::envLevel();
-    const int capped = GRP_HOST_PROF_MAX_LEVEL > 0 ? level : 0;
-    hostProfCeiling.store(capped, std::memory_order_relaxed);
-    return capped;
+    hostProfCeiling.store(level, std::memory_order_relaxed);
+    return level;
 }();
 
 } // namespace
@@ -466,8 +452,6 @@ HostProfiler::reset()
 
 // ---------------------------------------------------------------------
 // Global allocation hooks (outside any namespace by requirement).
-
-#if GRP_HOST_PROF_MAX_LEVEL > 0
 
 void *
 operator new(std::size_t size)
@@ -594,5 +578,3 @@ operator delete[](void *ptr, std::size_t, std::align_val_t) noexcept
 {
     grp::obs::countedFree(ptr);
 }
-
-#endif // GRP_HOST_PROF_MAX_LEVEL > 0

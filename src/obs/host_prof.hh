@@ -12,15 +12,9 @@
  * malloc/free counter pair plus a peak-RSS probe make allocation
  * churn in the hot loop visible next to the time it costs.
  *
- * Overhead control is two-layered, exactly like the tracer:
- *  - Runtime: every GRP_HOST_SCOPE site costs one thread-local load
- *    and one predictable compare while profiling is off (level 0,
- *    the default).
- *  - Compile time: sites above GRP_HOST_PROF_MAX_LEVEL are template
- *    no-ops the optimiser deletes; building with
- *    -DGRP_HOST_PROF_MAX_LEVEL=0 removes every site and the
- *    allocation hooks, producing a binary with zero profiling
- *    residue.
+ * Overhead control is at run time: while profiling is off (level 0,
+ * the default), every GRP_HOST_SCOPE site costs one load of the
+ * process-wide ceiling and one predictable compare.
  *
  * Phase levels:
  *  1 — run lifecycle: Run, Setup, SimLoop, Adaptive, Timeseries,
@@ -54,12 +48,6 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
-
-/** Highest host-profiling level compiled into the binary; 0 removes
- *  every scope site and the allocation hooks. */
-#ifndef GRP_HOST_PROF_MAX_LEVEL
-#define GRP_HOST_PROF_MAX_LEVEL 2
-#endif
 
 namespace grp
 {
@@ -175,12 +163,10 @@ class HostProfiler
 
     int level() const { return level_; }
 
-    /** Clamped to 0 when sites are compiled away, so callers that
-     *  gate work on level() never see a level no site can honour. */
     void
     setLevel(int level)
     {
-        level_ = GRP_HOST_PROF_MAX_LEVEL > 0 ? level : 0;
+        level_ = level;
         // Raise (never lower) the process-wide ceiling so scope
         // sites on every thread notice the new level.
         int ceiling = hostProfCeiling.load(std::memory_order_relaxed);
@@ -251,8 +237,7 @@ uint64_t hostTicksNow();
 uint64_t hostTicksToNanos(uint64_t ticks);
 
 /** Thread-local allocation counters maintained by the global
- *  operator new/delete replacements in host_prof.cc (zero, and the
- *  hooks absent, when GRP_HOST_PROF_MAX_LEVEL is 0). */
+ *  operator new/delete replacements in host_prof.cc. */
 struct HostAllocCounters
 {
     uint64_t allocCount = 0;
@@ -265,21 +250,8 @@ HostAllocCounters hostAllocCounters();
 /** Process peak RSS in KB (getrusage), 0 when unavailable. */
 uint64_t hostPeakRssKb();
 
-/** RAII phase scope. The Enabled=false specialisation is an empty
- *  object the optimiser deletes — the compile-away arm of
- *  GRP_HOST_SCOPE. */
-template <bool Enabled>
+/** RAII phase scope (see GRP_HOST_SCOPE). */
 class HostScope
-{
-  public:
-    HostScope(HostPhase, int) {}
-    void stop() {}
-    HostScope(const HostScope &) = delete;
-    HostScope &operator=(const HostScope &) = delete;
-};
-
-template <>
-class HostScope<true>
 {
   public:
     HostScope(HostPhase phase, int lvl)
@@ -325,18 +297,15 @@ class HostScope<true>
 #define GRP_HOST_SCOPE_CAT(a, b) GRP_HOST_SCOPE_CAT2(a, b)
 
 /** Attribute the enclosing block to @p phase at profiling level
- *  @p lvl; compiled out above GRP_HOST_PROF_MAX_LEVEL, a single
- *  branch when profiling is off. */
+ *  @p lvl; a single branch when profiling is off. */
 #define GRP_HOST_SCOPE(lvl, phase)                                    \
-    ::grp::obs::HostScope<((lvl) <= GRP_HOST_PROF_MAX_LEVEL)>         \
-        GRP_HOST_SCOPE_CAT(grp_host_scope_, __COUNTER__)(             \
-            ::grp::obs::HostPhase::phase, (lvl))
+    GRP_HOST_SCOPE_NAMED(                                             \
+        GRP_HOST_SCOPE_CAT(grp_host_scope_, __COUNTER__), lvl, phase)
 
 /** Like GRP_HOST_SCOPE, but names the scope object so the caller can
  *  stop() it before the block ends (sequential phases in one
  *  function body). */
 #define GRP_HOST_SCOPE_NAMED(name, lvl, phase)                        \
-    ::grp::obs::HostScope<((lvl) <= GRP_HOST_PROF_MAX_LEVEL)> name(   \
-        ::grp::obs::HostPhase::phase, (lvl))
+    ::grp::obs::HostScope name(::grp::obs::HostPhase::phase, (lvl))
 
 #endif // GRP_OBS_HOST_PROF_HH

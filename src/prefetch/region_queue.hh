@@ -5,12 +5,14 @@
  * Each entry describes an aligned window of prefetch-candidate blocks:
  * a base block number, a 64-bit candidate vector, and an index field
  * marking where the scan starts (the block after the triggering
- * miss). New entries are pushed at the head; the queue has a fixed
- * capacity (32) and old entries fall off the bottom. Dequeue order is
- * LIFO (newest region first) and optionally bank-aware, preferring
- * candidates whose DRAM row is already open. A dequeue masks each
- * entry's vector with the channel's blocks and tests one open row per
- * aligned row span, so it costs O(entries), not O(entries x window).
+ * miss). The queue has a fixed capacity (32) and is one array in
+ * queue order, oldest first: a push appends, and when the queue is
+ * over capacity the oldest entry falls off the front. Dequeue order
+ * is LIFO (newest region first, a walk from the back) and optionally
+ * bank-aware, preferring candidates whose DRAM row is already open.
+ * A dequeue masks each entry's vector with the channel's blocks and
+ * tests one open row per aligned row span, so it costs O(entries),
+ * not O(entries x window).
  *
  * Pointer and indirect prefetches reuse the same entry format with
  * small windows (2 blocks per pointer) and a pointer-chase depth.
@@ -19,7 +21,6 @@
 #ifndef GRP_PREFETCH_REGION_QUEUE_HH
 #define GRP_PREFETCH_REGION_QUEUE_HH
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -49,7 +50,8 @@ struct RegionEntry
     obs::HintClass hintClass = obs::HintClass::None;
 };
 
-/** Fixed-capacity prefetch candidate queue. */
+/** Fixed-capacity prefetch candidate queue: one array of entries in
+ *  queue order, oldest first (see the file comment). */
 class RegionQueue
 {
   public:
@@ -78,8 +80,8 @@ class RegionQueue
     /**
      * Record an L2 miss at @p miss_addr within a spatial window of
      * @p window_blocks blocks (a power of two; 64 = full region).
-     * Updates the existing entry covering the miss or allocates a
-     * new one at the head.
+     * Updates the newest entry covering the miss and makes it the
+     * newest, or appends a new one.
      *
      * @return Window size allocated, or 0 when the miss only updated
      *         an existing entry.
@@ -102,12 +104,9 @@ class RegionQueue
     std::optional<PrefetchCandidate>
     dequeue(const DramBackend &dram, unsigned channel);
 
-    size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
+    size_t size() const { return entries_.size(); }
+    bool empty() const { return entries_.empty(); }
     unsigned capacity() const { return capacity_; }
-
-    /** Total candidate blocks dropped when old entries fell off. */
-    uint64_t droppedCandidates() const { return dropped_; }
 
     StatGroup &stats() { return stats_; }
     const StatGroup &stats() const { return stats_; }
@@ -120,42 +119,13 @@ class RegionQueue
     void clear();
 
   private:
-    /**
-     * Entries live in a fixed pool of capacity + 1 slots (one spare
-     * so a push can link before the eviction check) threaded onto two
-     * intrusive lists: a global queue-order list, and one list per
-     * hint class. A tier scan used to walk every entry and filter by
-     * class priority — O(entries) per tier, repeated for each tier —
-     * and now merges only the class lists whose priority matches the
-     * tier. The seq field makes the merge order well-defined: front
-     * pushes take descending values, so ascending seq IS front-to-back
-     * queue order and the k-way merge reproduces the filtered walk
-     * exactly (the ordering-equivalence test in
-     * tests/test_region_queue.cc checks this against a reference
-     * deque implementation).
-     */
-    struct Slot
-    {
-        RegionEntry entry;
-        uint64_t seq = 0;
-        int prevAll = -1;
-        int nextAll = -1;
-        int prevCls = -1;
-        int nextCls = -1;
-        bool used = false;
-    };
-
-    static constexpr std::size_t kNumClasses = adaptive::kNumClasses;
-
-    int allocSlot();
-    /** Unlink @p idx from both lists and return it to the free list. */
-    void removeSlot(int idx);
-    void linkFront(int idx);
-
-    Slot *findCovering(uint64_t block_num);
-    void pushFront(RegionEntry entry);
+    /** The newest entry whose window holds @p block_num, if any. */
+    RegionEntry *findCovering(uint64_t block_num);
+    /** Append @p entry as the newest, dropping the oldest entry when
+     *  the queue goes over capacity. */
+    void push(const RegionEntry &entry);
     /** Drop the oldest entry, accounting its remaining candidates. */
-    void dropTail();
+    void dropOldest();
     /** One scan pass over entries whose class priority equals
      *  @p tier (-1 scans every entry: the classic behavior). */
     std::optional<PrefetchCandidate>
@@ -163,21 +133,13 @@ class RegionQueue
     uint64_t buildWindowVector(uint64_t base_block, unsigned blocks,
                                uint64_t exclude_block) const;
 
-    std::vector<Slot> slots_;
-    int freeHead_ = -1;
-    int allHead_ = -1;
-    int allTail_ = -1;
-    std::array<int, kNumClasses> clsHead_;
-    std::array<int, kNumClasses> clsTail_;
-    size_t size_ = 0;
-    /** Descending per-push sequence (see Slot). */
-    uint64_t nextSeq_;
+    /** Queue order, oldest first. */
+    std::vector<RegionEntry> entries_;
     unsigned capacity_;
     bool lifo_;
     bool bankAware_;
     PresenceTest present_;
     const adaptive::ControlPlane *plane_ = nullptr;
-    uint64_t dropped_ = 0;
     StatGroup stats_{"regionQueue"};
     obs::ScopedStatRegistration statReg_;
     obs::LifecycleFold lifecycle_; ///< Enqueues and drops.

@@ -131,7 +131,7 @@ TEST_F(RegionQueueTest, CapacityDropsOldEntries)
     queue.noteSpatialMiss(0x200000, 64, 0, 0);
     queue.noteSpatialMiss(0x300000, 64, 0, 0);
     EXPECT_EQ(queue.size(), 2u);
-    EXPECT_EQ(queue.droppedCandidates(), 63u);
+    EXPECT_EQ(queue.stats().value("candidatesDropped"), 63u);
     auto blocks = drain(queue);
     for (Addr addr : blocks)
         EXPECT_NE(regionAlign(addr), 0x100000u);
@@ -150,7 +150,6 @@ TEST_F(RegionQueueTest, FlushDropsEveryEntryAndKeepsCounters)
     EXPECT_TRUE(queue.empty());
     EXPECT_EQ(stats.value("entriesDropped"), 2u);
     EXPECT_EQ(stats.value("candidatesDropped"), 63u + 7u - dequeued);
-    EXPECT_EQ(queue.droppedCandidates(), 63u + 7u - dequeued);
     EXPECT_EQ(stats.value("regionsQueued"), 2u);
     EXPECT_EQ(stats.value("occupancyHighWater"), 2u);
     EXPECT_TRUE(drain(queue).empty());
@@ -248,13 +247,13 @@ TEST_F(RegionQueueTest, EmptyDequeueReturnsNothing)
 }
 
 /**
- * Reference implementation of the queue's ordering semantics: the
- * straightforward deque walk the intrusive-list version replaced. A
- * tier pass scans every entry in queue order, filtering by class
- * priority, and every bit of each entry, testing channel and open
- * row per bit; the production queue merges per-class lists and scans
- * by channel mask and row span instead, and must produce
- * byte-identical dequeue sequences.
+ * Reference implementation of the queue's ordering semantics: a
+ * newest-first deque. A tier pass scans every entry in queue order,
+ * filtering by class priority, and every bit of each entry, testing
+ * channel and open row per bit; the production queue keeps its
+ * entries oldest first in one array and scans each entry by channel
+ * mask and row span instead, and must produce byte-identical dequeue
+ * sequences.
  */
 class ReferenceQueue
 {
@@ -443,10 +442,13 @@ class ReferenceQueue
 /** Production queue vs ReferenceQueue over one DRAM geometry: random
  *  spatial misses (2-64-block windows), unaligned pointer targets,
  *  dequeues on every channel, and demand serves that open and close
- *  rows between dequeues. Addresses cover @p range_blocks blocks. */
+ *  rows between dequeues. Addresses cover @p range_blocks blocks.
+ *  Variant bits: 1 LIFO, 2 bank-aware, 4 priority tiers, 8 (with 4)
+ *  new random priorities every 256 ops, as the adaptive controller
+ *  rewrites them at each epoch boundary. */
 void
 matchReference(const DramConfig &config, uint64_t range_blocks,
-               unsigned variant)
+               unsigned variant, unsigned capacity)
 {
     const obs::HintClass kClasses[4] = {
         obs::HintClass::Spatial, obs::HintClass::Pointer,
@@ -455,17 +457,19 @@ matchReference(const DramConfig &config, uint64_t range_blocks,
     const bool lifo = variant & 1;
     const bool bank_aware = variant & 2;
     const bool tiered = variant & 4;
+    const bool retier = variant & 8;
 
     adaptive::ControlPlane plane;
-    // Spread classes across three tiers (varies per variant).
+    // Spread classes across three tiers (varies per variant). With
+    // re-tiering, start as the controller does: every class at 1.
     for (std::size_t c = 0; c < adaptive::kNumClasses; ++c) {
         plane.knobs(static_cast<obs::HintClass>(c)).priority =
-            static_cast<uint8_t>((c + variant) % 3);
+            retier ? 1 : static_cast<uint8_t>((c + variant) % 3);
     }
 
     DramSystem live(config);
-    RegionQueue queue(8, lifo, bank_aware);
-    ReferenceQueue ref(8, lifo, bank_aware);
+    RegionQueue queue(capacity, lifo, bank_aware);
+    ReferenceQueue ref(capacity, lifo, bank_aware);
     if (tiered) {
         queue.setControlPlane(&plane);
         ref.setControlPlane(&plane);
@@ -494,7 +498,14 @@ matchReference(const DramConfig &config, uint64_t range_blocks,
     Tick now = 0;
     for (unsigned op = 0; op < 4000; ++op) {
         SCOPED_TRACE(testing::Message() << "variant " << variant
+                                        << " capacity " << capacity
                                         << " op " << op);
+        if (retier && op % 256 == 255) {
+            for (std::size_t c = 0; c < adaptive::kNumClasses; ++c) {
+                plane.knobs(static_cast<obs::HintClass>(c)).priority =
+                    static_cast<uint8_t>(next() % 3);
+            }
+        }
         const uint64_t roll = next();
         const obs::HintClass hint = kClasses[roll % 4];
         const RefId site = static_cast<RefId>(roll % 11);
@@ -558,10 +569,15 @@ TEST_F(RegionQueueTest, OrderingMatchesReferenceUnderRandomOps)
             const uint64_t span =
                 uint64_t(channels) * (row_bytes / kBlockBytes);
             const uint64_t range = std::max<uint64_t>(8 * span, 512);
-            for (unsigned variant = 0; variant < 8; ++variant) {
-                matchReference(config, range, variant);
-                if (HasFailure())
-                    return;
+            for (unsigned capacity : {8u, 32u}) {
+                for (unsigned variant = 0; variant < 16; ++variant) {
+                    // Re-tiering needs tiers.
+                    if ((variant & 12) == 8)
+                        continue;
+                    matchReference(config, range, variant, capacity);
+                    if (HasFailure())
+                        return;
+                }
             }
         }
     }
