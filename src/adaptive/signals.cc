@@ -43,10 +43,9 @@ Signals::reprime()
 }
 
 Signals::Source
-memorySource(MemorySystem &mem, const PrefetchEngine *engine,
-             uint64_t queue_capacity)
+memorySource(MemorySystem &mem, const PrefetchEngine *engine)
 {
-    return [&mem, engine, queue_capacity] {
+    return [&mem, engine] {
         Sample s;
         const StatGroup &ms = mem.stats();
         s.prefetchesIssued = ms.value("prefetchesIssued");
@@ -61,7 +60,7 @@ memorySource(MemorySystem &mem, const PrefetchEngine *engine,
                           ds.value("contentionPrefetchCycles") +
                           ds.value("contentionWritebackCycles");
         s.queueDepth = engine ? engine->queueDepth() : 0;
-        s.queueCapacity = queue_capacity;
+        s.queueCapacity = engine ? engine->queueCapacity() : 0;
         s.byClass = mem.classPrefetchCounts();
         return s;
     };

@@ -165,12 +165,10 @@ class Signals
 /**
  * Build the production Source over a live memory system: mem.* /
  * dram.* registry counters, the per-hint-class fill/use arrays, and
- * @p engine's queue depth (may be nullptr: depth reads 0).
- * @p queue_capacity is the configured prefetch-queue size.
+ * @p engine's queue depth and capacity (may be nullptr: both read 0).
  */
 Signals::Source memorySource(MemorySystem &mem,
-                             const PrefetchEngine *engine,
-                             uint64_t queue_capacity);
+                             const PrefetchEngine *engine);
 
 } // namespace adaptive
 } // namespace grp

@@ -32,10 +32,10 @@ makePrefetchEngine(const SimConfig &config, const FunctionalMemory &fmem,
       case PrefetchScheme::GrpVar:
       case PrefetchScheme::GrpAdaptive: {
         // srp-throttled's governor samples its accuracy epochs from
-        // the run's mem.* counters (queue depth is unused: capacity
-        // 0); the other schemes never read the source.
+        // the run's mem.* counters (queue depth is unused: no
+        // engine); the other schemes never read the source.
         auto region = std::make_unique<RegionEngine>(
-            config, fmem, adaptive::memorySource(mem, nullptr, 0),
+            config, fmem, adaptive::memorySource(mem, nullptr),
             registry);
         region->setPresenceTest(present);
         engine = std::move(region);

@@ -386,9 +386,7 @@ runWorkload(Workload &workload, SimConfig config,
     std::optional<adaptive::AdaptiveController> controller;
     if (config.usesAdaptiveController()) {
         controller.emplace(config.adaptive, config.region.recursiveDepth,
-                           adaptive::memorySource(
-                               mem, engine.get(),
-                               config.region.queueEntries),
+                           adaptive::memorySource(mem, engine.get()),
                            registry);
         mem.setControlPlane(&controller->plane());
         if (auto *region = dynamic_cast<RegionEngine *>(engine.get()))
@@ -451,7 +449,7 @@ runWorkload(Workload &workload, SimConfig config,
         s.pollutionMisses = ms.value("pollutionMisses");
         if (engine) {
             s.queueDepth = engine->queueDepth();
-            s.queueCapacity = config.region.queueEntries;
+            s.queueCapacity = engine->queueCapacity();
         }
         const StatGroup &ds = mem.dram().stats();
         s.dramIdleCycles = ds.value("contentionIdleCycles");

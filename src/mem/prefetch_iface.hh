@@ -75,8 +75,19 @@ class PrefetchEngine
     /** Zero every statistic the engine owns (warmup boundary). */
     virtual void resetStats() { stats().reset(); }
 
-    /** Pending candidate entries (time-series sampling hook). */
+    /**
+     * Pending entries that can still offer a candidate (also the
+     * time-series and pulse depth). The access prioritizer's gate
+     * reads it: while it is 0 the memory system defers its channel
+     * walk and draws no candidate. So it must not be 0 while
+     * dequeuePrefetch() could offer one, and an entry that offers
+     * nothing until a later demand access does not count.
+     */
     virtual size_t queueDepth() const { return 0; }
+
+    /** Entries the engine can hold, the occupancy denominator of
+     *  queueDepth(); 0 for an engine without a queue. */
+    virtual size_t queueCapacity() const { return 0; }
 
     /** Drop all pending state. */
     virtual void reset() {}

@@ -86,6 +86,7 @@ class RegionEngine : public PrefetchEngine
     StatGroup &stats() override { return stats_; }
 
     size_t queueDepth() const override { return queue_.size(); }
+    size_t queueCapacity() const override { return queue_.capacity(); }
 
     /** Distribution of allocated region sizes in blocks (Table 4);
      *  sampled under hint schemes only. */

@@ -145,7 +145,7 @@ StridePrefetcher::onL2DemandAccess(Addr addr, RefId ref,
     if (observed == 0)
         return;
     if (observed == entry->stride) {
-        if (entry->confidence < 3)
+        if (entry->confidence < StrideConfig::kMaxConfidence)
             ++entry->confidence;
     } else {
         entry->stride = observed;
@@ -240,6 +240,17 @@ StridePrefetcher::strideFor(RefId ref) const
     const TableEntry *entry =
         const_cast<StridePrefetcher *>(this)->lookup(ref);
     return entry ? entry->stride : 0;
+}
+
+size_t
+StridePrefetcher::queueDepth() const
+{
+    size_t ready = 0;
+    for (const Stream &stream : streams_) {
+        if (stream.valid && stream.credits > 0)
+            ++ready;
+    }
+    return ready;
 }
 
 unsigned

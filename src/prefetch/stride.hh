@@ -41,13 +41,17 @@ class StridePrefetcher : public PrefetchEngine
 
     StatGroup &stats() override { return stats_; }
 
-    size_t queueDepth() const override { return liveStreams(); }
+    /** Streams that can still issue: valid, with credit left. A
+     *  stream whose credits are spent offers nothing until a demand
+     *  access replenishes it, so it holds no prefetch gate open. */
+    size_t queueDepth() const override;
+    size_t queueCapacity() const override { return streams_.size(); }
 
     void reset() override;
 
     /** Visible for tests: the learned stride for @p ref, or 0. */
     int64_t strideFor(RefId ref) const;
-    /** Visible for tests: number of live streams. */
+    /** Visible for tests: number of live streams, spent or not. */
     unsigned liveStreams() const;
 
   private:

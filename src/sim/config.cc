@@ -105,6 +105,10 @@ SimConfig::validate() const
              "stride table shape invalid");
     fatal_if(stride.streamBuffers == 0 || stride.bufferEntries == 0,
              "stream buffer shape invalid");
+    fatal_if(stride.trainThreshold > StrideConfig::kMaxConfidence,
+             "stride.trainThreshold must be at most %u: the confidence "
+             "counter saturates there, so no stream would ever start",
+             StrideConfig::kMaxConfidence);
     fatal_if(adaptive.epochCycles == 0,
              "adaptive epoch length must be non-zero");
     fatal_if(adaptive.hysteresisEpochs == 0,

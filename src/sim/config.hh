@@ -187,6 +187,10 @@ struct StrideConfig
     unsigned streamBuffers = 8;
     unsigned bufferEntries = 8;
     unsigned trainThreshold = 2; ///< Confirmations before allocation.
+
+    /** The two-bit confidence counter's ceiling: trainThreshold may
+     *  not exceed it. */
+    static constexpr unsigned kMaxConfidence = 3;
 };
 
 /** Full system configuration. */

@@ -129,6 +129,19 @@ TEST_F(ConfigTest, RejectsBadStrideTableShape)
     EXPECT_THROW(config.validate(), std::runtime_error);
 }
 
+TEST_F(ConfigTest, RejectsUnreachableStrideThreshold)
+{
+    // The two-bit confidence counter saturates at 3, so a higher
+    // threshold would never start a stream.
+    config.stride.trainThreshold = 4;
+    EXPECT_NE(rejection(config).find("stride.trainThreshold"),
+              std::string::npos);
+    for (const unsigned threshold : {0u, 1u, 3u}) {
+        config.stride.trainThreshold = threshold;
+        EXPECT_NO_THROW(config.validate()) << threshold;
+    }
+}
+
 TEST_F(ConfigTest, SchemePredicates)
 {
     config.scheme = PrefetchScheme::None;

@@ -291,6 +291,31 @@ randomConfig(Rng &rng)
     return c;
 }
 
+/**
+ * The stride prefetcher's fields, from their own generator so that
+ * randomConfig()'s draws stay as they were: mostly valid, with a
+ * small share of zero sizes and of a training threshold above the
+ * confidence ceiling, which validate() must refuse.
+ */
+void
+randomStride(Rng &rng, StrideConfig &stride)
+{
+    const auto zero_or = [&rng](unsigned value) {
+        return rng.chance(0.02) ? 0u : value;
+    };
+    const unsigned assoc = powerOfTwo(rng, 0, 3);
+    stride.tableEntries =
+        zero_or(assoc * static_cast<unsigned>(rng.range(1, 257)));
+    stride.tableAssoc = zero_or(assoc);
+    stride.streamBuffers = zero_or(static_cast<unsigned>(rng.range(1, 17)));
+    stride.bufferEntries = zero_or(static_cast<unsigned>(rng.range(1, 17)));
+    stride.trainThreshold =
+        rng.chance(0.03)
+            ? StrideConfig::kMaxConfidence + 1
+            : static_cast<unsigned>(
+                  rng.range(0, StrideConfig::kMaxConfidence + 1));
+}
+
 /** Every drawn field of @p c, for a failure message. */
 std::string
 describe(const SimConfig &c)
@@ -312,7 +337,11 @@ describe(const SimConfig &c)
         << (c.region.bankAware ? " bank-aware" : "") << ", depth "
         << c.region.recursiveDepth << ", blocks/pointer "
         << c.region.blocksPerPointer << ", fanout "
-        << c.region.indirectFanout;
+        << c.region.indirectFanout << "; stride table "
+        << c.stride.tableEntries << " entries " << c.stride.tableAssoc
+        << "-way, " << c.stride.streamBuffers << " streams x "
+        << c.stride.bufferEntries << ", threshold "
+        << c.stride.trainThreshold;
     return out.str();
 }
 
@@ -329,9 +358,11 @@ TEST(RandomConfigs, EachIsRefusedOrFinishes)
     opts.maxInstructions = 20'000;
     opts.warmupInstructions = 5'000;
     Rng rng(20'030'609);
+    Rng stride_rng(20'010'211);
     unsigned ran = 0;
     for (int i = 0; i < 100; ++i) {
-        const SimConfig config = randomConfig(rng);
+        SimConfig config = randomConfig(rng);
+        randomStride(stride_rng, config.stride);
         const char *workload = pick(rng, kWorkloads);
         SimConfig resolved = config;
         resolveDramBackend(resolved.dram);

@@ -5,6 +5,7 @@
 #include "mem/dram.hh"
 #include "prefetch/stride.hh"
 #include "sim/logging.hh"
+#include "sim/rng.hh"
 
 namespace grp
 {
@@ -108,9 +109,58 @@ TEST_F(StrideTest, DemandConsumptionReplenishes)
     train(pf, 1, 0x30000, 64, 5);
     while (pull(pf).has_value()) {
     }
+    // The drained stream stays live but can offer nothing, so it
+    // holds no prefetch gate open.
+    EXPECT_EQ(pf.liveStreams(), 1u);
+    EXPECT_EQ(pf.queueDepth(), 0u);
     // Demand catches up: two more accesses (hits now).
     pf.onL2DemandAccess(0x30000 + 5 * 64, 1, {}, true);
+    EXPECT_EQ(pf.queueDepth(), 1u);
     EXPECT_TRUE(pull(pf).has_value());
+}
+
+TEST_F(StrideTest, ZeroDepthMeansNoCandidateOnAnyChannel)
+{
+    // The memory system defers its channel walk while queueDepth()
+    // is 0, so no channel may then have a candidate. Strided traffic
+    // over more refs than stream buffers, with random hits, pattern
+    // breaks and per-channel dequeues.
+    static const int64_t kStrides[] = {64, -64, 128, 8, 192, -256, 8192};
+    constexpr unsigned kRefs = sizeof(kStrides) / sizeof(kStrides[0]);
+    config.stride.streamBuffers = 3;
+    StridePrefetcher pf(config);
+    Rng rng(2003);
+    Addr next[kRefs];
+    for (unsigned r = 0; r < kRefs; ++r)
+        next[r] = 0x1000000 + 0x100000ull * r;
+    unsigned spent = 0;
+    unsigned ready = 0;
+    for (int step = 0; step < 20'000; ++step) {
+        if (rng.chance(0.2)) {
+            const unsigned r = static_cast<unsigned>(rng.below(kRefs));
+            if (rng.chance(0.02))
+                next[r] += 0x10000 * rng.range(1, 16);
+            pf.onL2DemandAccess(next[r], r, {}, rng.chance(0.5));
+            next[r] = static_cast<Addr>(static_cast<int64_t>(next[r]) +
+                                        kStrides[r]);
+        } else {
+            pf.dequeuePrefetch(dram, static_cast<unsigned>(rng.below(4)));
+        }
+        ASSERT_LE(pf.queueDepth(), pf.liveStreams()) << "step " << step;
+        if (pf.queueDepth() > 0) {
+            ++ready;
+            continue;
+        }
+        for (unsigned ch = 0; ch < 4; ++ch) {
+            ASSERT_FALSE(pf.dequeuePrefetch(dram, ch).has_value())
+                << "step " << step << ", channel " << ch;
+        }
+        if (pf.liveStreams() > 0)
+            ++spent;
+    }
+    // Both sides of the gate were exercised, spent live streams too.
+    EXPECT_GT(ready, 0u);
+    EXPECT_GT(spent, 0u);
 }
 
 TEST_F(StrideTest, StreamStopsAtPageBoundary)
