@@ -1,5 +1,7 @@
 #include "cpu/cpu.hh"
 
+#include <algorithm>
+
 #include "obs/host_prof.hh"
 #include "sim/logging.hh"
 
@@ -63,28 +65,45 @@ Cpu::tick()
 {
     const Tick now = events_.curTick();
     ++cycles_;
+    // The ring indices and the instruction count live in locals for
+    // the whole tick; nothing called below reads them.
+    size_t head = robHead_;
+    size_t tail = robTail_;
+    size_t count = robCount_;
 
-    // Retire up to retireWidth completed instructions in order.
+    // Retire up to retireWidth completed instructions in order: the
+    // head entry gives up as many as the width has left.
+    const unsigned retire_width = config_.cpu.retireWidth;
     unsigned retired_now = 0;
-    while (retired_now < config_.cpu.retireWidth && robCount_ > 0) {
-        RobEntry &head = robEntries_[robHead_];
-        if (head.waitingOnLoad || head.readyAt > now)
+    while (retired_now < retire_width && count > 0) {
+        RobEntry &entry = robEntries_[head];
+        if (entry.waitingOnLoad || entry.readyAt > now)
             break;
-        head.busy = false;
-        robHead_ = (robHead_ + 1) & robMask_;
-        --robCount_;
-        ++retired_;
-        ++retired_now;
+        const uint32_t take =
+            std::min<uint32_t>(entry.count, retire_width - retired_now);
+        entry.count -= take;
+        count -= take;
+        retired_now += take;
+        if (entry.count == 0) {
+            entry.busy = false;
+            head = (head + 1) & robMask_;
+        }
+    }
+    if (retired_now) {
+        retired_ += retired_now;
         lastRetireTick_ = now;
     }
 
-    if (robCount_ > 0 && now - lastRetireTick_ > config_.deadlockCycles)
+    if (count > 0 && now - lastRetireTick_ > config_.deadlockCycles)
         panic("no instruction retired for %llu cycles: deadlock",
               (unsigned long long)config_.deadlockCycles);
 
-    // Issue up to issueWidth instructions.
-    for (unsigned issued = 0; issued < config_.cpu.issueWidth; ++issued) {
-        if (robFull()) {
+    // Issue up to issueWidth instructions; the share of a compute run
+    // that issues this cycle takes one entry.
+    const unsigned issue_width = config_.cpu.issueWidth;
+    unsigned issued = 0;
+    while (issued < issue_width) {
+        if (count == robCapacity_) {
             ++*robFullStalls_;
             break;
         }
@@ -92,40 +111,49 @@ Cpu::tick()
         if (!op)
             break;
 
-        const size_t slot = robTail_;
+        const size_t slot = tail;
         RobEntry &entry = robEntries_[slot];
-        ++entry.generation;
-        const uint64_t token =
-            (static_cast<uint64_t>(entry.generation) << 32) | slot;
-
+        uint32_t n = 1;
         bool accepted = true;
         bool waiting = false;
         Tick ready = now + config_.cpu.computeLatency;
 
         switch (op->kind) {
           case OpKind::Compute:
+            panic_if(runLeft_ == 0, "compute op of count 0");
+            n = std::min<uint32_t>(
+                {runLeft_, issue_width - issued,
+                 static_cast<uint32_t>(robCapacity_ - count)});
             break;
           case OpKind::Load: {
-            // An L1 hit completes synchronously (hit_ready is the
-            // completion tick); only misses round-trip through the
-            // event queue and the loadDone callback.
-            Tick hit_ready = kMaxTick;
-            accepted = mem_.load(op->addr, op->refId, hintsFor(op->refId),
-                                 token, &hit_ready);
-            if (accepted) {
-                ++*loads_;
-                if (hit_ready != kMaxTick)
-                    ready = hit_ready;
-                else
+            // An L1 hit completes synchronously; only a miss looks up
+            // the hints and round-trips through the event queue and
+            // the loadDone callback.
+            GRP_HOST_SCOPE(2, MemAccess);
+            if (!mem_.loadHit(op->addr, ready)) {
+                ++entry.generation;
+                const uint64_t token =
+                    (static_cast<uint64_t>(entry.generation) << 32) | slot;
+                accepted = mem_.loadMiss(op->addr, op->refId,
+                                         hintsFor(op->refId), token);
+                if (accepted)
                     waiting = true;
+                else
+                    --entry.generation;
             }
+            if (accepted)
+                ++*loads_;
             break;
           }
-          case OpKind::Store:
-            accepted = mem_.store(op->addr, op->refId, hintsFor(op->refId));
+          case OpKind::Store: {
+            GRP_HOST_SCOPE(2, MemAccess);
+            accepted = mem_.storeHit(op->addr) ||
+                       mem_.storeMiss(op->addr, op->refId,
+                                      hintsFor(op->refId));
             if (accepted)
                 ++*stores_;
             break;
+          }
           case OpKind::IndirectPrefetch:
             mem_.indirectPrefetch(op->base, op->elemSize, op->addr,
                                   op->refId);
@@ -135,7 +163,6 @@ Cpu::tick()
 
         if (!accepted) {
             // Structural stall: keep the op pending, stop issuing.
-            --entry.generation;
             ++*memStalls_;
             break;
         }
@@ -143,10 +170,19 @@ Cpu::tick()
         entry.busy = true;
         entry.waitingOnLoad = waiting;
         entry.readyAt = ready;
-        robTail_ = (robTail_ + 1) & robMask_;
-        ++robCount_;
-        pending_ = nullptr;
+        entry.count = n;
+        tail = (tail + 1) & robMask_;
+        count += n;
+        issued += n;
+        // A memory op is one instruction; a run stays pending until
+        // its last share issues.
+        if (op->kind != OpKind::Compute || (runLeft_ -= n) == 0)
+            pending_ = nullptr;
     }
+
+    robHead_ = head;
+    robTail_ = tail;
+    robCount_ = count;
 }
 
 bool

@@ -8,6 +8,15 @@
  * loads (memory-level parallelism bounded by the ROB and the cache
  * MSHRs), and store-buffer semantics for stores. Instruction fetch is
  * assumed perfect (the SPEC kernels studied are data-bound).
+ *
+ * The op stream carries counted compute runs (cpu/trace.hh). The ROB
+ * holds up to robEntries instructions, not entries: the share of a
+ * run that issues in one cycle takes one entry that records how many
+ * instructions it holds, and retirement takes from the head entry as
+ * many as the retire width has left. All of an entry's instructions
+ * issue in one cycle and complete together, so the cycle-by-cycle
+ * result is that of one entry per instruction, wherever the source
+ * split its runs.
  */
 
 #ifndef GRP_CPU_CPU_HH
@@ -91,7 +100,11 @@ class Cpu
         bool busy = false;
         bool waitingOnLoad = false;
         Tick readyAt = 0;
+        /** Bumped per load miss, so a stale completion is caught. */
         uint32_t generation = 0;
+        /** Instructions not yet retired: a compute share's issued
+         *  count, 1 for any other op. */
+        uint32_t count = 0;
     };
 
     /** Load-completion callback from the memory system. */
@@ -109,8 +122,10 @@ class Cpu
             if (batch_ == batchEnd_ && !refill())
                 return nullptr;
             const TraceOp *op = batch_++;
-            if (op->kind != OpKind::IndirectPrefetch || !elideIndirect_)
+            if (op->kind != OpKind::IndirectPrefetch || !elideIndirect_) {
                 pending_ = op;
+                runLeft_ = op->count;
+            }
         }
         return pending_;
     }
@@ -138,8 +153,10 @@ class Cpu
     bool elideIndirect_;
 
     // Storage is robEntries rounded up to a power of two so the ring
-    // indices advance with a mask instead of a modulo; robCapacity_
-    // (robCount_'s ceiling) keeps the architectural ROB size.
+    // indices advance with a mask instead of a modulo. An entry holds
+    // at least one instruction, so the ring never runs out before
+    // robCount_ (instructions) reaches robCapacity_, the
+    // architectural ROB size.
     std::vector<RobEntry> robEntries_;
     size_t robMask_ = 0;
     size_t robCapacity_ = 0;
@@ -147,9 +164,12 @@ class Cpu
     size_t robTail_ = 0;
     size_t robCount_ = 0;
 
-    /** Fetched but not yet issued (a memory-rejected op stays here
-     *  across cycles); nullptr when none is. */
+    /** Fetched but not yet issued (a memory-rejected op, or a run
+     *  whose rest did not fit this cycle, stays here across cycles);
+     *  nullptr when none is. */
     const TraceOp *pending_ = nullptr;
+    /** Instructions of a pending compute run not yet issued. */
+    uint32_t runLeft_ = 0;
     bool traceDone_ = false;
 
     /** Unread rest of the source's current block. */

@@ -5,6 +5,14 @@
  * Workload kernels produce TraceOps lazily through the TraceSource
  * interface; each memory op carries the RefId of its static reference
  * so the CPU can attach compiler hints (the "hinted binary").
+ *
+ * Counted runs: a Compute op stands for `count` consecutive compute
+ * instructions (at least 1), and every other op for exactly one
+ * instruction. A stream is its instruction sequence: a run of n may
+ * arrive as one op of count n or as several ops whose counts sum to
+ * n, split anywhere, and the simulated result is the same. Positions
+ * in a stream (a recording's blocks, fetchSpan(), instruction
+ * windows) count instructions, not ops.
  */
 
 #ifndef GRP_CPU_TRACE_HH
@@ -20,13 +28,14 @@ namespace grp
 /** Dynamic operation kinds. */
 enum class OpKind : uint8_t
 {
-    Compute,          ///< Non-memory instruction (one issue slot).
+    Compute,          ///< A run of `count` non-memory instructions.
     Load,             ///< Data load from addr.
     Store,            ///< Data store to addr.
     IndirectPrefetch, ///< GRP indirect prefetch instruction (§3.3.3).
 };
 
-/** One dynamic instruction. */
+/** One dynamic op: a memory or indirect prefetch instruction, or a
+ *  run of compute instructions (see the file comment). */
 struct TraceOp
 {
     OpKind kind = OpKind::Compute;
@@ -34,11 +43,16 @@ struct TraceOp
     Addr addr = 0;      ///< Effective / index-array address.
     Addr base = 0;      ///< Indirect prefetch: target array base.
     uint32_t elemSize = 0; ///< Indirect prefetch: target element size.
+    /** Instructions the op stands for: at least 1 for Compute (the
+     *  encoder and the CPU panic on 0), exactly 1 for the rest. */
+    uint32_t count = 1;
 
     static TraceOp
-    compute()
+    compute(uint32_t count = 1)
     {
-        return TraceOp{};
+        TraceOp op;
+        op.count = count;
+        return op;
     }
 
     static TraceOp
@@ -74,6 +88,9 @@ struct TraceOp
     }
 };
 
+static_assert(sizeof(TraceOp) == 32,
+              "TraceOp is four words; the run count uses its padding");
+
 /** Lazy producer of the dynamic instruction stream. */
 class TraceSource
 {
@@ -86,13 +103,14 @@ class TraceSource
     /**
      * Produce a run of consecutive ops at once: points @p ops at an
      * internal buffer that stays valid until the next nextBatch()/
-     * next() call and returns the run length (0 at end of trace).
-     * The CPU relies on that: it issues from the buffer in place,
-     * keeps a pointer to its pending op there, and asks for the next
-     * run only once no op is pending. The concatenation of batches
-     * is element-for-element the next() stream — sources that hold
-     * ops in blocks (the decoded interpreter's 256-op block, a sweep
-     * recording's 4096-op block) override this so the CPU pays one
+     * next() call and returns the number of ops (0 at end of trace),
+     * not of instructions. The CPU relies on that: it issues from the
+     * buffer in place, keeps a pointer to its pending op there, and
+     * asks for the next run only once no op is pending. The
+     * concatenation of batches is element-for-element the next()
+     * stream — sources that hold ops in blocks (the decoded
+     * interpreter's 256-op block, a sweep recording's
+     * 4096-instruction block) override this so the CPU pays one
      * virtual call per block instead of per op. The default forwards
      * to next(), so a source that implements only next() (the tests'
      * op vectors) still works.

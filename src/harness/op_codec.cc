@@ -26,6 +26,8 @@ constexpr unsigned kControlShift = 4;
 /** Escape-word bits that must be zero: 6-31. */
 constexpr uint64_t kEscapeReserved = 0xffffffc0;
 
+/** A compute op whose every field but the count is at its default:
+ *  its instructions go into the word run counts. */
 bool
 isPlainCompute(const TraceOp &op)
 {
@@ -49,36 +51,57 @@ fitsWord(const TraceOp &op)
 } // namespace
 
 void
+OpBlockEncoder::pushEscape(const TraceOp &op)
+{
+    words_.push_back(kEscape << 2 |
+                     static_cast<uint64_t>(op.kind) << kControlShift |
+                     uint64_t{op.refId} << 32);
+    words_.push_back(op.addr);
+    words_.push_back(op.base);
+    words_.push_back(op.elemSize);
+}
+
+size_t
 OpBlockEncoder::add(const TraceOp *ops, size_t n)
 {
-    panic_if(n > kOpBlockOps - ops_, "op block holds at most %zu ops",
-             kOpBlockOps);
-    ops_ += n;
-    for (const TraceOp *op = ops; op != ops + n; ++op) {
-        if (isPlainCompute(*op)) {
-            ++run_;
+    size_t taken = 0;
+    while (taken < n && insts_ < kOpBlockOps) {
+        const TraceOp &op = ops[taken++];
+        if (op.kind == OpKind::Compute) {
+            panic_if(op.count == 0, "compute op of count 0");
+            const uint32_t fit = static_cast<uint32_t>(
+                std::min<size_t>(op.count, kOpBlockOps - insts_));
+            insts_ += fit;
+            if (fit < op.count) {
+                carry_ = op;
+                carry_.count -= fit;
+            }
+            if (isPlainCompute(op)) {
+                run_ += fit;
+                continue;
+            }
+            finish();
+            for (uint32_t i = 0; i < fit; ++i)
+                pushEscape(op);
             continue;
         }
-        const uint64_t kind = static_cast<uint64_t>(op->kind);
-        const bool fits = fitsWord(*op);
+        ++insts_;
+        const bool fits = fitsWord(op);
         if (run_ > kMaxWordRun || !fits)
             finish();
         if (fits) {
-            words_.push_back(kind | run_ << kRunShift |
-                             uint64_t{op->refId} << kRefShift |
-                             op->addr << kAddrShift);
-            if (op->kind == OpKind::IndirectPrefetch)
-                words_.push_back(op->base |
-                                 uint64_t{op->elemSize} << 32);
+            words_.push_back(static_cast<uint64_t>(op.kind) |
+                             run_ << kRunShift |
+                             uint64_t{op.refId} << kRefShift |
+                             op.addr << kAddrShift);
+            if (op.kind == OpKind::IndirectPrefetch)
+                words_.push_back(op.base | uint64_t{op.elemSize} << 32);
         } else {
-            words_.push_back(kEscape << 2 | kind << kControlShift |
-                             uint64_t{op->refId} << 32);
-            words_.push_back(op->addr);
-            words_.push_back(op->base);
-            words_.push_back(op->elemSize);
+            pushEscape(op);
         }
         run_ = 0;
     }
+    return taken;
 }
 
 void
@@ -94,28 +117,37 @@ OpBlockEncoder::clear()
 {
     words_.clear();
     run_ = 0;
-    ops_ = 0;
+    insts_ = 0;
+    if (carry_.count != 0) {
+        const TraceOp rest = carry_;
+        carry_.count = 0;
+        add(&rest, 1);
+    }
 }
 
 const char *
-decodeOpBlock(const uint64_t *words, size_t n_words, size_t n_ops,
-              TraceOp *out)
+decodeOpBlock(const uint64_t *words, size_t n_words, size_t n_insts,
+              TraceOp *out, size_t &n_ops)
 {
-    if (n_ops > kOpBlockOps)
-        return "op count exceeds the block size";
-    TraceOp *const end = out + n_ops;
+    if (n_insts > kOpBlockOps)
+        return "instruction count exceeds the block size";
+    // Every op written takes at least one instruction of room, so at
+    // most n_insts ops are written.
+    TraceOp *const first = out;
+    uint64_t room = n_insts;
     const uint64_t *const words_end = words + n_words;
     const uint64_t *w = words;
     while (w != words_end) {
         const uint64_t word = *w++;
-        const uint64_t room = static_cast<uint64_t>(end - out);
         TraceOp op;
         if (const unsigned kind = word & 3) {
             const uint64_t run = (word >> kRunShift) & kMaxWordRun;
             if (run >= room)
                 return "memory op and its compute run overrun the "
-                       "block's op count";
-            out = std::fill_n(out, run, TraceOp{});
+                       "block's instruction count";
+            if (run)
+                *out++ = TraceOp::compute(static_cast<uint32_t>(run));
+            room -= run + 1;
             op.kind = static_cast<OpKind>(kind);
             op.refId = static_cast<RefId>((word >> kRefShift) &
                                           kMaxWordRef);
@@ -137,15 +169,18 @@ decodeOpBlock(const uint64_t *words, size_t n_words, size_t n_ops,
             if (run == 0)
                 return "empty compute run";
             if (run > room)
-                return "compute run overruns the block's op count";
-            out = std::fill_n(out, run, TraceOp{});
+                return "compute run overruns the block's instruction "
+                       "count";
+            *out++ = TraceOp::compute(static_cast<uint32_t>(run));
+            room -= run;
             break;
           }
           case kEscape:
             if (words_end - w < 3)
                 return "escape word lacks its three field words";
             if (room == 0)
-                return "escaped op overruns the block's op count";
+                return "escaped op overruns the block's instruction "
+                       "count";
             if (word & kEscapeReserved)
                 return "escape word has reserved bits set";
             if (w[2] > kMax32)
@@ -157,13 +192,15 @@ decodeOpBlock(const uint64_t *words, size_t n_words, size_t n_ops,
             op.elemSize = static_cast<uint32_t>(w[2]);
             w += 3;
             *out++ = op;
+            --room;
             break;
           default:
             return "unknown control word";
         }
     }
-    if (out != end)
-        return "block decodes to fewer ops than it declares";
+    if (room != 0)
+        return "block decodes to fewer instructions than it declares";
+    n_ops = static_cast<size_t>(out - first);
     return nullptr;
 }
 

@@ -1,7 +1,5 @@
 #include "harness/replay.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 #include "workloads/predecode.hh"
 #include "workloads/workload.hh"
@@ -138,17 +136,14 @@ SweepRecording::recordBlock()
                 break;
             }
         }
-        const size_t n =
-            std::min(kOpBlockOps - open_.ops(), genLen_ - genPos_);
-        open_.add(gen_ + genPos_, n);
-        genPos_ += n;
+        genPos_ += open_.add(gen_ + genPos_, genLen_ - genPos_);
     }
-    if (open_.ops() == 0)
+    if (open_.instructions() == 0)
         return;
     open_.finish();
     // Copy at the exact size: the encoder keeps its grown buffer.
-    blocks_.push_back({open_.words(), open_.ops()});
-    recorded_ += open_.ops();
+    blocks_.push_back({open_.words(), open_.instructions()});
+    recorded_ += open_.instructions();
     bytes_ += open_.words().size() * sizeof(uint64_t);
     open_.clear();
 }
@@ -159,7 +154,7 @@ SweepRecording::readBlock(uint64_t index, TraceOp *out)
     ensureBuilt();
     const uint64_t *words = nullptr;
     size_t n_words = 0;
-    size_t n_ops = 0;
+    size_t n_insts = 0;
     {
         std::lock_guard<std::mutex> lock(mu_);
         // Whoever asks first generates for everyone.
@@ -170,9 +165,11 @@ SweepRecording::readBlock(uint64_t index, TraceOp *out)
         const Block &block = blocks_[index];
         words = block.words.data();
         n_words = block.words.size();
-        n_ops = block.ops;
+        n_insts = block.instructions;
     }
-    const char *error = decodeOpBlock(words, n_words, n_ops, out);
+    size_t n_ops = 0;
+    const char *error =
+        decodeOpBlock(words, n_words, n_insts, out, n_ops);
     panic_if(error, "recorded block %llu of '%s' is corrupt: %s",
              (unsigned long long)index, workload_.c_str(), error);
     return n_ops;
@@ -183,12 +180,21 @@ SweepRecording::fetchSpan(uint64_t begin, const TraceOp **ops)
 {
     thread_local const std::unique_ptr<TraceOp[]> buf =
         std::make_unique<TraceOp[]>(kOpBlockOps);
-    const size_t n = readBlock(begin / kOpBlockOps, buf.get());
-    const size_t at = begin % kOpBlockOps;
-    if (at >= n)
+    TraceOp *op = buf.get();
+    TraceOp *const end = op + readBlock(begin / kOpBlockOps, op);
+    // Skip to the op that holds instruction begin; a run that starts
+    // before it keeps only its rest.
+    uint64_t skip = begin % kOpBlockOps;
+    for (; op != end && skip >= op->count; ++op)
+        skip -= op->count;
+    if (op == end)
         return 0;
-    *ops = buf.get() + at;
-    return n - at;
+    op->count -= static_cast<uint32_t>(skip);
+    *ops = op;
+    size_t n = 0;
+    for (const TraceOp *o = op; o != end; ++o)
+        n += o->count;
+    return n;
 }
 
 uint64_t

@@ -22,7 +22,8 @@
  *    and replayed to every job through cursor TraceSources.
  *
  * The stream is stored as sealed blocks of the op codec
- * (harness/op_codec.hh, about 2.7 B/op instead of a 32-byte TraceOp).
+ * (harness/op_codec.hh, about 2.7 B per instruction instead of a
+ * 32-byte TraceOp per op).
  * Each reader decodes one block at a time into a buffer it owns; a
  * sealed block never changes, so decoding runs outside the
  * recording's lock.
@@ -101,9 +102,9 @@ class SweepRecording
     const HintStats &hintStats(CompilerPolicy policy);
 
     /**
-     * A cursor over the recorded stream, replaying it op-for-op from
-     * the beginning. Each job gets its own reader, which decodes one
-     * block at a time into a buffer it owns; readers share the
+     * A cursor over the recorded stream, replaying its instructions
+     * from the beginning. Each job gets its own reader, which decodes
+     * one block at a time into a buffer it owns; readers share the
      * recording through @p self and extend it on demand when they
      * pull past the recorded end.
      */
@@ -111,32 +112,37 @@ class SweepRecording
     makeReader(std::shared_ptr<SweepRecording> self);
 
     /**
-     * Decode block @p index of the stream (ops [index * kOpBlockOps,
-     * ...)) into @p out, which holds kOpBlockOps ops, generating
-     * more ops from the interpreter if the recording is shorter.
-     * Returns the block's op count: kOpBlockOps for every block but
-     * the stream's last, 0 past the end of the stream. Generation
-     * runs under the recording's lock and is paid once across all
-     * readers; the decode runs outside it.
+     * Decode block @p index of the stream (instructions
+     * [index * kOpBlockOps, ...)) into @p out, which holds
+     * kOpBlockOps ops, generating more from the interpreter if the
+     * recording is shorter. Returns the number of ops written, one
+     * per encoded compute run (cpu/trace.hh), 0 past the end of the
+     * stream. Every block but the stream's last holds kOpBlockOps
+     * instructions. Generation runs under the recording's lock and
+     * is paid once across all readers; the decode runs outside it.
      */
     size_t readBlock(uint64_t index, TraceOp *out);
 
     /**
      * A read-only span of the recorded stream starting at absolute
-     * position @p begin, generating more ops if the recording is
-     * shorter. Sets @p *ops and returns the run length, up to the end
-     * of @p begin's block (0 only at end of stream). The span points
-     * into a buffer of the calling thread: it is valid only until the
-     * calling thread's next fetchSpan() call. (Exposed for tests and
-     * for callers that pre-extend a recording.)
+     * instruction position @p begin, generating more if the
+     * recording is shorter. Sets @p *ops to the ops that hold the
+     * instructions from @p begin to the end of its block (a run that
+     * starts before @p begin is cut to its rest) and returns how many
+     * instructions they hold, not how many ops (0 only at end of
+     * stream). The span points into a buffer of the calling thread:
+     * it is valid only until the calling thread's next fetchSpan()
+     * call. (Exposed for tests and for callers that pre-extend a
+     * recording.)
      */
     size_t fetchSpan(uint64_t begin, const TraceOp **ops);
 
-    /** Ops recorded so far (monotone; for tests/telemetry). */
+    /** Instructions recorded so far (monotone; for
+     *  tests/telemetry). */
     uint64_t opsRecorded() const;
 
-    /** Encoded bytes of the ops recorded so far: the memory the
-     *  stream itself holds (monotone; for tests/telemetry). */
+    /** Encoded bytes of the instructions recorded so far: the memory
+     *  the stream itself holds (monotone; for tests/telemetry). */
     uint64_t bytesRecorded() const;
 
   private:
@@ -178,7 +184,7 @@ class SweepRecording
     struct Block
     {
         std::vector<uint64_t> words;
-        size_t ops = 0;
+        size_t instructions = 0;
     };
 
     /** Encode the next block from source_ and seal it (mu_ held). */
@@ -189,7 +195,7 @@ class SweepRecording
     /** Encodes each block in turn, keeping its grown word buffer
      *  (guarded by mu_). */
     OpBlockEncoder open_;
-    uint64_t recorded_ = 0;     ///< Ops in sealed blocks (mu_).
+    uint64_t recorded_ = 0;     ///< Instructions in sealed blocks (mu_).
     uint64_t bytes_ = 0;        ///< Their word bytes (mu_).
     bool exhausted_ = false;    ///< source_ returned end-of-trace.
     /** Leftover interpreter batch carried across recordBlock calls. */

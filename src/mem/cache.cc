@@ -32,57 +32,6 @@ Cache::Cache(const CacheConfig &config, const std::string &name,
     cnt_.demandFills = &stats_.counter("demandFills");
 }
 
-unsigned
-Cache::setIndex(Addr addr) const
-{
-    return static_cast<unsigned>(blockNumber(addr) & (numSets_ - 1));
-}
-
-Addr
-Cache::tagOf(Addr addr) const
-{
-    return blockNumber(addr) >> setShift_;
-}
-
-Cache::Line *
-Cache::findInSet(unsigned set_idx, Addr tag)
-{
-    Line *set = &lines_[static_cast<size_t>(set_idx) * assoc_];
-    for (unsigned way = 0; way < assoc_; ++way) {
-        if (set[way].valid && set[way].tag == tag)
-            return &set[way];
-    }
-    return nullptr;
-}
-
-Cache::Line *
-Cache::findLine(Addr addr)
-{
-    return findInSet(setIndex(addr), tagOf(addr));
-}
-
-const Cache::Line *
-Cache::findLine(Addr addr) const
-{
-    return const_cast<Cache *>(this)->findLine(addr);
-}
-
-CacheAccessResult
-Cache::touchLine(Line &line, bool is_write)
-{
-    ++*cnt_.hits;
-    bool first_use = false;
-    if (line.prefetched && !line.referenced) {
-        line.referenced = true;
-        first_use = true;
-        ++*cnt_.prefetchHits;
-    }
-    line.lruStamp = nextStamp_++;
-    if (is_write)
-        line.dirty = true;
-    return {true, first_use};
-}
-
 CacheAccessResult
 Cache::access(Addr addr, bool is_write)
 {
@@ -92,16 +41,6 @@ Cache::access(Addr addr, bool is_write)
         ++*cnt_.misses;
         return {false, false};
     }
-    return touchLine(*line, is_write);
-}
-
-CacheAccessResult
-Cache::accessIfPresent(Addr addr, bool is_write)
-{
-    Line *line = findLine(addr);
-    if (!line)
-        return {false, false}; // Probe only: nothing counted.
-    ++*cnt_.accesses;
     return touchLine(*line, is_write);
 }
 

@@ -70,8 +70,17 @@ class Cache
      * accesses/hits counters); on a miss it behaves exactly like
      * contains() — no state change and *no counter bumps* (the
      * returned result has hit == false and nothing was recorded).
+     * Inline with the probe it uses: every L1 hit runs it.
      */
-    CacheAccessResult accessIfPresent(Addr addr, bool is_write);
+    CacheAccessResult
+    accessIfPresent(Addr addr, bool is_write)
+    {
+        Line *line = findLine(addr);
+        if (!line)
+            return {false, false}; // Probe only: nothing counted.
+        ++*cnt_.accesses;
+        return touchLine(*line, is_write);
+    }
 
     /** Tag probe without any state update. */
     bool contains(Addr addr) const;
@@ -125,13 +134,53 @@ class Cache
         uint64_t lruStamp = 0;   ///< Higher = more recently used.
     };
 
-    unsigned setIndex(Addr addr) const;
-    Addr tagOf(Addr addr) const;
+    unsigned
+    setIndex(Addr addr) const
+    {
+        return static_cast<unsigned>(blockNumber(addr) & (numSets_ - 1));
+    }
+
+    Addr tagOf(Addr addr) const { return blockNumber(addr) >> setShift_; }
+
     /** Way holding @p tag within set @p set_idx, or nullptr. */
-    Line *findInSet(unsigned set_idx, Addr tag);
-    Line *findLine(Addr addr);
-    const Line *findLine(Addr addr) const;
-    CacheAccessResult touchLine(Line &line, bool is_write);
+    Line *
+    findInSet(unsigned set_idx, Addr tag)
+    {
+        Line *set = &lines_[static_cast<size_t>(set_idx) * assoc_];
+        for (unsigned way = 0; way < assoc_; ++way) {
+            if (set[way].valid && set[way].tag == tag)
+                return &set[way];
+        }
+        return nullptr;
+    }
+
+    Line *
+    findLine(Addr addr)
+    {
+        return findInSet(setIndex(addr), tagOf(addr));
+    }
+
+    const Line *
+    findLine(Addr addr) const
+    {
+        return const_cast<Cache *>(this)->findLine(addr);
+    }
+
+    CacheAccessResult
+    touchLine(Line &line, bool is_write)
+    {
+        ++*cnt_.hits;
+        bool first_use = false;
+        if (line.prefetched && !line.referenced) {
+            line.referenced = true;
+            first_use = true;
+            ++*cnt_.prefetchHits;
+        }
+        line.lruStamp = nextStamp_++;
+        if (is_write)
+            line.dirty = true;
+        return {true, first_use};
+    }
 
     CacheConfig config_;
     unsigned numSets_;

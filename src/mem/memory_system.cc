@@ -101,26 +101,21 @@ MemorySystem::demandPtrDepth(const LoadHints &hints) const
 
 bool
 MemorySystem::load(Addr addr, RefId ref, const LoadHints &hints,
-                   uint64_t token, Tick *hit_ready)
+                   uint64_t token)
 {
     GRP_HOST_SCOPE(2, MemAccess);
-    // An L1 hit completes at a fixed latency with no further side
-    // effects, so a caller that passes @p hit_ready takes the
-    // completion tick back synchronously; legacy callers keep the
-    // scheduled-callback behavior. Both deliver the completion at
-    // exactly curTick + l1d.latency.
-    if (config_.perfection == Perfection::PerfectL1 ||
-        l1d_->accessIfPresent(addr, false).hit) {
-        ++*hot_.l1DemandAccesses;
-        if (hit_ready) {
-            *hit_ready = events_.curTick() + config_.l1d.latency;
-        } else {
-            events_.scheduleIn(config_.l1d.latency,
-                               [this, token] { loadDone_(token); });
-        }
-        return true;
-    }
+    Tick ready;
+    if (!loadHit(addr, ready))
+        return loadMiss(addr, ref, hints, token);
+    events_.scheduleIn(config_.l1d.latency,
+                       [this, token] { loadDone_(token); });
+    return true;
+}
 
+bool
+MemorySystem::loadMiss(Addr addr, RefId ref, const LoadHints &hints,
+                       uint64_t token)
+{
     if (!handleL1Miss(addr, ref, hints, token, false))
         return false;
     ++*hot_.l1DemandAccesses;
@@ -132,16 +127,12 @@ bool
 MemorySystem::store(Addr addr, RefId ref, const LoadHints &hints)
 {
     GRP_HOST_SCOPE(2, MemAccess);
-    if (config_.perfection == Perfection::PerfectL1) {
-        ++*hot_.l1DemandAccesses;
-        return true;
-    }
+    return storeHit(addr) || storeMiss(addr, ref, hints);
+}
 
-    if (l1d_->accessIfPresent(addr, true).hit) {
-        ++*hot_.l1DemandAccesses;
-        return true;
-    }
-
+bool
+MemorySystem::storeMiss(Addr addr, RefId ref, const LoadHints &hints)
+{
     if (!handleL1Miss(addr, ref, hints, kStoreToken, true))
         return false;
     ++*hot_.l1DemandAccesses;

@@ -89,28 +89,67 @@ class MemorySystem
     }
 
     /**
-     * Issue a load.
+     * Issue a load: loadHit(), then loadMiss() when it misses. The
+     * load callback fires with @p token when the data is ready, an
+     * L1 hit's l1d.latency cycles from now.
      *
-     * @param token Opaque value handed back via the load callback.
-     * @param hit_ready When non-null and the load completes with a
-     *        fixed L1-hit latency, receives the completion tick and
-     *        the load callback is NOT scheduled — the caller absorbs
-     *        the hit synchronously instead of paying for a heap
-     *        event per hit. Left untouched on a miss (the callback
-     *        fires as usual) and on a structural stall.
      * @return false on a structural stall (MSHRs full); retry later.
      */
     bool load(Addr addr, RefId ref, const LoadHints &hints,
-              uint64_t token, Tick *hit_ready = nullptr);
+              uint64_t token);
 
     /**
-     * Issue a store (write-allocate, write-back). Stores complete
-     * immediately from the CPU's perspective (store buffer); this
-     * call only models cache state and miss traffic.
+     * The L1 half of a load, inline for the CPU's issue loop. On an
+     * L1 hit (every load under a perfect L1) it counts the access,
+     * sets @p ready to the completion tick and returns true; the
+     * caller absorbs the hit itself, with no callback and no heap
+     * event. On a miss it changes nothing and returns false, and the
+     * caller goes on with loadMiss(), so only a miss needs the load's
+     * hints.
+     */
+    bool
+    loadHit(Addr addr, Tick &ready)
+    {
+        if (config_.perfection != Perfection::PerfectL1 &&
+            !l1d_->accessIfPresent(addr, false).hit)
+            return false;
+        ++*hot_.l1DemandAccesses;
+        ready = events_.curTick() + config_.l1d.latency;
+        return true;
+    }
+
+    /** A load that loadHit() missed: the L1 miss path. The load
+     *  callback fires with @p token when the data arrives. false on
+     *  a structural stall (MSHRs full); retry later. */
+    bool loadMiss(Addr addr, RefId ref, const LoadHints &hints,
+                  uint64_t token);
+
+    /**
+     * Issue a store (write-allocate, write-back): storeHit(), then
+     * storeMiss() when it misses. Stores complete immediately from
+     * the CPU's perspective (store buffer); this call only models
+     * cache state and miss traffic.
      *
      * @return false on a structural stall; retry later.
      */
     bool store(Addr addr, RefId ref, const LoadHints &hints);
+
+    /** The L1 half of a store, inline like loadHit(): true (and
+     *  counted) on an L1 hit or under a perfect L1, false with
+     *  nothing changed on a miss. */
+    bool
+    storeHit(Addr addr)
+    {
+        if (config_.perfection != Perfection::PerfectL1 &&
+            !l1d_->accessIfPresent(addr, true).hit)
+            return false;
+        ++*hot_.l1DemandAccesses;
+        return true;
+    }
+
+    /** A store that storeHit() missed: the L1 miss path. false on a
+     *  structural stall; retry later. */
+    bool storeMiss(Addr addr, RefId ref, const LoadHints &hints);
 
     /** Forward an indirect prefetch instruction to the engine. */
     void indirectPrefetch(Addr base, unsigned elem_size,

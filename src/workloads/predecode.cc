@@ -1,7 +1,5 @@
 #include "workloads/predecode.hh"
 
-#include <algorithm>
-
 #include "sim/logging.hh"
 
 namespace grp
@@ -331,16 +329,6 @@ DecodedInterpreter::evalSub(const DecodedSub &sub, TraceOp *&out)
     return wrap(static_cast<uint64_t>(value), sub.extent);
 }
 
-void
-DecodedInterpreter::emitCompute(TraceOp *&out)
-{
-    const uint64_t n = std::min<uint64_t>(
-        computeLeft_, static_cast<uint64_t>(block_ + kBlockOps - out));
-    std::fill_n(out, n, TraceOp::compute());
-    out += n;
-    computeLeft_ -= n;
-}
-
 bool
 DecodedInterpreter::fillBlock()
 {
@@ -355,7 +343,6 @@ DecodedInterpreter::fillBlock()
     // With at least kMaxStmtOps slots left, any statement fits whole.
     TraceOp *const last = block_ + kBlockOps - DecodedProgram::kMaxStmtOps;
 
-    emitCompute(out);
     while (out <= last) {
         if (pc_ >= op_count) {
             ++passesDone_;
@@ -459,8 +446,7 @@ DecodedInterpreter::fillBlock()
             ++pc_;
             break;
           case DecodedOpKind::ComputeRun:
-            computeLeft_ = static_cast<uint64_t>(op.p0);
-            emitCompute(out);
+            *out++ = TraceOp::compute(static_cast<uint32_t>(op.p0));
             ++pc_;
             break;
           case DecodedOpKind::IndirectPf: {

@@ -11,21 +11,23 @@
  * program counter over one contiguous op array that runs statements
  * straight into a block of kBlockOps TraceOps: it stops when fewer
  * than kMaxStmtOps slots are left (the most one statement emits) or
- * the last pass ends, and a compute run longer than the room left
- * continues in the next block. next() and nextBatch() both read
+ * the last pass ends. A Compute statement emits one op whose count
+ * is the statement's count (a counted run, see cpu/trace.hh), so a
+ * run never splits across blocks. next() and nextBatch() both read
  * that one block.
  *
  * Stream contract: a (Program, FunctionalMemory, seed, passes)
- * tuple fixes the TraceOp stream, including the order of RNG draws,
- * the per-dimension wrap-into-extent semantics, null-pointer
+ * tuple fixes the instruction stream, including the order of RNG
+ * draws, the per-dimension wrap-into-extent semantics, null-pointer
  * statement skips and the pass lifecycle, and next() and nextBatch()
- * emit the same stream. tests/test_predecode.cc pins that stream as
- * FNV-1a digests, read both ways: every kernel as built and after
- * the hint generator's transform, the irregular kernels at three
- * seeds, and a synthetic program with every statement and loop
- * shape. The constants were taken from the tree-walking interpreter
- * this one replaced, so a change to any stream shows there and must
- * be meant.
+ * emit the same ops. tests/test_predecode.cc pins that stream as
+ * FNV-1a digests over instructions (a run of n hashes as n compute
+ * ops), read both ways: every kernel as built and after the hint
+ * generator's transform, the irregular kernels at three seeds, and
+ * a synthetic program with every statement and loop shape. The
+ * constants were taken from the tree-walking interpreter this one
+ * replaced, so a change to any stream shows there and must be
+ * meant.
  */
 
 #ifndef GRP_WORKLOADS_PREDECODE_HH
@@ -110,7 +112,7 @@ enum class DecodedOpKind : uint8_t
     PtrUpdateField,
     PtrSelectField,
     PtrUpdateConst,
-    ComputeRun,      ///< A run of `count` compute ops.
+    ComputeRun,      ///< A run of `count` compute instructions.
     IndirectPf,
     LoopHeadCounted, ///< Enter test; initialises the induction var.
     LoopTailCounted, ///< Step + backward branch to the body.
@@ -132,7 +134,7 @@ enum class DecodedOpKind : uint8_t
  *  PtrSelectField    a=src ptr, b=dst ptr, p0=choiceBegin,
  *                    n=choiceCount, refId
  *  PtrUpdateConst    a=ptr, p0=stride
- *  ComputeRun        p0=count
+ *  ComputeRun        p0=count (one counted TraceOp)
  *  IndirectPf        a=index into the IndirectPf pool
  *  LoopHeadCounted   a=var, b=exit pc, p0=lower, p1=upper, p2=step
  *  LoopTailCounted   a=var, b=body pc, p1=upper, p2=step
@@ -220,7 +222,6 @@ class DecodedInterpreter : public TraceSource
     /** Run statements into block_ (see the file comment); false
      *  once the last pass has ended and nothing was emitted. */
     bool fillBlock();
-    void emitCompute(TraceOp *&out);
     int64_t evalAffine(const DecodedAffine &expr) const;
     uint64_t evalSub(const DecodedSub &sub, TraceOp *&out);
 
@@ -239,7 +240,6 @@ class DecodedInterpreter : public TraceSource
     TraceOp block_[kBlockOps];
     size_t pos_ = 0; ///< Next unread op in block_.
     size_t len_ = 0; ///< Ops in block_.
-    uint64_t computeLeft_ = 0; ///< Rest of a run the block could not take.
 
     bool finished_ = false;
 };

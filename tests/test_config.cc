@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "sim/config.hh"
 #include "sim/logging.hh"
@@ -139,6 +140,35 @@ TEST_F(ConfigTest, RejectsUnreachableStrideThreshold)
     for (const unsigned threshold : {0u, 1u, 3u}) {
         config.stride.trainThreshold = threshold;
         EXPECT_NO_THROW(config.validate()) << threshold;
+    }
+}
+
+TEST_F(ConfigTest, RejectsTheBrokenFieldsRandomConfigsDraw)
+{
+    // RandomConfigs.EachIsRefusedOrFinishes breaks one cache
+    // geometry or adaptive field in a few draws; each is refused
+    // with a message naming it.
+    const std::pair<const char *, void (*)(SimConfig &)> broken[] = {
+        {"L1D size must be divisible",
+         [](SimConfig &c) { c.l1d.assoc = 3; }},
+        {"L2 must be at least as large",
+         [](SimConfig &c) { c.l2.sizeBytes = c.l1d.sizeBytes / 2; }},
+        {"adaptive epoch",
+         [](SimConfig &c) { c.adaptive.epochCycles = 0; }},
+        {"adaptive hysteresis",
+         [](SimConfig &c) { c.adaptive.hysteresisEpochs = 0; }},
+        {"adaptive accuracy",
+         [](SimConfig &c) {
+             c.adaptive.accuracyLow = c.adaptive.accuracyHigh + 0.5;
+         }},
+        {"adaptive occupancy",
+         [](SimConfig &c) { c.adaptive.occupancyHigh = 0.0; }},
+    };
+    for (const auto &[message, breakField] : broken) {
+        SimConfig c = config;
+        breakField(c);
+        EXPECT_NE(rejection(c).find(message), std::string::npos)
+            << message << ": " << rejection(c);
     }
 }
 

@@ -10,6 +10,7 @@
 #include "compiler/hint_generator.hh"
 #include "core/engine_factory.hh"
 #include "cpu/cpu.hh"
+#include "op_stream.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "workloads/predecode.hh"
@@ -95,12 +96,19 @@ class BlockTrace : public TraceSource
         pos_ += n;
         if (n != 0 && ops_[pos_ - 1].kind == OpKind::IndirectPrefetch)
             ++indirectAtBlockEnd;
+        if (n != 0 && pos_ < ops_.size() &&
+            ops_[pos_ - 1].kind == OpKind::Compute &&
+            ops_[pos_].kind == OpKind::Compute)
+            ++runsAcrossBlockEnd;
         *ops = blocks_[cur_].data();
         return n;
     }
 
     /** Blocks whose last op is an indirect prefetch. */
     uint64_t indirectAtBlockEnd = 0;
+    /** Blocks that end between two compute ops: a run split across
+     *  blocks. */
+    uint64_t runsAcrossBlockEnd = 0;
 
   private:
     const std::vector<TraceOp> &ops_;
@@ -261,9 +269,10 @@ runToEnd(TraceSource &source, const SimConfig &config,
 
 TEST_F(CpuTest, IssueDoesNotDependOnBlockBoundaries)
 {
-    // equake after the transform: its first 50k ops carry 59
+    // equake after the transform: its first 50k instructions carry
     // indirect prefetch ops, which a hinted binary issues and an
-    // unhinted one elides.
+    // unhinted one elides. Each compute instruction is its own op
+    // here; the next test splits runs.
     FunctionalMemory fmem;
     Program prog = makeWorkload("equake")->build(fmem, 42);
     const unsigned indirect = HintGenerator::transform(prog);
@@ -273,11 +282,11 @@ TEST_F(CpuTest, IssueDoesNotDependOnBlockBoundaries)
     HintGenerator(config.policy, config.l2.sizeBytes)
         .analyze(prog, table, indirect);
 
-    std::vector<TraceOp> ops(50'000);
     DecodedInterpreter interp(prog, fmem, 42);
+    const std::vector<TraceOp> ops = instructionsOf(interp, 50'000);
+    ASSERT_EQ(ops.size(), 50'000u);
     uint64_t indirect_ops = 0;
-    for (TraceOp &op : ops) {
-        ASSERT_TRUE(interp.next(op));
+    for (const TraceOp &op : ops) {
         indirect_ops += op.kind == OpKind::IndirectPrefetch;
         ASSERT_NE(op.addr / 64, BlockTrace::kPoison / 64);
     }
@@ -301,6 +310,92 @@ TEST_F(CpuTest, IssueDoesNotDependOnBlockBoundaries)
         EXPECT_EQ(runToEnd(random, config, fmem, hints), expected);
         EXPECT_GT(random.indirectAtBlockEnd, 0u);
     }
+}
+
+TEST_F(CpuTest, IssueDoesNotDependOnWhereRunsSplit)
+{
+    // One instruction stream in three forms: every compute run as one
+    // op, every instruction as its own op, and runs cut at random
+    // points and served in random blocks, so some pieces of a run sit
+    // in different blocks. The memory ops are equake's (indirect
+    // prefetches included); the runs between them are 1-17
+    // instructions long. ROB sizes and widths divide none of them, so
+    // a run issues over several cycles and retires in parts: with
+    // retire narrower than issue the ROB fills part way through runs,
+    // with retire wider it drains and issue width binds. Every form
+    // must give the same cycles, retired instructions and registry
+    // counters.
+    FunctionalMemory fmem;
+    Program prog = makeWorkload("equake")->build(fmem, 42);
+    const unsigned indirect = HintGenerator::transform(prog);
+    SimConfig config;
+    config.scheme = PrefetchScheme::GrpVar;
+    config.l1d.mshrs = 1; // Rejected loads stay pending across cycles.
+    HintTable table;
+    HintGenerator(config.policy, config.l2.sizeBytes)
+        .analyze(prog, table, indirect);
+
+    DecodedInterpreter interp(prog, fmem, 42);
+    Rng rng(11);
+    std::vector<TraceOp> runs;
+    for (const TraceOp &op : instructionsOf(interp, 20'000)) {
+        if (op.kind == OpKind::Compute)
+            continue;
+        runs.push_back(TraceOp::compute(
+            1 + static_cast<uint32_t>(rng.below(17))));
+        runs.push_back(op);
+    }
+    std::vector<TraceOp> single;
+    appendInstructions(single, runs.data(), runs.size());
+    std::vector<TraceOp> pieces;
+    for (const TraceOp &op : runs) {
+        uint32_t left = op.count;
+        while (op.kind == OpKind::Compute && left > 1 &&
+               rng.below(2)) {
+            const uint32_t cut =
+                1 + static_cast<uint32_t>(rng.below(left - 1));
+            pieces.push_back(TraceOp::compute(cut));
+            left -= cut;
+        }
+        TraceOp rest = op;
+        rest.count = left;
+        pieces.push_back(rest);
+    }
+    ASSERT_LT(runs.size(), pieces.size());
+    ASSERT_LT(pieces.size(), single.size());
+
+    struct Core
+    {
+        unsigned rob, issue, retire;
+    };
+    for (const Core core : {Core{5, 3, 2}, Core{7, 2, 3}}) {
+        SCOPED_TRACE(core.rob);
+        config.cpu.robEntries = core.rob;
+        config.cpu.issueWidth = core.issue;
+        config.cpu.retireWidth = core.retire;
+        BlockTrace counted(runs, false);
+        VectorTrace by_instruction(single);
+        BlockTrace random(pieces, true);
+        const auto expected = runToEnd(counted, config, fmem, &table);
+        EXPECT_EQ(expected.at("retired"), single.size());
+        EXPECT_GT(expected.at("cpu.robFullStalls"), 0u);
+        EXPECT_GT(expected.at("cpu.indirectPrefetchOps"), 0u);
+        EXPECT_GT(expected.at("cpu.memStalls"), 0u);
+        EXPECT_EQ(runToEnd(by_instruction, config, fmem, &table),
+                  expected);
+        EXPECT_EQ(runToEnd(random, config, fmem, &table), expected);
+        EXPECT_GT(random.runsAcrossBlockEnd, 0u);
+    }
+}
+
+TEST_F(CpuTest, RefusesAnEmptyComputeRun)
+{
+    SimConfig config;
+    EventQueue events;
+    MemorySystem mem(config, events);
+    VectorTrace trace({TraceOp::compute(2), TraceOp::compute(0)});
+    Cpu cpu(config, mem, events, trace, nullptr);
+    EXPECT_THROW(cpu.tick(), std::logic_error);
 }
 
 TEST_F(CpuTest, MemStallsAreCounted)

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "compiler/builder.hh"
+#include "op_stream.hh"
 #include "sim/logging.hh"
 #include "workloads/predecode.hh"
 
@@ -18,16 +19,13 @@ class InterpreterTest : public ::testing::Test
   protected:
     void SetUp() override { setQuiet(true); }
 
+    /** The program's instructions, a compute run of n as n ops. */
     std::vector<TraceOp>
     collect(const Program &prog, uint64_t passes = 1,
             size_t limit = 100'000)
     {
         DecodedInterpreter interp(prog, mem, 42, passes);
-        std::vector<TraceOp> ops;
-        TraceOp op;
-        while (ops.size() < limit && interp.next(op))
-            ops.push_back(op);
-        return ops;
+        return instructionsOf(interp, limit);
     }
 
     FunctionalMemory mem;
@@ -64,6 +62,29 @@ TEST_F(InterpreterTest, StoresAndComputesEmitted)
     EXPECT_EQ(ops[0].kind, OpKind::Store);
     EXPECT_EQ(ops[1].kind, OpKind::Compute);
     EXPECT_EQ(ops[3].kind, OpKind::Compute);
+}
+
+TEST_F(InterpreterTest, ComputeRunIsOneOp)
+{
+    // A Compute statement emits one op that counts its instructions.
+    ProgramBuilder b(mem);
+    const ArrayId a = b.array("a", 8, {8});
+    const VarId i = b.forLoop(0, 2);
+    b.arrayRef(a, {Subscript::affine(Affine::var(i))});
+    b.compute(1000);
+    b.end();
+    DecodedInterpreter interp(b.build(), mem, 42, 1);
+    const TraceOp *ops = nullptr;
+    ASSERT_EQ(interp.nextBatch(&ops), 4u);
+    for (size_t k : {0, 2}) {
+        EXPECT_EQ(ops[k].kind, OpKind::Load);
+        EXPECT_EQ(ops[k].count, 1u);
+    }
+    for (size_t k : {1, 3}) {
+        EXPECT_EQ(ops[k].kind, OpKind::Compute);
+        EXPECT_EQ(ops[k].count, 1000u);
+    }
+    EXPECT_EQ(interp.nextBatch(&ops), 0u);
 }
 
 TEST_F(InterpreterTest, NestedLoopsColumnMajor)

@@ -1,10 +1,12 @@
 /**
  * @file
  * The op-stream codec (src/harness/op_codec) and the sweep recording
- * built on it: every TraceOp round-trips exactly, edge values
- * included; the decoder rejects malformed blocks with a reason; and a
- * recording replays each perfSuite() kernel element for element as
- * the interpreter produced it, at under 4 bytes per op.
+ * built on it: every instruction stream round-trips exactly, edge
+ * values included, and counted compute runs encode to the same words
+ * as one-instruction compute ops; the decoder rejects malformed
+ * blocks with a reason; and a recording replays each perfSuite()
+ * kernel instruction for instruction as the interpreter produced it,
+ * at under 4 bytes per instruction.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,7 @@
 #include "harness/op_codec.hh"
 #include "harness/replay.hh"
 #include "harness/suite.hh"
+#include "op_stream.hh"
 #include "sim/logging.hh"
 #include "workloads/predecode.hh"
 #include "workloads/workload.hh"
@@ -32,38 +35,83 @@ namespace
 sameOp(const TraceOp &a, const TraceOp &b)
 {
     if (a.kind == b.kind && a.refId == b.refId && a.addr == b.addr &&
-        a.base == b.base && a.elemSize == b.elemSize)
+        a.base == b.base && a.elemSize == b.elemSize &&
+        a.count == b.count)
         return ::testing::AssertionSuccess();
     return ::testing::AssertionFailure()
            << "kind " << int(a.kind) << "/" << int(b.kind) << " ref "
            << a.refId << "/" << b.refId << " addr " << a.addr << "/"
            << b.addr << " base " << a.base << "/" << b.base << " size "
-           << a.elemSize << "/" << b.elemSize;
+           << a.elemSize << "/" << b.elemSize << " count " << a.count
+           << "/" << b.count;
 }
 
-/** Encode @p ops in kOpBlockOps blocks, decode every block back and
- *  expect the stream unchanged; returns the words used. */
+/** One sealed block: its words and its instruction count. */
+struct EncodedBlock
+{
+    std::vector<uint64_t> words;
+    size_t instructions = 0;
+
+    bool
+    operator==(const EncodedBlock &o) const
+    {
+        return words == o.words && instructions == o.instructions;
+    }
+};
+
+/** Encode @p ops in kOpBlockOps-instruction blocks, as a recording
+ *  does: feed ops until a block is full, seal it, go on. */
+std::vector<EncodedBlock>
+encodeBlocks(const std::vector<TraceOp> &ops)
+{
+    std::vector<EncodedBlock> blocks;
+    OpBlockEncoder encoder;
+    size_t taken = 0;
+    for (;;) {
+        taken += encoder.add(ops.data() + taken, ops.size() - taken);
+        if (encoder.instructions() == 0)
+            break;
+        // A block is full unless the stream ends in it.
+        EXPECT_TRUE(encoder.full() || taken == ops.size());
+        encoder.finish();
+        blocks.push_back({encoder.words(), encoder.instructions()});
+        encoder.clear();
+    }
+    return blocks;
+}
+
+/** Decode @p blocks back to instructions. */
+std::vector<TraceOp>
+decodeBlocks(const std::vector<EncodedBlock> &blocks)
+{
+    std::vector<TraceOp> decoded(kOpBlockOps);
+    std::vector<TraceOp> out;
+    for (const EncodedBlock &block : blocks) {
+        size_t n_ops = 0;
+        const char *error =
+            decodeOpBlock(block.words.data(), block.words.size(),
+                          block.instructions, decoded.data(), n_ops);
+        EXPECT_EQ(error, nullptr) << error;
+        appendInstructions(out, decoded.data(), n_ops);
+    }
+    return out;
+}
+
+/** Encode @p ops in blocks, decode every block back and expect the
+ *  instructions unchanged; returns the words used. */
 size_t
 expectRoundTrip(const std::vector<TraceOp> &ops)
 {
-    OpBlockEncoder encoder;
-    std::vector<TraceOp> decoded(kOpBlockOps);
+    std::vector<TraceOp> want;
+    appendInstructions(want, ops.data(), ops.size());
+    const std::vector<EncodedBlock> blocks = encodeBlocks(ops);
+    const std::vector<TraceOp> got = decodeBlocks(blocks);
+    EXPECT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < std::min(got.size(), want.size()); ++i)
+        EXPECT_TRUE(sameOp(got[i], want[i])) << "instruction " << i;
     size_t words = 0;
-    for (size_t at = 0; at < ops.size(); at += kOpBlockOps) {
-        const size_t n = std::min(kOpBlockOps, ops.size() - at);
-        encoder.add(ops.data() + at, n);
-        encoder.finish();
-        const char *error =
-            decodeOpBlock(encoder.words().data(), encoder.words().size(),
-                          n, decoded.data());
-        EXPECT_EQ(error, nullptr) << error;
-        for (size_t i = 0; i < n; ++i) {
-            EXPECT_TRUE(sameOp(decoded[i], ops[at + i]))
-                << "op " << at + i;
-        }
-        words += encoder.words().size();
-        encoder.clear();
-    }
+    for (const EncodedBlock &block : blocks)
+        words += block.words.size();
     return words;
 }
 
@@ -140,7 +188,62 @@ TEST(OpCodec, BlockBoundaries)
     OpBlockEncoder encoder;
     encoder.finish();
     EXPECT_TRUE(encoder.words().empty());
-    EXPECT_EQ(decodeOpBlock(nullptr, 0, 0, nullptr), nullptr);
+    size_t n_ops = 1;
+    EXPECT_EQ(decodeOpBlock(nullptr, 0, 0, nullptr, n_ops), nullptr);
+    EXPECT_EQ(n_ops, 0u);
+}
+
+TEST(OpCodec, CountedRunsEncodeLikeSingleInstructions)
+{
+    // Runs longer than a memory op's field, runs that end a block
+    // exactly, and runs that cross one or two block ends: the
+    // counted stream and its one-instruction expansion encode to the
+    // same words, so a run is split only where a block ends.
+    const std::vector<TraceOp> counted{
+        TraceOp::store(0x40, 1),
+        TraceOp::compute(5000),
+        TraceOp::load(0x80, 1),
+        TraceOp::compute(3),
+        TraceOp::compute(2 * kOpBlockOps - 5000 - 6),
+        TraceOp::load(0xc0, 2),
+        TraceOp::compute(2 * kOpBlockOps + 3),
+        TraceOp::indirect(0x1000, 8, 0x2000, 3),
+        TraceOp::compute(1),
+        TraceOp::compute(1023),
+        TraceOp::store(0x100, 4),
+        TraceOp::compute(7),
+    };
+    std::vector<TraceOp> single;
+    appendInstructions(single, counted.data(), counted.size());
+    const std::vector<EncodedBlock> blocks = encodeBlocks(counted);
+    EXPECT_EQ(blocks, encodeBlocks(single));
+    ASSERT_EQ(blocks.size(), 5u);
+    for (size_t i = 0; i + 1 < blocks.size(); ++i)
+        EXPECT_EQ(blocks[i].instructions, kOpBlockOps) << i;
+    expectRoundTrip(counted);
+
+    // The decoder writes one compute op per encoded run: block 1
+    // starts inside the 5000-run, so it decodes to the run's rest,
+    // the load, the two runs after it merged into one, and the load
+    // at the block's last position.
+    std::vector<TraceOp> out(kOpBlockOps);
+    size_t n_ops = 0;
+    ASSERT_EQ(decodeOpBlock(blocks[1].words.data(),
+                            blocks[1].words.size(),
+                            blocks[1].instructions, out.data(), n_ops),
+              nullptr);
+    ASSERT_EQ(n_ops, 4u);
+    EXPECT_TRUE(sameOp(out[0], TraceOp::compute(5000 - kOpBlockOps + 1)));
+    EXPECT_TRUE(sameOp(out[1], TraceOp::load(0x80, 1)));
+    EXPECT_TRUE(sameOp(out[2], TraceOp::compute(2 * kOpBlockOps - 5003)));
+    EXPECT_TRUE(sameOp(out[3], TraceOp::load(0xc0, 2)));
+}
+
+TEST(OpCodec, EncoderRefusesAnEmptyRun)
+{
+    OpBlockEncoder encoder;
+    const TraceOp ops[] = {TraceOp::load(64, 1), TraceOp::compute(0)};
+    EXPECT_THROW(encoder.add(ops, 2), std::logic_error);
 }
 
 TEST(OpCodec, RandomStreamsRoundTrip)
@@ -174,9 +277,11 @@ TEST(OpCodec, RandomStreamsRoundTrip)
 TEST(OpCodec, DecoderRejectsMalformedBlocks)
 {
     std::vector<TraceOp> out(kOpBlockOps);
-    const auto decode = [&](std::vector<uint64_t> words, size_t n_ops) {
-        return decodeOpBlock(words.data(), words.size(), n_ops,
-                             out.data());
+    const auto decode = [&](std::vector<uint64_t> words,
+                            size_t n_insts) {
+        size_t n_ops = 0;
+        return decodeOpBlock(words.data(), words.size(), n_insts,
+                             out.data(), n_ops);
     };
     // Encode one of each record shape to mutate.
     OpBlockEncoder encoder;
@@ -191,8 +296,8 @@ TEST(OpCodec, DecoderRejectsMalformedBlocks)
     // words: [load+run 1] [indirect] [target] [escape] x3 [run 1]
     ASSERT_EQ(good.size(), 8u);
 
-    EXPECT_NE(decode(good, 4), nullptr);  // more ops than declared
-    EXPECT_NE(decode(good, 6), nullptr);  // fewer ops than declared
+    EXPECT_NE(decode(good, 4), nullptr);  // more than declared
+    EXPECT_NE(decode(good, 6), nullptr);  // fewer than declared
     EXPECT_NE(decode(good, kOpBlockOps + 1), nullptr);
     // Truncated: indirect without its target word, escape without
     // its field words.
@@ -205,7 +310,7 @@ TEST(OpCodec, DecoderRejectsMalformedBlocks)
     EXPECT_NE(decode({good[3], good[4], good[5], 1ull << 32}, 1),
               nullptr);
     // Unknown control word type; an empty compute run; a run longer
-    // than the block's op count.
+    // than the block's instruction count.
     EXPECT_NE(decode({2ull << 2}, 1), nullptr);
     EXPECT_NE(decode({0}, 0), nullptr);
     EXPECT_NE(decode({uint64_t{kOpBlockOps + 1} << 4}, kOpBlockOps),
@@ -221,8 +326,8 @@ TEST(OpCodec, DecoderRejectsMalformedBlocks)
 constexpr uint64_t kSeed = 42;
 constexpr uint64_t kCompareOps = 100'000;
 
-/** The stream makeTraceSource produces for @p name after the IR
- *  transform a sweep recording applies, cut at @p count ops. */
+/** The instructions makeTraceSource produces for @p name after the
+ *  IR transform a sweep recording applies, cut at @p count. */
 std::vector<TraceOp>
 interpreterStream(const std::string &name, uint64_t count)
 {
@@ -230,16 +335,31 @@ interpreterStream(const std::string &name, uint64_t count)
     Program prog = makeWorkload(name)->build(fmem, kSeed);
     HintGenerator::transform(prog);
     const auto source = makeTraceSource(prog, fmem, kSeed);
-    std::vector<TraceOp> ops;
+    std::vector<TraceOp> insts;
     const TraceOp *batch = nullptr;
-    while (ops.size() < count) {
+    while (insts.size() < count) {
         const size_t n = source->nextBatch(&batch);
         if (n == 0)
             break;
-        ops.insert(ops.end(), batch,
-                   batch + std::min<uint64_t>(n, count - ops.size()));
+        appendInstructions(insts, batch, n, count);
     }
-    return ops;
+    return insts;
+}
+
+/** The first instruction at or after @p from that continues a run of
+ *  plain compute instructions in the same block: a position inside
+ *  an encoded run. */
+uint64_t
+insideRun(const std::vector<TraceOp> &insts, uint64_t from)
+{
+    for (uint64_t i = std::max<uint64_t>(from, 1); i < insts.size();
+         ++i) {
+        if (i % kOpBlockOps != 0 && insts[i].kind == OpKind::Compute &&
+            insts[i - 1].kind == OpKind::Compute)
+            return i;
+    }
+    ADD_FAILURE() << "no compute run after " << from;
+    return from;
 }
 
 TEST(SweepRecordingCodec, ReadersReplayTheInterpreterStream)
@@ -254,29 +374,45 @@ TEST(SweepRecordingCodec, ReadersReplayTheInterpreterStream)
         auto rec = std::make_shared<SweepRecording>(
             name, kSeed, SimConfig{}.l2.sizeBytes);
         const auto reader = SweepRecording::makeReader(rec);
-        uint64_t at = 0;
+        std::vector<TraceOp> got;
         const TraceOp *batch = nullptr;
-        while (at < want.size()) {
+        while (got.size() < want.size()) {
             const size_t n = reader->nextBatch(&batch);
-            ASSERT_GT(n, 0u) << "stream ended at op " << at;
-            for (size_t i = 0; i < n && at < want.size(); ++i, ++at)
-                ASSERT_TRUE(sameOp(batch[i], want[at])) << "op " << at;
+            ASSERT_GT(n, 0u) << "stream ended at " << got.size();
+            appendInstructions(got, batch, n, want.size());
         }
+        for (size_t i = 0; i < want.size(); ++i)
+            ASSERT_TRUE(sameOp(got[i], want[i])) << "instruction " << i;
 
-        // fetchSpan from inside a block runs to that block's end.
+        // fetchSpan from inside a block runs to that block's end and
+        // counts instructions; from inside a run it starts with the
+        // run's rest.
+        const uint64_t in_run = insideRun(want, kOpBlockOps + 7);
         for (uint64_t begin : {uint64_t{0}, uint64_t{1},
                                uint64_t{kOpBlockOps - 1},
-                               uint64_t{kOpBlockOps + 7},
+                               uint64_t{kOpBlockOps + 7}, in_run,
                                kCompareOps - 1}) {
             const TraceOp *span = nullptr;
             const size_t n = rec->fetchSpan(begin, &span);
             ASSERT_EQ(n, kOpBlockOps - begin % kOpBlockOps) << begin;
+            std::vector<TraceOp> insts;
+            for (const TraceOp *op = span; insts.size() < n; ++op)
+                appendInstructions(insts, op, 1);
+            ASSERT_EQ(insts.size(), n) << begin;
             for (size_t i = 0; i < n && begin + i < want.size(); ++i)
-                ASSERT_TRUE(sameOp(span[i], want[begin + i]))
-                    << "op " << begin + i;
+                ASSERT_TRUE(sameOp(insts[i], want[begin + i]))
+                    << "instruction " << begin + i;
         }
+        // Inside a run a span starts with the run's rest: one
+        // instruction later, one instruction shorter.
+        const TraceOp *span = nullptr;
+        ASSERT_GT(rec->fetchSpan(in_run - 1, &span), 0u);
+        const uint32_t before = span[0].count;
+        ASSERT_GT(rec->fetchSpan(in_run, &span), 0u);
+        EXPECT_EQ(span[0].kind, OpKind::Compute);
+        EXPECT_EQ(span[0].count + 1, before);
 
-        // The recorded stream costs at most 4 bytes per op.
+        // The recorded stream costs at most 4 bytes per instruction.
         EXPECT_GE(rec->opsRecorded(), kCompareOps);
         EXPECT_LE(rec->bytesRecorded(), 4 * rec->opsRecorded());
     }

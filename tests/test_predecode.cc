@@ -2,12 +2,14 @@
  * @file
  * Pins the decoded interpreter's op streams.
  *
- * A pinned stream's digest is the FNV-1a hash of each op's kind,
- * addr, refId, base and elemSize, then of the op count. Every pinned
- * stream is read through next() and through nextBatch(), each on a
- * fresh interpreter, and both digests must equal the committed
- * constant. The constants are the streams of the tree-walking
- * interpreter the decoded one replaced.
+ * A pinned stream's digest is the FNV-1a hash of each instruction's
+ * kind, addr, refId, base and elemSize, then of the instruction
+ * count; a compute op of count n hashes as n compute instructions.
+ * Every pinned stream is read through next() and through
+ * nextBatch(), each on a fresh interpreter, and both digests must
+ * equal the committed constant. The constants are the streams of the
+ * tree-walking interpreter the decoded one replaced, which emitted
+ * one op per instruction.
  */
 
 #include <gtest/gtest.h>
@@ -42,6 +44,7 @@ class PredecodeTest : public ::testing::Test
         ASSERT_EQ(a.refId, b.refId) << name << " op " << k;
         ASSERT_EQ(a.base, b.base) << name << " op " << k;
         ASSERT_EQ(a.elemSize, b.elemSize) << name << " op " << k;
+        ASSERT_EQ(a.count, b.count) << name << " op " << k;
     }
 };
 
@@ -52,23 +55,28 @@ class PredecodeTest : public ::testing::Test
 struct Reading
 {
     uint64_t digest = 0;
-    uint64_t ops = 0;      ///< Ops read (fewer than asked if it ended).
+    /** Instructions read (fewer than asked if the stream ended). */
+    uint64_t ops = 0;
     uint64_t indirect = 0; ///< Indirect-prefetch ops among them.
 };
 
-/** Folds ops into a Reading. */
+/** Folds instructions into a Reading. */
 class StreamHash
 {
   public:
+    /** Fold @p op's instructions, stopping once @p limit are in. */
     void
-    add(const TraceOp &op)
+    add(const TraceOp &op, uint64_t limit = ~0ull)
     {
-        hash_.mix(static_cast<uint64_t>(op.kind));
-        hash_.mix(op.addr);
-        hash_.mix(op.refId);
-        hash_.mix(op.base);
-        hash_.mix(op.elemSize);
-        ++reading_.ops;
+        const uint64_t n = op.kind == OpKind::Compute ? op.count : 1;
+        for (uint64_t i = 0; i < n && reading_.ops < limit; ++i) {
+            hash_.mix(static_cast<uint64_t>(op.kind));
+            hash_.mix(op.addr);
+            hash_.mix(op.refId);
+            hash_.mix(op.base);
+            hash_.mix(op.elemSize);
+            ++reading_.ops;
+        }
         reading_.indirect += op.kind == OpKind::IndirectPrefetch;
     }
 
@@ -87,18 +95,20 @@ class StreamHash
     Reading reading_;
 };
 
-/** The first @p limit ops of @p source, one next() call each. */
+/** The first @p limit instructions of @p source, one next() call
+ *  per op. */
 Reading
 readByOp(TraceSource &source, uint64_t limit)
 {
     StreamHash hash;
     TraceOp op;
     while (hash.ops() < limit && source.next(op))
-        hash.add(op);
+        hash.add(op, limit);
     return hash.finish();
 }
 
-/** The first @p limit ops of @p source, in nextBatch() spans. */
+/** The first @p limit instructions of @p source, in nextBatch()
+ *  spans. */
 Reading
 readByBatch(TraceSource &source, uint64_t limit)
 {
@@ -108,10 +118,8 @@ readByBatch(TraceSource &source, uint64_t limit)
         const size_t run = source.nextBatch(&ops);
         if (run == 0)
             break;
-        const uint64_t take =
-            std::min<uint64_t>(run, limit - hash.ops());
-        for (uint64_t i = 0; i < take; ++i)
-            hash.add(ops[i]);
+        for (size_t i = 0; i < run && hash.ops() < limit; ++i)
+            hash.add(ops[i], limit);
     }
     return hash.finish();
 }

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/hints.hh"
 #include "harness/suite.hh"
@@ -316,6 +317,43 @@ randomStride(Rng &rng, StrideConfig &stride)
                   rng.range(0, StrideConfig::kMaxConfidence + 1));
 }
 
+/**
+ * L1 and L2 size and associativity and the adaptive controller's
+ * fields, from a third generator so the other draws stay as they
+ * were. Every draw is valid but a 2% share, which breaks one of
+ * these fields in a way validate() must refuse.
+ */
+void
+randomGeometry(Rng &rng, SimConfig &c)
+{
+    c.l1d.sizeBytes = uint64_t{powerOfTwo(rng, 12, 17)};
+    c.l1d.assoc = powerOfTwo(rng, 0, 3);
+    c.l2.sizeBytes = uint64_t{powerOfTwo(rng, 17, 22)};
+    c.l2.assoc = powerOfTwo(rng, 0, 4);
+    AdaptiveConfig &a = c.adaptive;
+    a.epochCycles = powerOfTwo(rng, 6, 13);
+    a.hysteresisEpochs = static_cast<unsigned>(rng.range(1, 5));
+    a.minEpochFills = static_cast<uint64_t>(rng.range(0, 33));
+    const auto ordered = [&rng](double &low, double &high) {
+        low = rng.below(101) / 100.0;
+        high = rng.below(101) / 100.0;
+        if (low > high)
+            std::swap(low, high);
+    };
+    ordered(a.accuracyLow, a.accuracyHigh);
+    ordered(a.idleLow, a.idleHigh);
+    a.occupancyHigh = (1 + rng.below(100)) / 100.0;
+    a.pollutionHigh = rng.below(11) / 100.0;
+    switch (rng.chance(0.02) ? rng.below(6) : 6) {
+      case 0: c.l1d.assoc = 3; break; // No whole number of sets.
+      case 1: c.l2.sizeBytes = c.l1d.sizeBytes / 2; break;
+      case 2: a.epochCycles = 0; break;
+      case 3: a.hysteresisEpochs = 0; break;
+      case 4: a.accuracyLow = a.accuracyHigh + 0.5; break;
+      case 5: a.occupancyHigh = 0.0; break;
+    }
+}
+
 /** Every drawn field of @p c, for a failure message. */
 std::string
 describe(const SimConfig &c)
@@ -341,7 +379,16 @@ describe(const SimConfig &c)
         << c.stride.tableEntries << " entries " << c.stride.tableAssoc
         << "-way, " << c.stride.streamBuffers << " streams x "
         << c.stride.bufferEntries << ", threshold "
-        << c.stride.trainThreshold;
+        << c.stride.trainThreshold << "; L1D " << c.l1d.sizeBytes
+        << " B " << c.l1d.assoc << "-way, L2 " << c.l2.sizeBytes
+        << " B " << c.l2.assoc << "-way; adaptive epoch "
+        << c.adaptive.epochCycles << ", hysteresis "
+        << c.adaptive.hysteresisEpochs << ", min fills "
+        << c.adaptive.minEpochFills << ", accuracy "
+        << c.adaptive.accuracyLow << "-" << c.adaptive.accuracyHigh
+        << ", idle " << c.adaptive.idleLow << "-" << c.adaptive.idleHigh
+        << ", occupancy " << c.adaptive.occupancyHigh << ", pollution "
+        << c.adaptive.pollutionHigh;
     return out.str();
 }
 
@@ -359,10 +406,12 @@ TEST(RandomConfigs, EachIsRefusedOrFinishes)
     opts.warmupInstructions = 5'000;
     Rng rng(20'030'609);
     Rng stride_rng(20'010'211);
+    Rng geometry_rng(19'990'401);
     unsigned ran = 0;
     for (int i = 0; i < 100; ++i) {
         SimConfig config = randomConfig(rng);
         randomStride(stride_rng, config.stride);
+        randomGeometry(geometry_rng, config);
         const char *workload = pick(rng, kWorkloads);
         SimConfig resolved = config;
         resolveDramBackend(resolved.dram);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -21,6 +22,7 @@
 #include "harness/sweep.hh"
 #include "mem/cache.hh"
 #include "obs/stat_registry.hh"
+#include "op_stream.hh"
 #include "sim/logging.hh"
 
 namespace grp
@@ -245,34 +247,37 @@ TEST(Sweep, ConcurrentReadersShareOneRecording)
     std::vector<std::thread> threads;
     for (size_t t = 0; t < digests.size(); ++t) {
         threads.emplace_back([&rec, &digests, t] {
-            uint64_t hash = 1469598103934665603ull;
-            uint64_t seen = 0;
-            const auto fold = [&](const TraceOp *ops, size_t n) {
-                for (size_t i = 0; i < n && seen < kOps; ++i, ++seen) {
-                    hash = (hash ^ ops[i].addr ^
-                            uint64_t{ops[i].refId} << 40 ^
-                            static_cast<uint64_t>(ops[i].kind)) *
-                           1099511628211ull;
-                }
-            };
+            // The first kOps instructions, read in spans.
+            std::vector<TraceOp> insts;
             const TraceOp *ops = nullptr;
             if (t % 2 == 0) {
                 const auto reader = SweepRecording::makeReader(rec);
-                while (seen < kOps) {
+                while (insts.size() < kOps) {
                     const size_t n = reader->nextBatch(&ops);
                     if (n == 0)
                         break;
-                    fold(ops, n);
+                    appendInstructions(insts, ops, n, kOps);
                 }
             } else {
-                while (seen < kOps) {
-                    const size_t n = rec->fetchSpan(seen, &ops);
+                // fetchSpan counts instructions, not ops.
+                while (insts.size() < kOps) {
+                    const size_t n = rec->fetchSpan(insts.size(), &ops);
                     if (n == 0)
                         break;
-                    fold(ops, n);
+                    const size_t end = insts.size() + n < kOps
+                                           ? insts.size() + n
+                                           : kOps;
+                    while (insts.size() < end)
+                        appendInstructions(insts, ops++, 1, end);
                 }
             }
-            digests[t] = seen == kOps ? hash : 0;
+            uint64_t hash = 1469598103934665603ull;
+            for (const TraceOp &op : insts) {
+                hash = (hash ^ op.addr ^ uint64_t{op.refId} << 40 ^
+                        static_cast<uint64_t>(op.kind)) *
+                       1099511628211ull;
+            }
+            digests[t] = insts.size() == kOps ? hash : 0;
         });
     }
     for (std::thread &thread : threads)

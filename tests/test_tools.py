@@ -115,6 +115,44 @@ class PerfCompare(ToolCase):
     def test_manifest_that_is_not_utf8(self):
         self.assert_rejected(self.compare(b'{"a": "\xff"}'), self.new)
 
+    def test_median_of_three_runs_passes_past_one_outlier(self):
+        def run(ips):
+            return dict(MANIFEST, instructionsPerSecond=ips, benches={
+                "tab": {"instructionsPerSecond": ips,
+                        "hostPhases": {"Cpu": {"selfNanos": 5}}}})
+        base = write(self.dir / "base.json", MANIFEST)
+        paths = [write(self.dir / f"m{i}.json", run(ips))
+                 for i, ips in enumerate((990.0, 500.0, 1010.0))]
+        # The outlier alone trips the 15% gate...
+        alone = self.run_tool("perf_compare.py", "--baseline", base,
+                              "--manifest", paths[1])
+        self.assertEqual(alone.returncode, 1, alone.stdout)
+        self.assertIn("REGRESSION", alone.stdout)
+        # ...the median of the three (990) passes...
+        args = [a for p in paths for a in ("--manifest", p)]
+        median = self.run_tool("perf_compare.py", "--baseline", base,
+                               *args)
+        self.assertEqual(median.returncode, 0, median.stderr)
+        self.assertNotIn("REGRESSION", median.stdout)
+        # ...and --update writes that median.
+        updated = self.dir / "updated.json"
+        result = self.run_tool("perf_compare.py", "--baseline", updated,
+                               "--update", *args)
+        self.assertEqual(result.returncode, 0, result.stderr)
+        written = json.loads(updated.read_text())
+        self.assertEqual(written["instructionsPerSecond"], 990.0)
+        self.assertEqual(
+            written["benches"]["tab"]["instructionsPerSecond"], 990.0)
+        self.assertEqual(written["medianOfRuns"], 3)
+
+    def test_one_malformed_run_among_several(self):
+        base = write(self.dir / "base.json", MANIFEST)
+        good = write(self.dir / "good.json", MANIFEST)
+        bad = write(self.dir / "bad.json", [])
+        result = self.run_tool("perf_compare.py", "--baseline", base,
+                               "--manifest", good, "--manifest", bad)
+        self.assert_rejected(result, bad)
+
     def test_missing_manifest(self):
         result = self.run_tool("perf_compare.py", "--baseline",
                                write(self.dir / "base.json", MANIFEST),

@@ -3,7 +3,7 @@
 
 Usage:
     tools/perf_compare.py [--baseline bench/baselines/perf_manifest.json]
-                          [--manifest bench/out/manifest.json]
+                          [--manifest bench/out/manifest.json ...]
                           [--tolerance 0.15] [--strict] [--update]
 
 Compares the new bench manifest's simulated-instructions-per-second
@@ -15,6 +15,12 @@ side, so the failure names the phase (interpreter, L2, MSHR, DRAM,
 engine, stats overhead) whose share grew instead of just saying
 "slower".
 
+--manifest may be given more than once, one per run of the benches.
+The gate then reads the median of the runs: each figure (aggregate
+and per-bench inst/s, each host phase's times) is the median over the
+runs that have it. On a shared host single runs of one commit vary by
+far more than the tolerance, so CI gates the median of three.
+
 Throughput is only comparable between runs on the same machine and
 build: when the two manifests' provenance disagrees (different CPU
 model, compiler, build type or thread count), failures are
@@ -22,8 +28,9 @@ downgraded to warnings unless --strict forces them. CI pins a serial
 provenance (GRP_BENCH_THREADS=1) and commits the baseline from the
 same runner class, so the gate stays meaningful there.
 
---update rewrites the baseline from the new manifest (after a
-deliberate perf change or a runner migration); commit the result.
+--update rewrites the baseline from the new manifest, or from the
+median of the runs given (after a deliberate perf change or a runner
+migration); commit the result.
 
 Exit status: 0 when within tolerance (or mismatched provenance
 without --strict), 1 on a gated regression or on missing or malformed
@@ -32,7 +39,9 @@ and the problem.
 """
 
 import argparse
+import copy
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -94,6 +103,41 @@ def load(path):
         field, problem = found
     print(f"perf_compare: {path}: {field}: {problem}", file=sys.stderr)
     return None
+
+
+def median_of(values):
+    """The median of the numbers among values, None without any."""
+    numbers = [v for v in values if is_number(v)]
+    return statistics.median(numbers) if numbers else None
+
+
+def median_manifest(manifests):
+    """One manifest whose inst/s figures and host-phase times are the
+    medians over manifests (the first one's other fields)."""
+    if len(manifests) == 1:
+        return manifests[0]
+    merged = copy.deepcopy(manifests[0])
+    merged["instructionsPerSecond"] = median_of(
+        m.get("instructionsPerSecond") for m in manifests)
+    merged["medianOfRuns"] = len(manifests)
+    all_benches = [m.get("benches") or {} for m in manifests]
+    benches = merged.setdefault("benches", {})
+    for name in sorted(set().union(*all_benches)):
+        runs = [b[name] for b in all_benches if name in b]
+        bench = benches.setdefault(name, copy.deepcopy(runs[0]))
+        bench["instructionsPerSecond"] = median_of(
+            run.get("instructionsPerSecond") for run in runs)
+        phases = [run.get("hostPhases") or {} for run in runs]
+        if any(phases):
+            bench["hostPhases"] = {
+                phase: {
+                    key: median_of(p[phase].get(key) for p in phases
+                                   if phase in p)
+                    for key in ("totalNanos", "selfNanos", "calls")
+                }
+                for phase in sorted(set().union(*phases))
+            }
+    return merged
 
 
 def inst_per_sec(manifest):
@@ -188,8 +232,10 @@ def main():
     parser.add_argument(
         "--baseline", type=Path,
         default=Path("bench/baselines/perf_manifest.json"))
-    parser.add_argument("--manifest", type=Path,
-                        default=Path("bench/out/manifest.json"))
+    parser.add_argument("--manifest", type=Path, action="append",
+                        help="a run's manifest; repeat it to gate the "
+                             "median of several runs (default "
+                             "bench/out/manifest.json)")
     parser.add_argument("--tolerance", type=float, default=0.15,
                         help="max fractional inst/s drop (0.15=15%%)")
     parser.add_argument("--strict", action="store_true",
@@ -198,9 +244,11 @@ def main():
                         help="rewrite the baseline from --manifest")
     args = parser.parse_args()
 
-    new = load(args.manifest)
-    if new is None:
+    runs = [load(path) for path in
+            args.manifest or [Path("bench/out/manifest.json")]]
+    if None in runs:
         return 1
+    new = median_manifest(runs)
 
     if args.update:
         args.baseline.parent.mkdir(parents=True, exist_ok=True)
