@@ -12,9 +12,9 @@ makePrefetchEngine(const SimConfig &config, const FunctionalMemory &fmem,
                    MemorySystem &mem, obs::StatRegistry &registry)
 {
     std::unique_ptr<PrefetchEngine> engine;
-    auto present = [&mem](Addr addr) {
-        return mem.l2().contains(addr) ||
-               mem.l2Mshrs().find(addr) != nullptr;
+    auto present = [&mem](uint64_t base_block, unsigned blocks) {
+        return mem.l2().presentMask(base_block, blocks) |
+               mem.l2Mshrs().presentMask(base_block, blocks);
     };
 
     switch (config.scheme) {

@@ -17,6 +17,7 @@ Cpu::Cpu(const SimConfig &config, MemorySystem &mem, EventQueue &events,
       trace_(trace),
       hints_(hints),
       elideIndirect_(!hints || !config.usesHints()),
+      profileAccess_(obs::HostProfiler::instance().wants(2)),
       stats_("cpu"),
       statReg_(stats_, registry)
 {
@@ -129,7 +130,7 @@ Cpu::tick()
             // An L1 hit completes synchronously; only a miss looks up
             // the hints and round-trips through the event queue and
             // the loadDone callback.
-            GRP_HOST_SCOPE(2, MemAccess);
+            GRP_HOST_SCOPE_IF(profileAccess_, MemAccess);
             if (!mem_.loadHit(op->addr, ready)) {
                 ++entry.generation;
                 const uint64_t token =
@@ -146,7 +147,7 @@ Cpu::tick()
             break;
           }
           case OpKind::Store: {
-            GRP_HOST_SCOPE(2, MemAccess);
+            GRP_HOST_SCOPE_IF(profileAccess_, MemAccess);
             accepted = mem_.storeHit(op->addr) ||
                        mem_.storeMiss(op->addr, op->refId,
                                       hintsFor(op->refId));
@@ -185,21 +186,10 @@ Cpu::tick()
     robCount_ = count;
 }
 
-bool
-Cpu::done() const
-{
-    return traceDone_ && !pending_ && robCount_ == 0;
-}
-
 Cpu::StallState
-Cpu::stallState(Tick now) const
+Cpu::blockedState(const RobEntry &head) const
 {
     StallState st;
-    if (robCount_ == 0)
-        return st; // Empty pipeline issues or finishes; not a stall.
-    const RobEntry &head = robEntries_[robHead_];
-    if (!head.waitingOnLoad && head.readyAt <= now)
-        return st; // tick() would retire.
     if (robFull()) {
         // Blocked head, full ROB: tick() only counts a robFullStalls.
         st.stalled = true;

@@ -52,7 +52,11 @@ class Cpu
     void tick();
 
     /** Trace exhausted and pipeline drained. */
-    bool done() const;
+    bool
+    done() const
+    {
+        return traceDone_ && !pending_ && robCount_ == 0;
+    }
 
     /** What tick() would do at @p now, for the runner's stall
      *  fast-forward (see docs/PERFORMANCE.md). */
@@ -69,7 +73,18 @@ class Cpu
         Tick readyTick = kMaxTick;
     };
 
-    StallState stallState(Tick now) const;
+    /** Inline up to the common answer, a cycle that retires or
+     *  issues (the runner asks every cycle). */
+    StallState
+    stallState(Tick now) const
+    {
+        if (robCount_ == 0)
+            return {}; // Empty pipeline issues or finishes.
+        const RobEntry &head = robEntries_[robHead_];
+        if (!head.waitingOnLoad && head.readyAt <= now)
+            return {}; // tick() would retire.
+        return blockedState(head);
+    }
 
     /** Apply @p cycles skipped stall cycles in one batch: the cycle
      *  count and (on the full-ROB path) one robFullStalls per cycle,
@@ -109,6 +124,9 @@ class Cpu
 
     /** Load-completion callback from the memory system. */
     void loadDone(uint64_t token);
+
+    /** stallState() once the ROB head cannot retire. */
+    StallState blockedState(const RobEntry &head) const;
 
     /** The op to issue next, or nullptr once the trace is done. It
      *  points into the source's current block: refill() runs only
@@ -151,6 +169,9 @@ class Cpu
     const HintTable *hints_;
     /** Unhinted binary: indirect prefetch ops are not in the stream. */
     bool elideIndirect_;
+    /** The per-op MemAccess scopes profile: the thread's level, read
+     *  once at construction (a run's level is set before its CPU). */
+    bool profileAccess_;
 
     // Storage is robEntries rounded up to a power of two so the ring
     // indices advance with a mask instead of a modulo. An entry holds

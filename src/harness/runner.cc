@@ -562,20 +562,24 @@ runWorkload(Workload &workload, SimConfig config,
     const auto run_until = [&](uint64_t target) {
         if (cpu.done() || cpu.retiredInstructions() >= target)
             return false;
+        // The per-cycle scopes test this flag, not the process-wide
+        // profiling ceiling: a shared load on every cycle is not free
+        // (docs/PERFORMANCE.md, "Overhead budget").
+        const bool prof = obs::HostProfiler::instance().wants(2);
         Tick now = cycle;
         Tick due = next_due();
         bool stop = false;
         for (;;) {
             {
-                GRP_HOST_SCOPE(2, Events);
+                GRP_HOST_SCOPE_IF(prof, Events);
                 events.advanceTo(now);
             }
             {
-                GRP_HOST_SCOPE(2, CpuTick);
+                GRP_HOST_SCOPE_IF(prof, CpuTick);
                 cpu.tick();
             }
             {
-                GRP_HOST_SCOPE(2, MemTick);
+                GRP_HOST_SCOPE_IF(prof, MemTick);
                 mem.tick();
             }
             if (now == due) {
@@ -601,7 +605,7 @@ runWorkload(Workload &workload, SimConfig config,
             const Cpu::StallState st = cpu.stallState(now - 1);
             if (!st.stalled)
                 continue;
-            GRP_HOST_SCOPE(2, Events);
+            GRP_HOST_SCOPE_IF(prof, Events);
             const Tick skip_to =
                 std::min({events.nextEventTick(), st.readyTick,
                           mem.nextWorkTick(now - 1),
@@ -630,7 +634,7 @@ runWorkload(Workload &workload, SimConfig config,
         // Restart the site table with the measured window so its
         // column sums reconcile with the post-reset registry
         // totals (warmup-era fills still in flight attribute to
-        // the warmup columns via PrefetchFillInfo::warm).
+        // the warmup columns via FillRecord::warm).
         obs::SiteProfiler::instance().clear();
         if (controller)
             controller->onWarmupBoundary();

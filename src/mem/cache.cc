@@ -50,6 +50,17 @@ Cache::contains(Addr addr) const
     return findLine(addr) != nullptr;
 }
 
+uint64_t
+Cache::presentMask(uint64_t base_block, unsigned blocks) const
+{
+    uint64_t mask = 0;
+    for (unsigned i = 0; i < blocks; ++i) {
+        if (findLine((base_block + i) << kBlockShift))
+            mask |= 1ull << i;
+    }
+    return mask;
+}
+
 bool
 Cache::containsUnusedPrefetch(Addr addr) const
 {
@@ -59,7 +70,8 @@ Cache::containsUnusedPrefetch(Addr addr) const
 
 std::optional<Eviction>
 Cache::insert(Addr addr, bool as_prefetch, bool dirty,
-              std::optional<adaptive::InsertPos> pos)
+              std::optional<adaptive::InsertPos> pos,
+              const FillRecord *record)
 {
     const unsigned set_idx = setIndex(addr);
     const Addr tag = tagOf(addr);
@@ -94,24 +106,39 @@ Cache::insert(Addr addr, bool as_prefetch, bool dirty,
         }
     }
 
+    // Every path returns this one object, so it is built in the
+    // caller's slot: a temporary copied in costs a store-forwarding
+    // stall on every eviction.
+    std::optional<Eviction> evicted;
     // Re-inserting a present block only updates its state.
     if (present) {
         present->dirty = present->dirty || dirty;
-        return std::nullopt;
+        return evicted;
     }
 
     Line *victim = free_way ? free_way : lru_way;
-    std::optional<Eviction> evicted;
+    // The first prefetch insertion that brings a record starts the
+    // array: a cache never given one (the L1, the L2 of a run without
+    // prefetches) neither allocates nor touches it.
+    if (as_prefetch && record && records_.empty())
+        records_.assign(lines_.size(), FillRecord{});
+    FillRecord *victim_record =
+        records_.empty() ? nullptr : &records_[victim - lines_.data()];
     if (victim->valid) {
-        evicted = Eviction{
-            ((victim->tag << setShift_) | set_idx) << kBlockShift,
-            victim->dirty,
-            victim->prefetched && !victim->referenced,
-        };
+        Eviction &out = evicted.emplace();
+        out.blockAddr = ((victim->tag << setShift_) | set_idx)
+                        << kBlockShift;
+        out.dirty = victim->dirty;
+        out.wasUnusedPrefetch = victim->prefetched && !victim->referenced;
         ++*cnt_.evictions;
-        if (evicted->wasUnusedPrefetch)
+        if (out.wasUnusedPrefetch) {
             ++*cnt_.unusedPrefetchEvictions;
+            if (victim_record)
+                out.record = *victim_record;
+        }
     }
+    if (victim_record)
+        *victim_record = as_prefetch && record ? *record : FillRecord{};
 
     victim->valid = true;
     victim->tag = tag;
@@ -163,6 +190,23 @@ Cache::insert(Addr addr, bool as_prefetch, bool dirty,
     return evicted;
 }
 
+const FillRecord *
+Cache::fillRecord(Addr addr) const
+{
+    const Line *line = findLine(addr);
+    if (!line || records_.empty())
+        return nullptr;
+    const FillRecord &record = records_[line - lines_.data()];
+    return record.valid ? &record : nullptr;
+}
+
+void
+Cache::markFillRecordsWarm()
+{
+    for (FillRecord &record : records_)
+        record.warm = true;
+}
+
 void
 Cache::markDirty(Addr addr)
 {
@@ -182,6 +226,7 @@ Cache::reset()
 {
     for (Line &line : lines_)
         line = Line{};
+    records_.clear();
     nextStamp_ = 1;
     stats_.reset();
 }

@@ -15,12 +15,31 @@
 
 #include "adaptive/control_plane.hh"
 #include "obs/stat_registry.hh"
+#include "obs/trace.hh"
 #include "sim/config.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace grp
 {
+
+/**
+ * What a prefetch fill leaves with its line (the L2's prefetch fills
+ * pass one to Cache::insert): read at the line's first use or its
+ * unused eviction.
+ */
+struct FillRecord
+{
+    Tick fillTick = 0;
+    /** Static reference that earned the prefetch (site attribution). */
+    RefId ref = kInvalidRefId;
+    obs::HintClass hint = obs::HintClass::None;
+    /** Filled by a prefetch issued before the measurement boundary: its
+     *  use or eviction is warm-up carryover. */
+    bool warm = false;
+    /** The line's last insertion was a prefetch that left this record. */
+    bool valid = false;
+};
 
 /** A victim produced by an insertion. */
 struct Eviction
@@ -30,6 +49,9 @@ struct Eviction
     /** The victim was a prefetched block never referenced by the CPU
      *  (an accuracy loss the stats track). */
     bool wasUnusedPrefetch;
+    /** The unused prefetch's fill record (not valid otherwise, or
+     *  when its insertion brought none). */
+    FillRecord record;
 };
 
 /** Result of a demand access. */
@@ -86,6 +108,14 @@ class Cache
     bool contains(Addr addr) const;
 
     /**
+     * contains() for @p blocks consecutive blocks from block number
+     * @p base_block (at most 64, any alignment) in one call, probing
+     * each block's set once: bit i is set when block base_block + i
+     * is present.
+     */
+    uint64_t presentMask(uint64_t base_block, unsigned blocks) const;
+
+    /**
      * Insert the block containing @p addr.
      *
      * @param as_prefetch Insert at LRU position with the prefetch bit
@@ -95,12 +125,25 @@ class Cache
      *        (adaptive control-plane override). Ignored for demand
      *        insertions (always MRU); when absent, prefetches follow
      *        the constructor's lru_insertion policy.
+     * @param record A prefetch insertion's fill record, kept with the
+     *        line in an array beside the lines (so the line layout and
+     *        the inline hit probe do not change). Every other
+     *        insertion into the way (a demand fill, a writeback, a
+     *        prefetch without a record) leaves it without one.
      * @return The evicted victim, if a valid block was displaced.
      */
     std::optional<Eviction> insert(Addr addr, bool as_prefetch,
                                    bool dirty,
                                    std::optional<adaptive::InsertPos>
-                                       pos = std::nullopt);
+                                       pos = std::nullopt,
+                                   const FillRecord *record = nullptr);
+
+    /** The record the prefetch insertion of @p addr's line left, or
+     *  nullptr when the block is absent or its line has none. */
+    const FillRecord *fillRecord(Addr addr) const;
+
+    /** Mark every kept record warm (measurement boundary). */
+    void markFillRecordsWarm();
 
     /** Mark the block containing @p addr dirty (store to present
      *  block); no-op when absent. */
@@ -191,6 +234,9 @@ class Cache
     bool lruInsertion_;
     uint64_t nextStamp_ = 1;
     std::vector<Line> lines_; ///< numSets_ * assoc_, set-major.
+    /** One per line, by line index, from the first insertion that
+     *  brought a record (see insert()); empty before it. */
+    std::vector<FillRecord> records_;
     StatGroup stats_;
     obs::ScopedStatRegistration statReg_;
 

@@ -100,19 +100,6 @@ MemorySystem::demandPtrDepth(const LoadHints &hints) const
 }
 
 bool
-MemorySystem::load(Addr addr, RefId ref, const LoadHints &hints,
-                   uint64_t token)
-{
-    GRP_HOST_SCOPE(2, MemAccess);
-    Tick ready;
-    if (!loadHit(addr, ready))
-        return loadMiss(addr, ref, hints, token);
-    events_.scheduleIn(config_.l1d.latency,
-                       [this, token] { loadDone_(token); });
-    return true;
-}
-
-bool
 MemorySystem::loadMiss(Addr addr, RefId ref, const LoadHints &hints,
                        uint64_t token)
 {
@@ -121,13 +108,6 @@ MemorySystem::loadMiss(Addr addr, RefId ref, const LoadHints &hints,
     ++*hot_.l1DemandAccesses;
     ++*hot_.l1DemandMisses;
     return true;
-}
-
-bool
-MemorySystem::store(Addr addr, RefId ref, const LoadHints &hints)
-{
-    GRP_HOST_SCOPE(2, MemAccess);
-    return storeHit(addr) || storeMiss(addr, ref, hints);
 }
 
 bool
@@ -278,7 +258,7 @@ MemorySystem::finishL1Fill(Addr block_addr)
         if (l2_->contains(evicted->blockAddr))
             l2_->markDirty(evicted->blockAddr);
         else if (config_.perfection == Perfection::None)
-            insertIntoL2(evicted->blockAddr, false, true);
+            insertIntoL2(evicted->blockAddr, true);
         // The baseline cache receives the same writeback allocation;
         // replay it so the shadow diverges only through prefetching.
         if (shadow_)
@@ -295,55 +275,52 @@ MemorySystem::finishL1Fill(Addr block_addr)
 void
 MemorySystem::notePrefetchUseful(Addr block_addr)
 {
-    auto it = livePrefetches_.find(block_addr);
-    if (it == livePrefetches_.end()) {
-        // No fill record (state carried across a reset()): attribute
-        // conservatively as carryover so measured accuracy stays a
-        // fills-vs-uses ratio over the same window.
+    const FillRecord *fill = l2_->fillRecord(block_addr);
+    if (!fill) {
+        // No fill record (a line the L2 took as a prefetch without
+        // one): attribute conservatively as carryover so measured
+        // accuracy stays a fills-vs-uses ratio over the same window.
         lifecycle_.note({obs::TraceEvent::FirstUse, block_addr,
                          obs::HintClass::None, -1, -1, true});
         return;
     }
 
-    const PrefetchFillInfo info = it->second;
-    livePrefetches_.erase(it);
     const uint64_t distance = std::min<uint64_t>(
-        events_.curTick() - info.fillTick, obs::kFillToUseCap);
-    lifecycle_.note({obs::TraceEvent::FirstUse, block_addr, info.hint, -1,
-                     static_cast<int64_t>(distance), info.warm, info.ref});
+        events_.curTick() - fill->fillTick, obs::kFillToUseCap);
+    lifecycle_.note({obs::TraceEvent::FirstUse, block_addr, fill->hint, -1,
+                     static_cast<int64_t>(distance), fill->warm,
+                     fill->ref});
 }
 
 void
-MemorySystem::insertIntoL2(Addr block_addr, bool as_prefetch, bool dirty,
-                           RefId ref, obs::HintClass hint)
+MemorySystem::insertIntoL2(Addr block_addr, bool dirty,
+                           const FillRecord *fill)
 {
     // The control plane (when attached) picks the recency position of
     // prefetch fills per hint class; demand fills stay MRU.
+    const bool as_prefetch = fill != nullptr;
     std::optional<adaptive::InsertPos> pos;
     if (plane_ && as_prefetch)
-        pos = plane_->insertPos(hint);
-    auto evicted = l2_->insert(block_addr, as_prefetch, dirty, pos);
+        pos = plane_->insertPos(fill->hint);
+    auto evicted = l2_->insert(block_addr, as_prefetch, dirty, pos, fill);
     if (shadow_ && as_prefetch && evicted) {
         // A prefetch fill displaced a live block: remember whom to
         // charge if a demand comes back for the victim while the
         // shadow cache still holds it (a pollution miss).
         const uint64_t drops_before = victims_.drops();
-        victims_.record(evicted->blockAddr, ref, hint);
+        victims_.record(evicted->blockAddr, fill->ref, fill->hint);
         *pol_.victimDrops += victims_.drops() - drops_before;
         lifecycle_.note({obs::TraceEvent::EvictVictim, evicted->blockAddr,
-                         hint, -1, -1, false, ref});
+                         fill->hint, -1, -1, false, fill->ref});
     }
     if (evicted && evicted->wasUnusedPrefetch) {
-        // Without a fill record (state carried across a reset()) the
-        // eviction stays unattributed.
+        // Without a fill record the eviction stays unattributed.
         obs::TraceRecord rec(obs::TraceEvent::EvictedUnused,
                              evicted->blockAddr);
-        auto it = livePrefetches_.find(evicted->blockAddr);
-        if (it != livePrefetches_.end()) {
-            rec.hint = it->second.hint;
-            rec.carryover = it->second.warm;
-            rec.site = it->second.ref;
-            livePrefetches_.erase(it);
+        if (evicted->record.valid) {
+            rec.hint = evicted->record.hint;
+            rec.carryover = evicted->record.warm;
+            rec.site = evicted->record.ref;
         }
         lifecycle_.note(rec);
     }
@@ -598,14 +575,14 @@ MemorySystem::onDramFill(MemRequest req)
     const uint8_t depth = mshr->ptrDepth;
     const bool was_prefetch_req = req.cls == ReqClass::Prefetch;
 
-    insertIntoL2(req.blockAddr, was_prefetch_req, false, req.refId,
-                 req.hintClass);
     if (was_prefetch_req) {
-        const bool warm = mshr->allocated < boundaryTick_;
-        livePrefetches_[req.blockAddr] = PrefetchFillInfo{
-            events_.curTick(), req.hintClass, warm, req.refId};
+        const FillRecord fill{events_.curTick(), req.refId, req.hintClass,
+                              mshr->allocated < boundaryTick_, true};
+        insertIntoL2(req.blockAddr, false, &fill);
         lifecycle_.note({obs::TraceEvent::Fill, req.blockAddr,
-                         req.hintClass, -1, -1, warm, req.refId});
+                         req.hintClass, -1, -1, fill.warm, req.refId});
+    } else {
+        insertIntoL2(req.blockAddr, false);
     }
     if (demand_class && was_prefetch_req) {
         // Late prefetch: the waiting demand touches it immediately.
@@ -733,8 +710,7 @@ MemorySystem::resetStats()
     // Prefetches filled before this boundary must not count toward
     // measured-window accuracy when they are finally referenced.
     boundaryTick_ = events_.curTick();
-    for (auto &entry : livePrefetches_)
-        entry.second.warm = true;
+    l2_->markFillRecordsWarm();
     classCounts_ = {};
 }
 
@@ -753,7 +729,6 @@ MemorySystem::reset()
         queue.clear();
     queuedDemand_ = 0;
     queuedWriteback_ = 0;
-    livePrefetches_.clear();
     boundaryTick_ = 0;
     if (shadow_)
         shadow_->reset();

@@ -28,7 +28,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "adaptive/signals.hh"
@@ -89,16 +88,6 @@ class MemorySystem
     }
 
     /**
-     * Issue a load: loadHit(), then loadMiss() when it misses. The
-     * load callback fires with @p token when the data is ready, an
-     * L1 hit's l1d.latency cycles from now.
-     *
-     * @return false on a structural stall (MSHRs full); retry later.
-     */
-    bool load(Addr addr, RefId ref, const LoadHints &hints,
-              uint64_t token);
-
-    /**
      * The L1 half of a load, inline for the CPU's issue loop. On an
      * L1 hit (every load under a perfect L1) it counts the access,
      * sets @p ready to the completion tick and returns true; the
@@ -124,19 +113,11 @@ class MemorySystem
     bool loadMiss(Addr addr, RefId ref, const LoadHints &hints,
                   uint64_t token);
 
-    /**
-     * Issue a store (write-allocate, write-back): storeHit(), then
-     * storeMiss() when it misses. Stores complete immediately from
-     * the CPU's perspective (store buffer); this call only models
-     * cache state and miss traffic.
-     *
-     * @return false on a structural stall; retry later.
-     */
-    bool store(Addr addr, RefId ref, const LoadHints &hints);
-
-    /** The L1 half of a store, inline like loadHit(): true (and
-     *  counted) on an L1 hit or under a perfect L1, false with
-     *  nothing changed on a miss. */
+    /** The L1 half of a store (write-allocate, write-back), inline
+     *  like loadHit(): true (and counted) on an L1 hit or under a
+     *  perfect L1, false with nothing changed on a miss. Stores
+     *  complete at once from the CPU's side (store buffer); the store
+     *  calls only model cache state and miss traffic. */
     bool
     storeHit(Addr addr)
     {
@@ -255,15 +236,16 @@ class MemorySystem
     bool handleL1Miss(Addr addr, RefId ref, const LoadHints &hints,
                       uint64_t token, bool is_write);
     /** First CPU reference to a prefetched block: attribute it to its
-     *  hint class and warmup era, sample the fill-to-use distance. */
+     *  fill record's site, hint class and warmup era, and sample the
+     *  fill-to-use distance. */
     void notePrefetchUseful(Addr block_addr);
     void respondAfter(Tick delay, Addr block_addr);
     void finishL1Fill(Addr block_addr);
-    /** @p ref / @p hint attribute a prefetch insertion's evictions to
-     *  the responsible site (victim-table recording). */
-    void insertIntoL2(Addr block_addr, bool as_prefetch, bool dirty,
-                      RefId ref = kInvalidRefId,
-                      obs::HintClass hint = obs::HintClass::None);
+    /** A prefetch fill passes its @p fill record, which stays with the
+     *  line and charges the insertion's evictions to the record's site
+     *  (victim-table recording); any other insertion passes none. */
+    void insertIntoL2(Addr block_addr, bool dirty,
+                      const FillRecord *fill = nullptr);
     /** Replay one demand L2 access against the shadow tags and count
      *  its baseline/pollution/coverage classification. */
     void classifyDemandAccess(Addr block_addr, bool real_hit);
@@ -335,21 +317,6 @@ class MemorySystem
      *  offers already-present blocks. */
     static constexpr unsigned kPrefetchDrawLimit = 8;
 
-    /** A prefetch-filled block not yet referenced by the CPU. */
-    struct PrefetchFillInfo
-    {
-        Tick fillTick = 0;
-        obs::HintClass hint = obs::HintClass::None;
-        /** Issued before the measurement boundary; its eventual use
-         *  is warmup carryover, not measured-window accuracy. */
-        bool warm = false;
-        /** Static reference that earned the prefetch (site
-         *  attribution for the tracer and the site profiler). */
-        RefId ref = kInvalidRefId;
-    };
-
-    /** Live (unreferenced) prefetch fills keyed by block address. */
-    std::unordered_map<Addr, PrefetchFillInfo> livePrefetches_;
     /** Tick of the last resetStats() (warmup/measurement boundary). */
     Tick boundaryTick_ = 0;
 

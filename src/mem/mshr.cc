@@ -41,6 +41,20 @@ MshrFile::find(Addr addr) const
     return const_cast<MshrFile *>(this)->find(addr);
 }
 
+uint64_t
+MshrFile::presentMask(uint64_t base_block, unsigned blocks) const
+{
+    GRP_HOST_SCOPE(2, Mshr);
+    uint64_t mask = 0;
+    for (const Mshr &entry : entries_) {
+        // Unsigned: a block below the base wraps to a huge offset.
+        const uint64_t offset = blockNumber(entry.blockAddr) - base_block;
+        if (entry.valid && offset < blocks)
+            mask |= 1ull << offset;
+    }
+    return mask;
+}
+
 Mshr &
 MshrFile::allocate(Addr addr, bool is_prefetch, const LoadHints &hints,
                    uint8_t ptr_depth, Tick now)

@@ -54,6 +54,11 @@ class MshrFile
     Mshr *find(Addr addr);
     const Mshr *find(Addr addr) const;
 
+    /** find() for @p blocks consecutive blocks from block number
+     *  @p base_block (at most 64, any alignment) in one walk over the
+     *  entries: bit i is set when block base_block + i has one. */
+    uint64_t presentMask(uint64_t base_block, unsigned blocks) const;
+
     /** True when no entry is free. */
     bool full() const { return freeCount_ == 0; }
     unsigned inFlight() const { return size_ - freeCount_; }

@@ -40,15 +40,11 @@ uint64_t
 RegionQueue::buildWindowVector(uint64_t base_block, unsigned blocks,
                                uint64_t exclude_block) const
 {
-    uint64_t vec = 0;
-    for (unsigned i = 0; i < blocks; ++i) {
-        const uint64_t block = base_block + i;
-        if (block == exclude_block)
-            continue;
-        if (present_ && present_(block << kBlockShift))
-            continue;
-        vec |= 1ull << i;
-    }
+    uint64_t vec = blocks < 64 ? (1ull << blocks) - 1 : ~0ull;
+    if (exclude_block - base_block < blocks)
+        vec &= ~(1ull << (exclude_block - base_block));
+    if (present_)
+        vec &= ~present_(base_block, blocks);
     return vec;
 }
 

@@ -55,7 +55,11 @@ struct RegionEntry
 class RegionQueue
 {
   public:
-    using PresenceTest = std::function<bool(Addr)>;
+    /** Presence of a window's blocks, asked once per window: bit i of
+     *  the result is set when block @p base_block + i (of @p blocks,
+     *  at most 64) is present or in flight. */
+    using PresenceTest =
+        std::function<uint64_t(uint64_t base_block, unsigned blocks)>;
 
     /**
      * @param capacity Maximum entries (paper: 32).
@@ -130,6 +134,8 @@ class RegionQueue
      *  @p tier (-1 scans every entry: the classic behavior). */
     std::optional<PrefetchCandidate>
     dequeueTier(const DramBackend &dram, unsigned channel, int tier);
+    /** The window's candidates: each of its @p blocks but
+     *  @p exclude_block and those the presence test reports. */
     uint64_t buildWindowVector(uint64_t base_block, unsigned blocks,
                                uint64_t exclude_block) const;
 

@@ -22,6 +22,7 @@
 #include "mem/dram_backend/factory.hh"
 #include "mem/dram_backend/timing.hh"
 #include "mem/memory_system.hh"
+#include "mem_port.hh"
 #include "obs/site_profile.hh"
 #include "sim/logging.hh"
 
@@ -949,7 +950,7 @@ driveMemory(const std::vector<Arrival> &arrivals, Tick horizon,
     config.dram.backend = "ddr4-2400";
     EventQueue events;
     MemorySystem mem(config, events);
-    mem.setLoadCallback([&](uint64_t token) {
+    MemPort port(mem, events, [&](uint64_t token) {
         out.loads.emplace_back(token, events.curTick());
     });
 
@@ -960,7 +961,7 @@ driveMemory(const std::vector<Arrival> &arrivals, Tick horizon,
         for (; next_arrival < arrivals.size() &&
                arrivals[next_arrival].tick == now;
              ++next_arrival) {
-            mem.load(arrivals[next_arrival].addr, 0, {}, token++);
+            port.load(arrivals[next_arrival].addr, 0, {}, token++);
         }
         mem.tick();
         ++out.steps;
@@ -1124,8 +1125,9 @@ TEST_F(DramBackendTest, PerBankStateCyclesSumToChannelCycles)
     EventQueue events;
     MemorySystem mem(config, events);
     std::vector<uint64_t> completed;
-    mem.setLoadCallback(
-        [&completed](uint64_t token) { completed.push_back(token); });
+    MemPort port(mem, events, [&completed](uint64_t token) {
+        completed.push_back(token);
+    });
 
     // A strided demand stream long enough to cross rows and banks.
     uint64_t token = 1;
@@ -1133,7 +1135,7 @@ TEST_F(DramBackendTest, PerBankStateCyclesSumToChannelCycles)
     for (Tick t = 0; t <= 20000; ++t) {
         events.advanceTo(t);
         if (t % 40 == 0) {
-            if (mem.load(addr, 0, {}, token)) {
+            if (port.load(addr, 0, {}, token)) {
                 ++token;
                 addr += 3 * kBlockBytes + kBlockBytes * 64;
             }
@@ -1166,12 +1168,12 @@ TEST_F(DramBackendTest, TimingRunsAreDeterministic)
         config.dram.backend = "hbm2";
         EventQueue events;
         MemorySystem mem(config, events);
-        mem.setLoadCallback([](uint64_t) {});
+        MemPort port(mem, events, [](uint64_t) {});
         Addr addr = 0x40000;
         uint64_t token = 1;
         for (Tick t = 0; t <= 8000; ++t) {
             events.advanceTo(t);
-            if (t % 17 == 0 && mem.load(addr, 0, {}, token)) {
+            if (t % 17 == 0 && port.load(addr, 0, {}, token)) {
                 ++token;
                 addr += 5 * kBlockBytes;
             }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/engine_factory.hh"
+#include "mem_port.hh"
 #include "prefetch/region_engine.hh"
 #include "prefetch/stride.hh"
 #include "sim/event_queue.hh"
@@ -95,8 +96,9 @@ TEST_F(EngineFactoryTest, EngineIsAttachedToTheMemorySystem)
     auto engine = make(PrefetchScheme::Srp);
     // A demand miss must reach the engine: drive one load through.
     std::vector<uint64_t> done;
-    mem->setLoadCallback([&](uint64_t token) { done.push_back(token); });
-    ASSERT_TRUE(mem->load(0x200000, 0, {}, 1));
+    MemPort port(*mem, events,
+                 [&](uint64_t token) { done.push_back(token); });
+    ASSERT_TRUE(port.load(0x200000, 0, {}, 1));
     for (Tick t = 0; t < 5'000 && done.empty(); ++t) {
         events.advanceTo(t);
         mem->tick();

@@ -31,6 +31,7 @@
 #include "core/engine_factory.hh"
 #include "cpu/cpu.hh"
 #include "harness/suite.hh"
+#include "mem_port.hh"
 #include "obs/trace_reader.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -248,7 +249,7 @@ driveByHand(PrefetchScheme scheme, const char *dram, bool defer)
     const auto engine = makePrefetchEngine(config, fmem, mem, registry);
     mem.setDeferral(defer);
     DriveResult out;
-    mem.setLoadCallback([&](uint64_t token) {
+    MemPort port(mem, events, [&](uint64_t token) {
         out.loads.emplace_back(token, events.curTick());
     });
 
@@ -264,12 +265,12 @@ driveByHand(PrefetchScheme scheme, const char *dram, bool defer)
         switch (rng.below(busy ? 24 : 256)) {
           case 0:
             if (busy)
-                mem.load(addr, ref, {}, token++);
+                port.load(addr, ref, {}, token++);
             else
                 mem.indirectPrefetch(base, 1, addr, ref);
             break;
           case 1:
-            mem.store(addr, ref, {});
+            port.store(addr, ref, {});
             break;
           case 2:
             if (rng.below(32) == 0)

@@ -202,7 +202,7 @@ TEST_F(GrpRegionTest, IndirectFanoutIsConfigurable)
 TEST_F(GrpRegionTest, PresenceTestFiltersRegionWindows)
 {
     RegionEngine engine(config, mem);
-    engine.setPresenceTest([](Addr) { return true; });
+    engine.setPresenceTest([](uint64_t, unsigned) { return ~0ull; });
     LoadHints hints;
     hints.flags = kHintSpatial;
     engine.onL2DemandMiss(0x10000, 0, hints);

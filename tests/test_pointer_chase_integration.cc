@@ -13,6 +13,7 @@
 
 #include "core/engine_factory.hh"
 #include "mem/memory_system.hh"
+#include "mem_port.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 
@@ -51,12 +52,12 @@ class PointerChaseIntegration : public ::testing::Test
         EventQueue events;
         MemorySystem mem(config, events);
         bool done = false;
-        mem.setLoadCallback([&done](uint64_t) { done = true; });
+        MemPort port(mem, events, [&done](uint64_t) { done = true; });
         auto engine = makePrefetchEngine(config, fmem, mem);
 
         LoadHints hints;
         hints.flags = flags;
-        EXPECT_TRUE(mem.load(nodes[0], 0, hints, 1));
+        EXPECT_TRUE(port.load(nodes[0], 0, hints, 1));
         for (Tick t = 0; t < 50'000; ++t) {
             events.advanceTo(t);
             mem.tick();

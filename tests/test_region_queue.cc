@@ -60,8 +60,13 @@ TEST_F(RegionQueueTest, PresenceTestFiltersWindow)
 {
     RegionQueue queue(32, true, false);
     // Mark even blocks of the region present.
-    queue.setPresenceTest([](Addr addr) {
-        return (blockNumber(addr) % 2) == 0;
+    queue.setPresenceTest([](uint64_t base_block, unsigned blocks) {
+        uint64_t mask = 0;
+        for (unsigned i = 0; i < blocks; ++i) {
+            if ((base_block + i) % 2 == 0)
+                mask |= 1ull << i;
+        }
+        return mask;
     });
     queue.noteSpatialMiss(0x40000 + kBlockBytes, 64, 0, 0);
     auto blocks = drain(queue);

@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""The Python manifest readers' error contract.
+"""The Python tools' contracts.
 
 tools/perf_compare.py and tools/bench_manifest.py read JSON files
 that come from outside the program. Each malformed input below must end the tool with exit
 status 1 and one line naming the file, never a Python traceback; a
-well-formed input must still pass.
+well-formed input must still pass. tools/host_ratio.py runs grpsim
+(the binary named by the GRPSIM environment variable, which ctest
+sets) and prints one line per ratio.
 
 Run directly (python3 tests/test_tools.py) or through ctest.
 """
 
 import json
+import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -208,6 +212,40 @@ class BenchManifest(ToolCase):
         self.assert_sidecar_rejected(
             self.finish(dict(SIDECAR, simulatedInstructions="1000")),
             "simulatedInstructions")
+
+
+@unittest.skipUnless(os.environ.get("GRPSIM"),
+                     "GRPSIM names no grpsim binary (ctest sets it)")
+class HostRatio(unittest.TestCase):
+    RATIO = r"{} over {} at 20000: \d+\.\d{{3}} " \
+            r"\[\d+\.\d{{3}}, \d+\.\d{{3}}\] rounds " \
+            r"\d+\.\d{{3}} \d+\.\d{{3}}"
+
+    def host_ratio(self, *args):
+        return subprocess.run(
+            [sys.executable, str(TOOLS / "host_ratio.py"),
+             "--grpsim", os.environ["GRPSIM"], *args],
+            capture_output=True, text=True)
+
+    def test_two_rounds_print_both_ratios(self):
+        run = self.host_ratio("--window", "20000", "--rounds", "2")
+        self.assertEqual(run.returncode, 0, run.stderr)
+        lines = run.stdout.splitlines()
+        self.assertEqual(len(lines), 3, run.stdout)
+        self.assertIn("over 2 alternating rounds", lines[0])
+        self.assertRegex(lines[1], self.RATIO.format(
+            "srp/none", re.escape("mcf,swim,bzip2,art")))
+        self.assertRegex(lines[2], self.RATIO.format(
+            "ddr4-2400/legacy", re.escape(
+                "mcf,swim,bzip2,art x none,grp-var,grp-adaptive")))
+
+    def test_unknown_scheme_is_refused(self):
+        run = self.host_ratio("--window", "20000", "--rounds", "2",
+                              "--schemes", "srp/nosuch")
+        self.assertEqual(run.returncode, 2)
+        self.assertEqual(run.stdout, "")
+        self.assertEqual(len(run.stderr.splitlines()), 1, run.stderr)
+        self.assertIn("unknown scheme 'nosuch'", run.stderr)
 
 
 if __name__ == "__main__":
