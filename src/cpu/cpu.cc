@@ -17,7 +17,6 @@ Cpu::Cpu(const SimConfig &config, MemorySystem &mem, EventQueue &events,
       trace_(trace),
       hints_(hints),
       elideIndirect_(!hints || !config.usesHints()),
-      profileAccess_(obs::HostProfiler::instance().wants(2)),
       stats_("cpu"),
       statReg_(stats_, registry)
 {
@@ -130,7 +129,7 @@ Cpu::tick()
             // An L1 hit completes synchronously; only a miss looks up
             // the hints and round-trips through the event queue and
             // the loadDone callback.
-            GRP_HOST_SCOPE_IF(profileAccess_, MemAccess);
+            GRP_HOST_SCOPE(2, MemAccess);
             if (!mem_.loadHit(op->addr, ready)) {
                 ++entry.generation;
                 const uint64_t token =
@@ -147,7 +146,7 @@ Cpu::tick()
             break;
           }
           case OpKind::Store: {
-            GRP_HOST_SCOPE_IF(profileAccess_, MemAccess);
+            GRP_HOST_SCOPE(2, MemAccess);
             accepted = mem_.storeHit(op->addr) ||
                        mem_.storeMiss(op->addr, op->refId,
                                       hintsFor(op->refId));

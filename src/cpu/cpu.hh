@@ -169,9 +169,6 @@ class Cpu
     const HintTable *hints_;
     /** Unhinted binary: indirect prefetch ops are not in the stream. */
     bool elideIndirect_;
-    /** The per-op MemAccess scopes profile: the thread's level, read
-     *  once at construction (a run's level is set before its CPU). */
-    bool profileAccess_;
 
     // Storage is robEntries rounded up to a power of two so the ring
     // indices advance with a mask instead of a modulo. An entry holds

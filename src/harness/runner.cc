@@ -562,24 +562,20 @@ runWorkload(Workload &workload, SimConfig config,
     const auto run_until = [&](uint64_t target) {
         if (cpu.done() || cpu.retiredInstructions() >= target)
             return false;
-        // The per-cycle scopes test this flag, not the process-wide
-        // profiling ceiling: a shared load on every cycle is not free
-        // (docs/PERFORMANCE.md, "Overhead budget").
-        const bool prof = obs::HostProfiler::instance().wants(2);
         Tick now = cycle;
         Tick due = next_due();
         bool stop = false;
         for (;;) {
             {
-                GRP_HOST_SCOPE_IF(prof, Events);
+                GRP_HOST_SCOPE(2, Events);
                 events.advanceTo(now);
             }
             {
-                GRP_HOST_SCOPE_IF(prof, CpuTick);
+                GRP_HOST_SCOPE(2, CpuTick);
                 cpu.tick();
             }
             {
-                GRP_HOST_SCOPE_IF(prof, MemTick);
+                GRP_HOST_SCOPE(2, MemTick);
                 mem.tick();
             }
             if (now == due) {
@@ -605,7 +601,7 @@ runWorkload(Workload &workload, SimConfig config,
             const Cpu::StallState st = cpu.stallState(now - 1);
             if (!st.stalled)
                 continue;
-            GRP_HOST_SCOPE_IF(prof, Events);
+            GRP_HOST_SCOPE(2, Events);
             const Tick skip_to =
                 std::min({events.nextEventTick(), st.readyTick,
                           mem.nextWorkTick(now - 1),

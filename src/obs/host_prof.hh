@@ -14,10 +14,9 @@
  *
  * Overhead control is at run time: while profiling is off (level 0,
  * the default), every GRP_HOST_SCOPE site costs one load of the
- * process-wide ceiling and one predictable compare. The per-cycle and
- * per-op sites (GRP_HOST_SCOPE_IF) test a flag their caller read once
- * per run instead: a shared load on every simulated cycle is not free
- * (see docs/PERFORMANCE.md, "Overhead budget").
+ * process-wide ceiling and one predictable compare (see
+ * docs/PERFORMANCE.md, "Overhead budget", for what that costs on the
+ * per-cycle sites).
  *
  * Phase levels:
  *  1 — run lifecycle: Run, Setup, SimLoop, Adaptive, Timeseries,
@@ -146,7 +145,8 @@ struct HostProfile
  * TLS access) when some thread could want it. The mark only rises —
  * lowering a thread's level keeps sites at the slower exact check —
  * so the fast path can use a relaxed load with no downward races.
- * The per-cycle and per-op sites do not read it (GRP_HOST_SCOPE_IF).
+ * With profiling off (the perf-gate default is level 1) this is what
+ * makes the per-op/per-cycle level-2 sites nearly free.
  */
 extern std::atomic<int> hostProfCeiling;
 
@@ -164,9 +164,6 @@ class HostProfiler
     HostProfiler &operator=(const HostProfiler &) = delete;
 
     int level() const { return level_; }
-
-    /** Scopes of level @p lvl profile on this thread now. */
-    bool wants(int lvl) const { return lvl <= level_; }
 
     void
     setLevel(int level)
@@ -255,7 +252,7 @@ HostAllocCounters hostAllocCounters();
 /** Process peak RSS in KB (getrusage), 0 when unavailable. */
 uint64_t hostPeakRssKb();
 
-/** RAII phase scope (see GRP_HOST_SCOPE and GRP_HOST_SCOPE_IF). */
+/** RAII phase scope (see GRP_HOST_SCOPE). */
 class HostScope
 {
   public:
@@ -264,16 +261,14 @@ class HostScope
         if (lvl > hostProfCeiling.load(std::memory_order_relaxed))
             return;
         HostProfiler &prof = HostProfiler::instance();
-        if (lvl <= prof.level())
-            open(prof, phase);
-    }
-
-    /** Profiles when @p on, a flag the caller read once (per run, say)
-     *  from its thread's level: no load of the shared ceiling. */
-    HostScope(HostPhase phase, bool on)
-    {
-        if (on)
-            open(HostProfiler::instance(), phase);
+        if (lvl > prof.level())
+            return;
+        prof_ = &prof;
+        scope_.parent = prof.currentScope();
+        scope_.startTicks = hostTicksNow();
+        scope_.childTicks = 0;
+        scope_.phase = phase;
+        prof.setCurrentScope(&scope_);
     }
 
     ~HostScope() { stop(); }
@@ -293,22 +288,11 @@ class HostScope
     HostScope &operator=(const HostScope &) = delete;
 
   private:
-    void
-    open(HostProfiler &prof, HostPhase phase)
-    {
-        prof_ = &prof;
-        scope_.parent = prof.currentScope();
-        scope_.startTicks = hostTicksNow();
-        scope_.childTicks = 0;
-        scope_.phase = phase;
-        prof.setCurrentScope(&scope_);
-    }
-
     HostProfiler *prof_ = nullptr;
-    /** Written by open() and read only while prof_ is set: a disabled
-     *  scope stores nothing but prof_ (zeroing it cost the per-cycle
-     *  sites more than the shared load, see docs/PERFORMANCE.md,
-     *  "Overhead budget"). */
+    /** Written by an enabled scope's constructor and read only while
+     *  prof_ is set: a disabled scope stores nothing but prof_
+     *  (zeroing the record cost the per-cycle sites several percent,
+     *  see docs/PERFORMANCE.md, "Overhead budget"). */
     HostProfiler::OpenScope scope_;
 };
 
@@ -323,16 +307,6 @@ class HostScope
 #define GRP_HOST_SCOPE(lvl, phase)                                    \
     GRP_HOST_SCOPE_NAMED(                                             \
         GRP_HOST_SCOPE_CAT(grp_host_scope_, __COUNTER__), lvl, phase)
-
-/** Attribute the enclosing block to @p phase when the flag @p on is
- *  set: the per-cycle and per-op sites, whose callers read their
- *  thread's level once per run (HostProfiler::wants()), so a disabled
- *  site loads no shared global (docs/PERFORMANCE.md, "Overhead
- *  budget"). */
-#define GRP_HOST_SCOPE_IF(on, phase)                                  \
-    ::grp::obs::HostScope GRP_HOST_SCOPE_CAT(grp_host_scope_,         \
-                                             __COUNTER__)(            \
-        ::grp::obs::HostPhase::phase, static_cast<bool>(on))
 
 /** Like GRP_HOST_SCOPE, but names the scope object so the caller can
  *  stop() it before the block ends (sequential phases in one

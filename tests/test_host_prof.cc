@@ -1,8 +1,7 @@
 /**
  * @file
  * Host-profiler tests: nesting and self-vs-total accounting,
- * snapshot partitioning while scopes are open, flag-tested sites
- * (GRP_HOST_SCOPE_IF), thread-local
+ * snapshot partitioning while scopes are open, thread-local
  * isolation under the sweep executor, the off-by-default contract
  * (a level-0 run registers no hostProf stats), allocation
  * accounting, and a micro-bound on the disabled-site cost (the
@@ -134,40 +133,6 @@ TEST(HostProf, SnapshotWhileScopesOpenStillPartitions)
     EXPECT_EQ(done.phase(obs::HostPhase::Run).calls, 1u);
 }
 
-TEST(HostProf, FlagSiteProfilesOnlyWhenSet)
-{
-    obs::HostProfiler &prof = obs::HostProfiler::instance();
-    const int prev = prof.level();
-    prof.setLevel(1);
-    const bool at_one = prof.wants(2);
-    prof.setLevel(2);
-    const obs::HostProfile base = prof.snapshot();
-    {
-        GRP_HOST_SCOPE_NAMED(outer, 1, Run);
-        {
-            GRP_HOST_SCOPE_IF(at_one, Mshr);
-            spinFor(500);
-        }
-        {
-            GRP_HOST_SCOPE_IF(prof.wants(2), Mshr);
-            spinFor(500);
-        }
-    }
-    const obs::HostProfile delta = prof.snapshot().delta(base);
-    prof.setLevel(prev);
-
-    EXPECT_FALSE(at_one);
-    const obs::HostPhaseTotals &mshr = delta.phase(obs::HostPhase::Mshr);
-    EXPECT_EQ(mshr.calls, 1u);
-    EXPECT_GT(mshr.selfNanos, 0u);
-    // The flag site nests like any other: self times still partition
-    // the root.
-    const uint64_t run_total = delta.phase(obs::HostPhase::Run).totalNanos;
-    EXPECT_NEAR(static_cast<double>(delta.selfSumNanos()),
-                static_cast<double>(run_total),
-                0.01 * static_cast<double>(run_total) + 100.0);
-}
-
 TEST(HostProf, ThreadLocalIsolationUnderRunSweep)
 {
     // Four jobs on two workers: each worker thread's profiler is
@@ -192,7 +157,7 @@ TEST(HostProf, ThreadLocalIsolationUnderRunSweep)
         EXPECT_EQ(run.calls, 1u) << outcome.label;
         EXPECT_GT(run.totalNanos, 0u) << outcome.label;
         // Level 1: the hot-loop phases must NOT have fired, the
-        // flag-tested per-cycle and per-op sites included.
+        // per-cycle and per-op sites included.
         for (const obs::HostPhase phase :
              {obs::HostPhase::Mshr, obs::HostPhase::CpuTick,
               obs::HostPhase::MemTick, obs::HostPhase::MemAccess}) {

@@ -8,17 +8,15 @@ turns to go first from round to round, and sums each side's simLoop
 time; the round's ratio is numerator over denominator. The tool prints
 each ratio's median and quartiles over the rounds:
 
-  scheme ratio  NUM/DEN schemes over --kernels, legacy DRAM, at
-                --scheme-window instructions (default srp/none over
-                mcf, swim, bzip2 and art at 2M)
-  DRAM ratio    NUM/DEN backends over --kernels x --dram-schemes, at
-                --dram-window (default ddr4-2400/legacy over the
-                serial-ddr4 jobs at 1M)
+  scheme ratio  --schemes NUM/DEN (default srp/none) over mcf, swim,
+                bzip2 and art on legacy DRAM at 2M instructions
+  DRAM ratio    ddr4-2400/legacy over the serial-ddr4 jobs (those
+                kernels x none, grp-var and grp-adaptive) at 1M
 
-Every job warms up for a quarter of its window, as perfbench's do.
-GRP_* variables are cleared for the jobs. Exit status 2 means a bad
-argument (an unknown scheme, backend or kernel is refused before any
-job runs); 1 means a job failed.
+--window sets one window for both ratios. Every job warms up for a
+quarter of its window, as perfbench's do. GRP_* variables are cleared
+for the jobs. Exit status 2 means a bad argument (an unknown scheme is
+refused before any job runs); 1 means a job failed.
 
   python3 tools/host_ratio.py --grpsim build/examples/grpsim
   python3 tools/host_ratio.py --grpsim build/examples/grpsim \\
@@ -32,60 +30,40 @@ import statistics
 import subprocess
 import sys
 
+KERNELS = ["mcf", "swim", "bzip2", "art"]
+SCHEME_WINDOW = 2_000_000
+DRAM_RATIO = ("ddr4-2400", "legacy")
+DRAM_SCHEMES = ["none", "grp-var", "grp-adaptive"]
+DRAM_WINDOW = 1_000_000
+
 
 def fail(message, status=1):
     print(f"host_ratio: {message}", file=sys.stderr)
     sys.exit(status)
 
 
-def grpsim_names(grpsim):
-    """The schemes and DRAM backends grpsim's usage lists."""
+def grpsim_schemes(grpsim):
+    """The schemes grpsim's usage lists."""
     try:
         usage = subprocess.run([grpsim, "--help"], capture_output=True,
                                text=True, check=True).stdout
     except (OSError, subprocess.CalledProcessError) as err:
         fail(f"cannot run {grpsim} --help: {err}", 2)
-    names = {}
     for line in usage.splitlines():
-        for key in ("schemes:", "dram backends:"):
-            if line.startswith(key):
-                rest = line[len(key):].split("(")[0]
-                names[key.rstrip(":")] = rest.split()
-    if set(names) != {"schemes", "dram backends"}:
-        fail(f"{grpsim} --help lists no schemes or DRAM backends", 2)
-    return names["schemes"], names["dram backends"]
+        if line.startswith("schemes:"):
+            return line[len("schemes:"):].split()
+    fail(f"{grpsim} --help lists no schemes", 2)
 
 
-def workloads(grpsim):
-    """The workload names grpsim --list prints (first column)."""
-    try:
-        listing = subprocess.run([grpsim, "--list"], capture_output=True,
-                                 text=True, check=True).stdout
-    except (OSError, subprocess.CalledProcessError) as err:
-        fail(f"cannot run {grpsim} --list: {err}", 2)
-    return {line.split()[0] for line in listing.splitlines()
-            if line.strip()}
-
-
-def pair(text, known, what):
+def scheme_pair(text, known):
     parts = text.split("/")
     if len(parts) != 2 or not all(parts):
-        fail(f"{what} ratio {text!r} is not NUM/DEN", 2)
+        fail(f"scheme ratio {text!r} is not NUM/DEN", 2)
     for name in parts:
         if name not in known:
-            fail(f"unknown {what} {name!r} (grpsim knows: "
+            fail(f"unknown scheme {name!r} (grpsim knows: "
                  f"{' '.join(known)})", 2)
     return parts
-
-
-def names(text, known, what):
-    items = [item for item in text.split(",") if item]
-    if not items:
-        fail(f"no {what} given", 2)
-    for item in items:
-        if item not in known:
-            fail(f"unknown {what} {item!r}", 2)
-    return items
 
 
 def sim_loop_nanos(grpsim, env, kernel, scheme, dram, window):
@@ -137,31 +115,19 @@ def main():
     # single round can read anywhere from 1.1 to 2.8 for srp/none;
     # 40 rounds bring the quartiles within about 0.15.
     parser.add_argument("--rounds", type=int, default=40)
-    parser.add_argument("--kernels", default="mcf,swim,bzip2,art")
     parser.add_argument("--schemes", default="srp/none",
                         help="scheme ratio NUM/DEN (legacy DRAM)")
-    parser.add_argument("--dram", default="ddr4-2400/legacy",
-                        help="DRAM backend ratio NUM/DEN")
-    parser.add_argument("--dram-schemes",
-                        default="none,grp-var,grp-adaptive",
-                        help="schemes the DRAM ratio runs")
-    parser.add_argument("--scheme-window", type=int, default=2_000_000)
-    parser.add_argument("--dram-window", type=int, default=1_000_000)
     parser.add_argument("--window", type=int,
                         help="one window for both ratios")
     args = parser.parse_args()
     if args.rounds < 1:
         fail("--rounds must be at least 1", 2)
+    scheme_window, dram_window = SCHEME_WINDOW, DRAM_WINDOW
     if args.window is not None:
-        args.scheme_window = args.dram_window = args.window
-    if min(args.scheme_window, args.dram_window) < 4:
-        fail("windows must be at least 4 instructions", 2)
-
-    schemes, backends = grpsim_names(args.grpsim)
-    num, den = pair(args.schemes, schemes, "scheme")
-    dram_num, dram_den = pair(args.dram, backends, "DRAM backend")
-    kernels = names(args.kernels, workloads(args.grpsim), "kernel")
-    dram_schemes = names(args.dram_schemes, schemes, "scheme")
+        if args.window < 4:
+            fail("--window must be at least 4 instructions", 2)
+        scheme_window = dram_window = args.window
+    num, den = scheme_pair(args.schemes, grpsim_schemes(args.grpsim))
 
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("GRP_")}
@@ -170,18 +136,18 @@ def main():
           f"alternating rounds")
 
     scheme_jobs = [lambda side, k=k: (k, side, "legacy")
-                   for k in kernels]
+                   for k in KERNELS]
     ratios = measure(args.grpsim, env, args.rounds, (num, den),
-                     scheme_jobs, args.scheme_window)
-    print(f"{num}/{den} over {','.join(kernels)} at "
-          f"{args.scheme_window}: {summary(ratios)}")
+                     scheme_jobs, scheme_window)
+    print(f"{num}/{den} over {','.join(KERNELS)} at "
+          f"{scheme_window}: {summary(ratios)}")
 
     dram_jobs = [lambda side, k=k, s=s: (k, s, side)
-                 for k in kernels for s in dram_schemes]
-    ratios = measure(args.grpsim, env, args.rounds, (dram_num, dram_den),
-                     dram_jobs, args.dram_window)
-    print(f"{dram_num}/{dram_den} over {','.join(kernels)} x "
-          f"{','.join(dram_schemes)} at {args.dram_window}: "
+                 for k in KERNELS for s in DRAM_SCHEMES]
+    ratios = measure(args.grpsim, env, args.rounds, DRAM_RATIO,
+                     dram_jobs, dram_window)
+    print(f"{'/'.join(DRAM_RATIO)} over {','.join(KERNELS)} x "
+          f"{','.join(DRAM_SCHEMES)} at {dram_window}: "
           f"{summary(ratios)}")
 
 
